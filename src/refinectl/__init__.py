@@ -17,7 +17,6 @@ from .backend import (
     MissingLogprobsError,
     MockBackend,
     MockRecord,
-    TokenLogprobs,
     TransportError,
     drain_concurrent,
     load_mock_script,

@@ -16,8 +16,13 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -81,30 +86,18 @@ class GenerationConfig:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
-class TokenLogprobs:
-    """Top-k (token, logprob) alternatives at one output position."""
-
-    position: int
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("entries must be non-empty")
-        ordered = tuple(sorted(self.entries, key=lambda e: -e[1]))
-        object.__setattr__(self, "entries", ordered)
-
-    @property
-    def logprobs(self) -> tuple[float, ...]:
-        return tuple(lp for _, lp in self.entries)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Completion:
-    """One model response with logprobs and usage accounting."""
+    """One model response with logprobs and usage accounting.
+
+    ``logprobs`` (N, w) float64: row i holds the top-k logprobs served at
+    output position i, in served order, padded with ``-inf`` after its
+    ``counts[i]`` entries (1 <= counts[i] <= w). N is 0 without logprobs.
+    """
 
     text: str
-    per_token: tuple[TokenLogprobs, ...]
+    logprobs: np.ndarray
+    counts: np.ndarray
     completion_tokens: int
     prompt_tokens: int
     finish_reason: str = "stop"
@@ -114,8 +107,23 @@ class Completion:
             raise ValueError(f"finish_reason must be one of {FINISH_REASONS}")
         if self.completion_tokens < 0 or self.prompt_tokens < 0:
             raise ValueError("token counts must be >= 0")
-        if self.per_token and len(self.per_token) != self.completion_tokens:
-            raise ValueError("per_token length must equal completion_tokens")
+        if self.counts.size and self.counts.size != self.completion_tokens:
+            raise ValueError("logprob rows must equal completion_tokens")
+        # a frozen completion keeps its arrays read-only too
+        self.logprobs.flags.writeable = self.counts.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        # field by field; np.array_equal also compares the str and int fields
+        return isinstance(other, Completion) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _padded_rows(flat: Iterable[float], counts: np.ndarray) -> np.ndarray:
+    """Row-major logprobs, ``counts[i]`` of them for row i, -> (N, w) padded with -inf."""
+    out = np.full((counts.size, counts.max(initial=1)), -np.inf)
+    out[np.arange(out.shape[1]) < counts[:, None]] = np.fromiter(
+        flat, dtype=np.float64, count=int(counts.sum()))
+    return out
 
 
 Message = dict  # {"role": ..., "content": ...}
@@ -193,14 +201,6 @@ def drain_concurrent(
         return [f.result() for f in futures]
 
 
-def raise_slot_errors(results: list[Completion | BackendError]) -> list[Completion]:
-    """Unwrap a drain result, raising the first per-slot error if any."""
-    for r in results:
-        if isinstance(r, BackendError):
-            raise r
-    return results  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # Mock backend
 # ---------------------------------------------------------------------------
@@ -227,21 +227,20 @@ class MockRecord:
     def to_completion(self) -> Completion:
         if self.confidences is not None and self.logprobs is not None:
             raise ScriptError("record may set confidences or logprobs, not both")
-        per_token: list[TokenLogprobs] = []
         if self.confidences is not None:
-            for i, c in enumerate(self.confidences):
-                per_token.append(TokenLogprobs(position=i, entries=(("", -float(c)),)))
-        elif self.logprobs is not None:
-            for i, row in enumerate(self.logprobs):
-                if not row:
-                    raise ScriptError(f"logprobs row {i} is empty")
-                per_token.append(
-                    TokenLogprobs(position=i, entries=tuple(("", float(lp)) for lp in row))
-                )
+            logprobs = -np.asarray(self.confidences, dtype=np.float64).reshape(-1, 1)
+            counts = np.ones(logprobs.shape[0], dtype=np.intp)
+        else:
+            rows = self.logprobs or ()
+            counts = np.fromiter(map(len, rows), dtype=np.intp)
+            if not counts.all():
+                raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
+            logprobs = _padded_rows(chain.from_iterable(rows), counts)
         return Completion(
             text=self.text,
-            per_token=tuple(per_token),
-            completion_tokens=len(per_token),
+            logprobs=logprobs,
+            counts=counts,
+            completion_tokens=counts.size,
             prompt_tokens=self.prompt_tokens,
             finish_reason=self.finish_reason,
         )
@@ -322,7 +321,8 @@ def parse_chat_response(obj: dict) -> Completion:
     """Parse a chat-completions JSON body into a ``Completion``.
 
     Raises ``MissingLogprobsError`` when the response carries no
-    per-token logprob content.
+    per-token logprob content, and ``BackendError`` when that content is
+    malformed or ``usage.completion_tokens`` disagrees with its length.
     """
     try:
         choice = obj["choices"][0]
@@ -335,24 +335,30 @@ def parse_chat_response(obj: dict) -> Completion:
     if not content:
         raise MissingLogprobsError("endpoint returned no logprobs content")
 
-    per_token = []
-    for i, tok in enumerate(content):
-        tops = tok.get("top_logprobs") or []
-        entries = tuple((t.get("token", ""), float(t["logprob"])) for t in tops)
-        if not entries:
-            # Some servers omit top_logprobs but keep the sampled token's own.
-            entries = ((tok.get("token", ""), float(tok["logprob"])),)
-        per_token.append(TokenLogprobs(position=i, entries=entries))
-
     usage = obj.get("usage") or {}
+    # Some servers omit top_logprobs but keep the sampled token's own.
+    try:
+        tops = [tok.get("top_logprobs") or (tok,) for tok in content]
+        counts = np.fromiter(map(len, tops), dtype=np.intp)
+        logprobs = _padded_rows(map(itemgetter("logprob"), chain.from_iterable(tops)), counts)
+        completion_tokens = int(usage.get("completion_tokens", counts.size))
+        prompt_tokens = int(usage.get("prompt_tokens", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BackendError(f"malformed response: {exc!r}") from exc
+    if np.isnan(logprobs).any():
+        raise BackendError("malformed response: non-numeric logprob")
+    if completion_tokens != counts.size:
+        raise BackendError(f"usage reports {completion_tokens} completion tokens "
+                           f"but logprobs cover {counts.size}")
     finish = choice.get("finish_reason")
     if finish not in FINISH_REASONS:
-        finish = "length" if finish == "length" else ("stop" if finish == "stop" else "other")
+        finish = "other"
     return Completion(
         text=text,
-        per_token=tuple(per_token),
-        completion_tokens=int(usage.get("completion_tokens", len(per_token))),
-        prompt_tokens=int(usage.get("prompt_tokens", 0)),
+        logprobs=logprobs,
+        counts=counts,
+        completion_tokens=completion_tokens,
+        prompt_tokens=prompt_tokens,
         finish_reason=finish,
     )
 
@@ -411,11 +417,9 @@ __all__ = [
     "MockBackend",
     "MockRecord",
     "ScriptError",
-    "TokenLogprobs",
     "TransportError",
     "build_chat_payload",
     "drain_concurrent",
     "load_mock_script",
     "parse_chat_response",
-    "raise_slot_errors",
 ]

@@ -31,8 +31,8 @@ from .datasets import (  # re-exported: the dataset surface lives with the harne
     load_dataset,
     presented_choices,
 )
-from .refine import LoopConfig, RunResult, build_initial_prompt, extract_answer, \
-    normalize_math_answer, run
+from .refine import LoopConfig, RefinementError, RunResult, build_initial_prompt, \
+    extract_answer, normalize_math_answer, run
 from .tree import TreeConfig, run_tree
 
 logger = logging.getLogger(__name__)
@@ -198,7 +198,7 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
         presentation = presented_choices(problem, rng if spec.randomize_choices else None)
 
     if spec.method == "pass1":
-        samples = _sample_k(problem, backend, replace_k(spec, 1), seed, presentation,
+        samples = _sample_k(problem, backend, replace(spec, k=1), seed, presentation,
                             sequential=True)
         answer, _, tokens = samples[0]
         return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, 1)
@@ -237,10 +237,6 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
     raise ValueError(f"unknown method {spec.method!r}")
 
 
-def replace_k(spec: RunSpec, k: int) -> RunSpec:
-    return replace(spec, k=k)
-
-
 def run_benchmark(
     dataset: Sequence[Problem],
     spec: RunSpec,
@@ -255,7 +251,8 @@ def run_benchmark(
     supply a fresh backend per seed (mock scripts are consumed by a run);
     otherwise the given backend is reused. Wall time covers generation and
     voting, not report I/O. Per-problem failures are logged and scored as
-    incorrect rather than aborting the sweep.
+    incorrect rather than aborting the sweep; a failed refinement run still
+    counts the tokens it consumed before failing.
     """
     if spec.method in ("corefine", "corefine_tree") and controller is None:
         raise ValueError(f"{spec.method} needs a controller model")
@@ -273,9 +270,11 @@ def run_benchmark(
             problems_total += 1
             try:
                 outcome = _run_problem(problem, spec, seed_backend, controller, seed, rng)
-            except BackendError as exc:
+            except (BackendError, RefinementError) as exc:
                 logger.warning("problem %s failed: %s", problem.id, exc)
-                outcome = _ProblemOutcome(False, 0, 0)
+                done = getattr(exc, "partial", None)
+                outcome = _ProblemOutcome(False, done.total_generation_tokens if done else 0,
+                                          done.iterations_used if done else 0)
             correct += outcome.correct
             tokens_total += outcome.tokens
             generations_total += outcome.generations

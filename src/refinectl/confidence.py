@@ -128,11 +128,18 @@ def token_confidence(entries: Sequence[float], k: int) -> float:
 
 
 def build_trace(completion: Completion, k: int) -> ConfidenceTrace:
-    """Score every output position of a completion."""
-    if not completion.per_token:
-        raise ValueError("completion has no logprobs; cannot build a trace")
-    values = [token_confidence(tok.logprobs, k) for tok in completion.per_token]
-    return ConfidenceTrace(np.array(values))
+    """Score every output position: ``token_confidence`` of each row, sorted
+    descending, as one masked row mean (rows are sorted only when k < w)."""
+    counts = completion.counts
+    if k < 1 or counts.size == 0:
+        raise ValueError(f"need k >= 1 (got {k}) and a completion with logprobs")
+    # negated, so the -inf padding becomes +inf and sorts after every entry
+    neg = -completion.logprobs
+    if k < neg.shape[1]:
+        neg = np.sort(neg, axis=1)[:, :k]
+    take = np.minimum(counts, k)
+    total = neg.sum(axis=1, where=np.arange(neg.shape[1]) < take[:, None])
+    return ConfidenceTrace(total / take)
 
 
 def downsample(trace: ConfidenceTrace, length: int = DEFAULT_BINS, iteration: int = 0) -> FeatureVector:

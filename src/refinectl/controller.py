@@ -27,7 +27,6 @@ import numpy as np
 from .confidence import FeatureVector
 
 _EPS_BN = 1e-5
-_EPS_LOG = 1e-12
 
 MAGIC = b"RCN1"
 FORMAT_VERSION = 1
@@ -444,10 +443,9 @@ def deserialize(blob: bytes) -> ControllerModel:
     buf = io.BytesIO(blob)
 
     def read(n: int) -> bytes:
-        data = buf.read(n)
-        if len(data) != n:
+        if n > len(blob) - buf.tell():
             raise SerializationError("truncated model blob")
-        return data
+        return buf.read(n)
 
     if read(4) != MAGIC:
         raise SerializationError("bad magic: not a controller model blob")
@@ -466,14 +464,19 @@ def deserialize(blob: bytes) -> ControllerModel:
             or head_hidden != HEAD_HIDDEN:
         raise SerializationError("architecture descriptor does not match this build")
 
-    model = ControllerModel(n_actions=n_actions, input_length=input_length,
-                            rng=np.random.default_rng(0), dropout_rate=dropout_rate)
     (n_arrays,) = struct.unpack("<I", read(4))
     arrays = []
     for _ in range(n_arrays):
         (size,) = struct.unpack("<Q", read(8))
         arrays.append(np.frombuffer(read(size * 8), dtype="<f8").copy())
-    model.load_state_arrays(arrays)
+    if buf.tell() != len(blob):
+        raise SerializationError(f"{len(blob) - buf.tell()} trailing bytes after the last array")
+    try:
+        model = ControllerModel(n_actions=n_actions, input_length=input_length,
+                                rng=np.random.default_rng(0), dropout_rate=dropout_rate)
+        model.load_state_arrays(arrays)
+    except ValueError as exc:
+        raise SerializationError(f"model blob does not fit the architecture: {exc}") from exc
     return model
 
 

@@ -90,11 +90,6 @@ class TreeRun:
     halted_node_ids: list[int]
     total_tokens: int
 
-    def halt_fraction(self) -> float:
-        if not self.nodes:
-            return 0.0
-        return sum(1 for n in self.nodes if n.halting) / len(self.nodes)
-
     def max_depth_explored(self) -> int:
         return max((n.depth for n in self.nodes), default=0)
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import threading
 
+import numpy as np
 import pytest
 
 from refinectl.backend import (
+    Backend,
     BackendError,
     Completion,
     GenerationConfig,
@@ -14,7 +17,6 @@ from refinectl.backend import (
     MockBackend,
     MockRecord,
     ScriptError,
-    TokenLogprobs,
     TransportError,
     build_chat_payload,
     drain_concurrent,
@@ -22,7 +24,12 @@ from refinectl.backend import (
     parse_chat_response,
 )
 
-from conftest import mock_backend
+from refinectl.confidence import build_trace
+from refinectl.controller import Action
+from refinectl.refine import LoopConfig
+from refinectl.tree import TreeConfig, run_tree
+
+from conftest import StubController, mock_backend
 
 MSG = [{"role": "user", "content": "hi"}]
 CFG = GenerationConfig()
@@ -34,8 +41,9 @@ def test_mock_scripted_passthrough():
     assert completion.text == "x \\boxed{7}"
     assert completion.completion_tokens == 3
     assert completion.finish_reason == "stop"
-    # direct confidence rows come back as single-entry logprob rows
-    assert completion.per_token[1].entries == (("", -2.0),)
+    # direct confidence values come back as single-entry logprob rows
+    np.testing.assert_array_equal(completion.logprobs, [[-1.0], [-2.0], [-3.0]])
+    np.testing.assert_array_equal(completion.counts, [1, 1, 1])
 
 
 def test_mock_fifo_and_exhaustion():
@@ -73,14 +81,35 @@ def test_generation_config_invariants():
 
 
 def test_token_logprobs_sorted_descending():
-    row = TokenLogprobs(position=0, entries=(("a", -3.0), ("b", -0.5), ("c", -1.0)))
-    assert row.logprobs == (-0.5, -1.0, -3.0)
+    # rows keep the served order; scoring takes the top-k in descending order
+    completion = MockRecord(logprobs=[[-3.0, -0.5, -1.0]]).to_completion()
+    np.testing.assert_array_equal(completion.logprobs, [[-3.0, -0.5, -1.0]])
+    assert build_trace(completion, k=2).values.tolist() == [0.75]
+    assert build_trace(completion, k=1).values.tolist() == [0.5]
 
 
 def test_completion_token_count_consistency():
     with pytest.raises(ValueError):
-        Completion(text="x", per_token=(TokenLogprobs(0, (("", -1.0),)),),
+        Completion(text="x", logprobs=np.array([[-1.0]]), counts=np.array([1]),
                    completion_tokens=2, prompt_tokens=0)
+
+
+def test_mock_ragged_rows_padded_with_neg_inf():
+    completion = MockRecord(logprobs=[[-0.1, -0.2, -0.3], [-0.4]]).to_completion()
+    np.testing.assert_array_equal(completion.counts, [3, 1])
+    np.testing.assert_array_equal(completion.logprobs,
+                                  [[-0.1, -0.2, -0.3], [-0.4, -np.inf, -np.inf]])
+    with pytest.raises(ScriptError):
+        MockRecord(logprobs=[[-0.1], []]).to_completion()
+
+
+def test_completion_equality_and_immutability():
+    a = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion()
+    b = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion()
+    c = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.4]]).to_completion()
+    assert a == b and a != c and a != "a"
+    with pytest.raises(ValueError):
+        a.logprobs[0, 0] = 0.0
 
 
 def test_drain_concurrent_order_and_isolation():
@@ -182,7 +211,8 @@ def _chat_response(top_counts, finish="stop"):
 def test_http_response_parsing_caps_topk():
     completion = parse_chat_response(_chat_response([20, 20, 20]))
     assert completion.completion_tokens == 3
-    assert all(len(tok.entries) <= 20 for tok in completion.per_token)
+    assert completion.logprobs.shape == (3, 20)
+    assert completion.counts.tolist() == [20, 20, 20]
     assert completion.prompt_tokens == 5
 
 
@@ -199,3 +229,89 @@ def test_token_accounting_sums_over_run():
     backend = mock_backend(*records)
     total = sum(backend.generate(MSG, CFG).completion_tokens for _ in range(2))
     assert total == 12
+
+
+def test_http_response_falls_back_to_sampled_token_logprob():
+    obj = _chat_response([3, 0, 2])
+    completion = parse_chat_response(obj)
+    assert completion.counts.tolist() == [3, 1, 2]
+    np.testing.assert_array_equal(completion.logprobs[1], [-0.1, -np.inf, -np.inf])
+
+
+def test_http_response_unknown_finish_reason_maps_to_other():
+    assert parse_chat_response(_chat_response([2], finish="content_filter")).finish_reason \
+        == "other"
+    assert parse_chat_response(_chat_response([2], finish="length")).finish_reason == "length"
+
+
+@pytest.mark.parametrize("bad_token", [
+    {"token": "t"},                                           # no logprob at all
+    {"token": "t", "logprob": None},                          # null logprob
+    {"token": "t", "logprob": -0.1, "top_logprobs": [{"token": "u"}]},
+    "t",                                                      # not an object
+])
+def test_http_response_malformed_logprobs_is_backend_error(bad_token):
+    obj = _chat_response([2, 2])
+    obj["choices"][0]["logprobs"]["content"][1] = bad_token
+    with pytest.raises(BackendError, match="malformed"):
+        parse_chat_response(obj)
+
+
+def test_http_response_usage_mismatch_names_both_counts():
+    obj = _chat_response([2, 2, 2])
+    obj["usage"]["completion_tokens"] = 5
+    with pytest.raises(BackendError, match="5 completion tokens.*cover 3"):
+        parse_chat_response(obj)
+    obj["usage"]["completion_tokens"] = "many"
+    with pytest.raises(BackendError, match="malformed"):
+        parse_chat_response(obj)
+
+
+class _BodyBackend(Backend):
+    """Parses a canned chat body per request; the body is picked by the
+    request's sampling seed, so slots do not depend on thread timing."""
+
+    max_inflight = 2
+    retry_backoff = 0.0
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def _generate_once(self, messages, cfg):
+        with self.lock:
+            self.calls += 1
+        return parse_chat_response(self.bodies[cfg.seed % len(self.bodies)])
+
+
+def _boxed_body(answer, n, usage_tokens=None):
+    obj = _chat_response([20] * n)
+    obj["choices"][0]["message"]["content"] = f"so \\boxed{{{answer}}}"
+    if usage_tokens is not None:
+        obj["usage"]["completion_tokens"] = usage_tokens
+    return obj
+
+
+def test_usage_mismatch_fails_one_slot_not_the_drain():
+    bodies = [_boxed_body("1", 4), _boxed_body("1", 5, usage_tokens=9),
+              _boxed_body("1", 6), _boxed_body("1", 7)]
+    backend = _BodyBackend(bodies)
+    reqs = [(MSG, GenerationConfig(seed=i)) for i in range(4)]
+    results = drain_concurrent(backend, reqs)
+    assert isinstance(results[1], BackendError) and "9" in str(results[1])
+    assert [r.completion_tokens for i, r in enumerate(results) if i != 1] == [4, 6, 7]
+    assert all(isinstance(r, Completion) for i, r in enumerate(results) if i != 1)
+    assert backend.calls == 4  # the mismatch is not retried
+
+
+def test_usage_mismatch_tree_finishes_on_surviving_warmup_nodes():
+    bodies = [_boxed_body("1", 4), _boxed_body("1", 5, usage_tokens=9),
+              _boxed_body("1", 6), _boxed_body("1", 7)]
+    backend = _BodyBackend(bodies)
+    controller = StubController(fn=lambda f: Action.HALT)
+    tree = run_tree("p", backend, controller, GenerationConfig(seed=0),
+                    TreeConfig(warmup=4), LoopConfig())
+    assert len(tree.nodes) == 3
+    assert tree.total_tokens == 4 + 6 + 7
+    assert tree.final_answer == "1"

@@ -287,6 +287,26 @@ def test_per_problem_failures_recorded_not_fatal():
     assert row.accuracy_mean == pytest.approx(100 * 2 / 3, abs=1e-9)
 
 
+def test_corefine_failed_run_scored_incorrect_with_exact_tokens():
+    from refinectl.backend import MockRecord
+    served = []
+
+    def factory(seed):
+        records = [boxed_record("5", [8.0] * 40), MockRecord(error="boom"),
+                   boxed_record("1", [16.0] * 30)]
+        served.extend(len(r.confidences or ()) for r in records)
+        return MockBackend(records)
+
+    dataset = three_problem_dataset()[:2]
+    spec = RunSpec(method="corefine", seeds=(0,))
+    controller = StubController(actions=[Action.RETHINK, Action.HALT])
+    row = run_benchmark(dataset, spec, backend=None, controller=controller,
+                        backend_factory=factory)
+    assert row.accuracy_mean == 50.0  # p0 failed mid-run, p1 halted on "1"
+    assert row.tokens_total == sum(served) == 70
+    assert row.iterations_mean == 1.0  # one generation each
+
+
 def test_std_over_seeds():
     flip = {"n": 0}
 

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refinectl.backend import MockRecord
+from refinectl.backend import MockRecord, parse_chat_response
 from refinectl.confidence import (
     ConfidenceTrace,
     FeatureVector,
@@ -83,6 +85,48 @@ def test_empty_completion_errors():
     record = MockRecord(text="", confidences=[])
     with pytest.raises(ValueError):
         build_trace(record.to_completion(), k=20)
+
+
+# Columnar scoring against the scalar reference: ragged, unsorted rows of
+# non-positive logprobs; a row flagged ``fallback`` is served with an empty
+# top_logprobs list and scored on the sampled token's own logprob.
+_logprob = st.floats(min_value=-60.0, max_value=0.0, allow_nan=False)
+_row = st.one_of(
+    st.tuples(st.lists(_logprob, min_size=1, max_size=25), st.just(False)),
+    st.tuples(st.lists(_logprob, min_size=1, max_size=1), st.just(True)),
+)
+
+
+def _served_body(rows) -> dict:
+    content = [{"token": "t", "logprob": lps[0],
+                "top_logprobs": [] if fallback else [{"token": "u", "logprob": lp} for lp in lps]}
+               for lps, fallback in rows]
+    return {"choices": [{"message": {"content": "x"}, "logprobs": {"content": content},
+                         "finish_reason": "stop"}],
+            "usage": {"completion_tokens": len(rows), "prompt_tokens": 1}}
+
+
+def _reference(rows, k):
+    return [token_confidence(sorted(lps, reverse=True), k) for lps, _ in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=30), k=st.integers(1, 25))
+def test_columnar_trace_matches_scalar_reference(rows, k):
+    expected = _reference(rows, k)
+    parsed = parse_chat_response(_served_body(rows))
+    mocked = MockRecord(logprobs=[lps for lps, _ in rows]).to_completion()
+    np.testing.assert_array_equal(parsed.logprobs, mocked.logprobs)
+    np.testing.assert_array_equal(parsed.counts, [len(lps) for lps, _ in rows])
+    for completion in (parsed, mocked):
+        trace = build_trace(completion, k)
+        assert trace.n == len(rows)
+        np.testing.assert_allclose(trace.values, expected, rtol=1e-12, atol=0)
+
+
+def test_build_trace_rejects_k_below_one():
+    with pytest.raises(ValueError):
+        build_trace(MockRecord(confidences=[1.0]).to_completion(), k=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from refinectl import controller as controller_mod
 from refinectl.confidence import FeatureVector
 from refinectl.controller import (
     Action,
@@ -233,6 +234,70 @@ def test_truncated_payload_rejected():
     blob = serialize(init(3, 16, seed=0))
     with pytest.raises(SerializationError):
         deserialize(blob[: len(blob) // 2])
+
+
+@pytest.fixture
+def small_blob(monkeypatch):
+    """A serialized model with a shrunken trunk and head, small enough to
+    deserialize every prefix of."""
+    monkeypatch.setattr(controller_mod, "CONV_CHANNELS", (2, 3, 4))
+    monkeypatch.setattr(controller_mod, "HEAD_HIDDEN", 3)
+    blob = serialize(init(3, 16, seed=0))
+    assert deserialize(blob).n_actions == 3
+    return blob
+
+
+def test_every_strict_prefix_rejected(small_blob):
+    for end in range(len(small_blob)):
+        with pytest.raises(SerializationError):
+            deserialize(small_blob[:end])
+
+
+def test_trailing_bytes_rejected(small_blob):
+    with pytest.raises(SerializationError, match="trailing"):
+        deserialize(small_blob + b"\0")
+
+
+def test_bad_action_count_rejected(small_blob):
+    blob = bytearray(small_blob)
+    blob[8:12] = (7).to_bytes(4, "little")
+    with pytest.raises(SerializationError):
+        deserialize(bytes(blob))
+
+
+def _array_size_offsets(blob: bytes) -> list[int]:
+    """Byte offsets of the per-array size fields of a serialized model."""
+    n_blocks = int.from_bytes(blob[16:20], "little")
+    pos = 20 + 16 * n_blocks + 4 + 8
+    n_arrays = int.from_bytes(blob[pos:pos + 4], "little")
+    pos += 4
+    offsets = []
+    for _ in range(n_arrays):
+        offsets.append(pos)
+        pos += 8 + 8 * int.from_bytes(blob[pos:pos + 8], "little")
+    assert pos == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("delta", [-1, 1, 2 ** 62])
+def test_wrong_array_size_rejected(small_blob, delta):
+    for offset in _array_size_offsets(small_blob):
+        blob = bytearray(small_blob)
+        size = int.from_bytes(blob[offset:offset + 8], "little")
+        blob[offset:offset + 8] = (size + delta).to_bytes(8, "little")
+        with pytest.raises(SerializationError):
+            deserialize(bytes(blob))
+
+
+def test_shrunk_array_rejected(small_blob):
+    blob = bytearray(small_blob)
+    offset = _array_size_offsets(small_blob)[0]
+    # shrink the first array and drop its last value, keeping the rest aligned
+    size = int.from_bytes(blob[offset:offset + 8], "little")
+    blob[offset:offset + 8] = (size - 1).to_bytes(8, "little")
+    del blob[offset + 8 * size:offset + 8 * size + 8]
+    with pytest.raises(SerializationError, match="does not fit"):
+        deserialize(bytes(blob))
 
 
 # ---------------------------------------------------------------------------
