@@ -167,28 +167,33 @@ class _ProblemOutcome:
 
 def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
               presentation: tuple[str, ...] | None, sequential: bool,
-              ) -> list[tuple[str | None, float, int]]:
-    """K samples of the same prompt -> (answer, mean confidence, tokens)."""
+              ) -> tuple[list[tuple[str | None, float, int]], BackendError | None]:
+    """K samples of the same prompt -> ((answer, mean confidence, tokens) of
+    every served sample, the first failure or None). Sequential sampling
+    stops at the first failure; parallel sampling serves every other slot."""
     messages = build_initial_prompt(problem, spec.loop_cfg.mode, presentation)
     base = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
-    out: list[tuple[str | None, float, int]] = []
     if sequential:
-        completions = []
+        results: list = []
         for i in range(spec.k):
-            completions.append(backend.generate(messages, base.with_seed(base.seed + i)))
+            try:
+                results.append(backend.generate(messages, base.with_seed(base.seed + i)))
+            except BackendError as exc:
+                results.append(exc)
+                break
     else:
-        reqs = [(messages, base.with_seed(base.seed + i)) for i in range(spec.k)]
-        results = drain_concurrent(backend, reqs)
-        completions = []
-        for r in results:
-            if isinstance(r, BackendError):
-                raise r
-            completions.append(r)
-    for completion in completions:
+        results = drain_concurrent(
+            backend, [(messages, base.with_seed(base.seed + i)) for i in range(spec.k)])
+    samples: list[tuple[str | None, float, int]] = []
+    failure = None
+    for completion in results:
+        if isinstance(completion, BackendError):
+            failure = failure if failure is not None else completion
+            continue
         answer = extract_answer(completion.text, spec.loop_cfg.mode)
         trace = build_trace(completion, base.logprob_count)
-        out.append((answer, trace.mean, completion.completion_tokens))
-    return out
+        samples.append((answer, trace.mean, completion.completion_tokens))
+    return samples, failure
 
 
 def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
@@ -197,28 +202,26 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
     if problem.mode == "mcq":
         presentation = presented_choices(problem, rng if spec.randomize_choices else None)
 
-    if spec.method == "pass1":
-        samples = _sample_k(problem, backend, replace(spec, k=1), seed, presentation,
-                            sequential=True)
-        answer, _, tokens = samples[0]
-        return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, 1)
-
-    if spec.method in ("majority_parallel", "majority_sequential"):
-        samples = _sample_k(problem, backend, spec, seed, presentation,
-                            sequential=spec.method == "majority_sequential")
-        answer = majority_vote([a for a, _, _ in samples])
+    if spec.method in ("pass1", "majority_parallel", "majority_sequential", "conf_filtered"):
+        k = 1 if spec.method == "pass1" else spec.k
+        samples, failure = _sample_k(
+            problem, backend, replace(spec, k=k), seed, presentation,
+            sequential=spec.method in ("pass1", "majority_sequential"))
         tokens = sum(t for _, _, t in samples)
-        return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, spec.k)
-
-    if spec.method == "conf_filtered":
-        samples = _sample_k(problem, backend, spec, seed, presentation, sequential=False)
-        answer = conf_filtered_vote([(a, c) for a, c, _ in samples],
-                                    keep_fraction=spec.keep_fraction,
-                                    weighted=spec.weighted,
-                                    exclude_min=spec.exclude_min,
-                                    exclude_max=spec.exclude_max)
-        tokens = sum(t for _, _, t in samples)
-        return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, spec.k)
+        if failure is not None:
+            logger.warning("problem %s failed: %s", problem.id, failure)
+            return _ProblemOutcome(False, tokens, len(samples))
+        if spec.method == "pass1":
+            answer = samples[0][0]
+        elif spec.method == "conf_filtered":
+            answer = conf_filtered_vote([(a, c) for a, c, _ in samples],
+                                        keep_fraction=spec.keep_fraction,
+                                        weighted=spec.weighted,
+                                        exclude_min=spec.exclude_min,
+                                        exclude_max=spec.exclude_max)
+        else:
+            answer = majority_vote([a for a, _, _ in samples])
+        return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, k)
 
     if spec.method == "corefine":
         gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
@@ -251,8 +254,8 @@ def run_benchmark(
     supply a fresh backend per seed (mock scripts are consumed by a run);
     otherwise the given backend is reused. Wall time covers generation and
     voting, not report I/O. Per-problem failures are logged and scored as
-    incorrect rather than aborting the sweep; a failed refinement run still
-    counts the tokens it consumed before failing.
+    incorrect rather than aborting the sweep; a failed problem still counts
+    the tokens of every generation served to it before or beside the failure.
     """
     if spec.method in ("corefine", "corefine_tree") and controller is None:
         raise ValueError(f"{spec.method} needs a controller model")

@@ -15,8 +15,10 @@ trusted.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -58,18 +60,23 @@ class Decision:
             raise ValueError(f"probs must sum to 1 (got {total})")
         if not (0.0 <= self.success_prob <= 1.0):
             raise ValueError("success_prob must be in [0, 1]")
-        if int(self.action) != int(np.argmax(self.probs)):
+        if int(self.action) != _argmax(self.probs):
             raise ValueError("action must be the argmax of probs (ties -> lowest code)")
 
     @staticmethod
     def from_probs(probs, success_prob: float = 0.5) -> "Decision":
         probs = tuple(float(p) for p in probs)
-        return Decision(action=Action(int(np.argmax(probs))), probs=probs,
+        return Decision(action=Action(_argmax(probs)), probs=probs,
                         success_prob=float(success_prob))
 
     @property
     def halting(self) -> bool:
         return self.action in (Action.HALT, Action.REFUSE)
+
+
+def _argmax(values: tuple[float, ...]) -> int:
+    """Index of the first maximum, the tie rule of ``np.argmax``."""
+    return values.index(max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +96,44 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+@functools.lru_cache(maxsize=16)
+def _windows(batch: int, n: int, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """Same padding for a (batch, n) input: the (K, B, L_out) gather index
+    into the padded input flattened to (B * padded), the left padding and
+    the padded length."""
+    n_out = -(-n // stride)  # ceil division
+    pad_total = max((n_out - 1) * stride + kernel - n, 0)
+    padded = n + pad_total
+    index = (np.arange(kernel)[:, None, None] + padded * np.arange(batch)[:, None]
+             + stride * np.arange(n_out))
+    index.setflags(write=False)  # shared by every caller
+    return index, pad_total // 2, padded
+
+
+def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded strided 1-D convolution of x (B, C_in, L) with
+    w (C_out, C_in, K). Returns the output (B, C_out, L_out) and the input
+    windows ``cols`` (B, C_in, L_out, K) that the backward pass needs.
+
+    Both are views of channel-major buffers (channel, batch, position), so
+    the contraction is one matrix product and per-channel reductions over
+    batch and position read contiguous memory. Allocates its results and
+    writes nothing else, so concurrent calls on shared weights are safe.
+    """
+    bsz, c_in, n = x.shape
+    c_out, _, kernel = w.shape
+    index, pad_l, padded = _windows(bsz, n, kernel, stride)
+    xp = np.zeros((c_in, bsz, padded))
+    xp[:, :, pad_l:pad_l + n] = x.transpose(1, 0, 2)
+    windows = xp.reshape(c_in, bsz * padded)[:, index]  # (C_in, K, B, L_out)
+    n_out = index.shape[2]
+    out = w.reshape(c_out, c_in * kernel) @ windows.reshape(c_in * kernel, bsz * n_out)
+    out += b[:, None]
+    return (out.reshape(c_out, bsz, n_out).transpose(1, 0, 2),
+            windows.transpose(2, 0, 3, 1))
+
+
 class Conv1d:
     """Same-padded strided 1-D convolution, im2col style."""
 
@@ -103,28 +148,18 @@ class Conv1d:
     def params(self):
         return [self.w, self.b]
 
-    def out_length(self, n: int) -> int:
-        return -(-n // self.stride)  # ceil division
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, n = x.shape
-        n_out = self.out_length(n)
-        pad_total = max((n_out - 1) * self.stride + self.kernel - n, 0)
-        pad_l = pad_total // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_total - pad_l)))
-        cols = np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=2)
-        cols = cols[:, :, ::self.stride, :]  # (B, C_in, L_out, K)
-        out = np.einsum("bilk,oik->bol", cols, self.w.value, optimize=True)
-        out += self.b.value[None, :, None]
-        self._cache = (cols, xp.shape, pad_l, n)
+        out, cols = _conv1d(x, self.w.value, self.b.value, self.stride)
+        self._cache = (cols, x.shape[2])
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        cols, xp_shape, pad_l, n = self._cache
+        cols, n = self._cache
+        _, pad_l, padded = _windows(cols.shape[0], n, self.kernel, self.stride)
         self.w.grad += np.einsum("bol,bilk->oik", grad, cols, optimize=True)
         self.b.grad += grad.sum(axis=(0, 2))
         dcols = np.einsum("bol,oik->bilk", grad, self.w.value, optimize=True)
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros(cols.shape[:2] + (padded,))
         for j in range(grad.shape[2]):
             start = j * self.stride
             dxp[:, :, start:start + self.kernel] += dcols[:, :, j, :]
@@ -215,6 +250,10 @@ class Dropout:
         return grad * self._mask
 
 
+def _linear(layer: Linear, x: np.ndarray) -> np.ndarray:
+    return x @ layer.w.value.T + layer.b.value
+
+
 class Linear:
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features, self.out_features = in_features, out_features
@@ -227,7 +266,7 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
-        return x @ self.w.value.T + self.b.value
+        return _linear(self, x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x = self._cache
@@ -329,12 +368,20 @@ class ControllerModel:
 
     # -- forward / backward -------------------------------------------------
 
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.ndim != 2 or x.shape[1] != self.input_length:
+            raise ValueError(f"expected input of shape (B, {self.input_length})")
+
     def forward_batch(self, x: np.ndarray, train: bool = False,
                       dropout_rng: np.random.Generator | None = None,
                       update_stats: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Run a (B, L) batch; returns (action logits (B, A), success logits (B,))."""
-        if x.ndim != 2 or x.shape[1] != self.input_length:
-            raise ValueError(f"expected input of shape (B, {self.input_length})")
+        """Run a (B, L) batch; returns (action logits (B, A), success logits (B,)).
+
+        The differentiable path: every layer caches what ``backward_batch``
+        needs, so one model must not run it from two threads. Inference goes
+        through :func:`infer` instead.
+        """
+        self._check_input(x)
         if update_stats is None:
             update_stats = train
         h = x[:, None, :].astype(np.float64)
@@ -393,26 +440,55 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode forward of a (B, L) batch: (action logits (B, A), success
+    logits (B,)).
+
+    A pure function of the model's current parameters: batch norm is the
+    per-channel affine of its running statistics, computed on each call, and
+    dropout is off. It writes to no object, so any number of threads may
+    call it on one model. Agrees with ``forward_batch(x, train=False)`` up to
+    rounding.
+    """
+    model._check_input(x)
+    h = x[:, None, :]
+    for conv, bn in zip(model.convs, model.bns):
+        h, _ = _conv1d(h, conv.w.value, conv.b.value, conv.stride)
+        scale = bn.gamma.value / np.sqrt(bn.running_var + _EPS_BN)
+        h *= scale[:, None]
+        h += (bn.beta.value - bn.running_mean * scale)[:, None]
+        np.maximum(h, 0.0, out=h)
+    z = h.mean(axis=2)  # global average pool -> (B, 256)
+    a = _linear(model.action_fc2, np.maximum(_linear(model.action_fc1, z), 0.0))
+    s = _linear(model.success_fc2, np.maximum(_linear(model.success_fc1, z), 0.0))
+    return a, s[:, 0]
+
+
 def forward(model: ControllerModel, feature: FeatureVector, train_mode: bool = False,
             rng: np.random.Generator | None = None) -> Decision:
     """Single-feature inference producing a :class:`Decision`.
 
     Dropout is active only in train mode; batch norm uses running statistics
     at inference, so repeated calls on a frozen model are bitwise stable.
+    Eval mode runs :func:`infer` and is thread-safe; train mode runs the
+    caching ``forward_batch``.
     """
     if feature.length != model.input_length:
         raise ValueError(
             f"feature length {feature.length} != model input length {model.input_length}")
-    if train_mode and rng is None:
-        rng = np.random.default_rng()
-    logits, s_logit = model.forward_batch(feature.bins[None, :], train=train_mode,
-                                          dropout_rng=rng, update_stats=False)
-    probs = softmax(logits[0])
-    return Decision(
-        action=Action(int(np.argmax(probs))),
-        probs=tuple(float(p) for p in probs),
-        success_prob=float(sigmoid(np.array([s_logit[0]]))[0]),
-    )
+    x = feature.bins[None, :]
+    if train_mode:
+        if rng is None:
+            rng = np.random.default_rng()
+        logits, s_logit = model.forward_batch(x, train=True, dropout_rng=rng,
+                                              update_stats=False)
+    else:
+        logits, s_logit = infer(model, x)
+    probs = tuple(softmax(logits[0]).tolist())
+    s = float(s_logit[0])
+    e = math.exp(-abs(s))  # the two-branch form of ``sigmoid``, on one float
+    success = (1.0 if s >= 0 else e) / (1.0 + e)
+    return Decision(action=Action(_argmax(probs)), probs=probs, success_prob=success)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +579,7 @@ __all__ = [
     "SerializationError",
     "deserialize",
     "forward",
+    "infer",
     "init",
     "load_model",
     "parameter_count",

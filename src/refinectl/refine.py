@@ -356,24 +356,6 @@ def build_prompt(
 # The loop
 # ---------------------------------------------------------------------------
 
-def generate_with_truncation_retry(
-    backend: Backend,
-    messages: list[dict],
-    gen_cfg: GenerationConfig,
-    max_retries: int,
-) -> tuple[Completion, int, bool]:
-    """Generate; re-issue on truncation up to ``max_retries`` times. Returns
-    (last completion, tokens consumed across attempts, still-truncated)."""
-    completion = backend.generate(messages, gen_cfg)
-    tokens = completion.completion_tokens
-    attempts = 0
-    while completion.finish_reason == "length" and attempts < max_retries:
-        attempts += 1
-        completion = backend.generate(messages, gen_cfg)
-        tokens += completion.completion_tokens
-    return completion, tokens, completion.finish_reason == "length"
-
-
 def _as_problem(problem: Problem | str, mode: str) -> Problem:
     if isinstance(problem, Problem):
         return problem
@@ -409,11 +391,23 @@ def run(
     answer_counts: Counter[str] = Counter()
 
     def generate(messages) -> tuple[Completion, int, bool]:
+        """Generate; re-issue on truncation up to ``max_truncation_retries``
+        times. Returns (last completion, tokens of every attempt,
+        still-truncated). A failed attempt raises, with the tokens of the
+        attempts already served added to the partial result."""
+        tokens = 0
         try:
-            return generate_with_truncation_retry(
-                backend, messages, gen_cfg, loop_cfg.max_truncation_retries)
+            completion = backend.generate(messages, gen_cfg)
+            tokens += completion.completion_tokens
+            for _ in range(loop_cfg.max_truncation_retries):
+                if completion.finish_reason != "length":
+                    break
+                completion = backend.generate(messages, gen_cfg)
+                tokens += completion.completion_tokens
         except BackendError as exc:
+            result.total_generation_tokens += tokens
             raise RefinementError(str(exc), partial=result) from exc
+        return completion, tokens, completion.finish_reason == "length"
 
     messages = build_initial_prompt(problem, loop_cfg.mode, presentation)
     completion, tokens, truncated = generate(messages)
@@ -494,7 +488,6 @@ __all__ = [
     "compact",
     "extract_answer",
     "format_confidence_stats",
-    "generate_with_truncation_retry",
     "normalize_math_answer",
     "run",
     "write_run_log",

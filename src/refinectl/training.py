@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import Action, ControllerModel, init, sigmoid, softmax
+from .controller import Action, ControllerModel, infer, init, sigmoid, softmax
 
 logger = logging.getLogger(__name__)
 
@@ -306,13 +306,13 @@ def train(dataset, cfg: TrainConfig, n_actions: int = 3,
 def evaluate_accuracy(model: ControllerModel, feats: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         return 0.0
-    logits, _ = model.forward_batch(feats, train=False)
+    logits, _ = infer(model, feats)
     pred = logits.argmax(axis=1)
     return float((pred == labels).mean())
 
 
 def predicted_action_counts(model: ControllerModel, feats: np.ndarray) -> dict[Action, int]:
-    logits, _ = model.forward_batch(feats, train=False)
+    logits, _ = infer(model, feats)
     pred = logits.argmax(axis=1)
     return {Action(a): int((pred == a).sum()) for a in range(model.n_actions)}
 

@@ -307,6 +307,38 @@ def test_corefine_failed_run_scored_incorrect_with_exact_tokens():
     assert row.iterations_mean == 1.0  # one generation each
 
 
+@pytest.mark.parametrize("method", ["majority_parallel", "majority_sequential"])
+def test_failed_sample_scored_incorrect_with_served_tokens(method):
+    from refinectl.backend import MockRecord
+
+    def factory(seed):
+        return MockBackend([boxed_record("7", [12.0] * 4), boxed_record("7", [12.0] * 6),
+                            MockRecord(error="boom")])
+
+    dataset = [Problem(id="p", statement="q", ground_truth="7")]
+    spec = RunSpec(method=method, k=3, seeds=(0,))
+    row = run_benchmark(dataset, spec, backend=None, backend_factory=factory)
+    assert row.accuracy_mean == 0.0  # slot 2 failed: the problem is lost
+    assert row.tokens_total == 10  # slots 0 and 1 were still served
+    assert row.iterations_mean == 2.0
+
+
+def test_corefine_failed_truncation_retry_keeps_tokens():
+    from refinectl.backend import MockRecord
+
+    def factory(seed):
+        return MockBackend([boxed_record("5", [8.0] * 7, finish="length"),
+                            MockRecord(error="boom")])
+
+    dataset = [Problem(id="p", statement="q", ground_truth="5")]
+    spec = RunSpec(method="corefine", seeds=(0,))
+    row = run_benchmark(dataset, spec, backend=None,
+                        controller=StubController(actions=[Action.HALT]),
+                        backend_factory=factory)
+    assert row.accuracy_mean == 0.0
+    assert row.tokens_total == 7
+
+
 def test_std_over_seeds():
     flip = {"n": 0}
 

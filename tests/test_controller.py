@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refinectl import controller as controller_mod
 from refinectl.confidence import FeatureVector
@@ -11,8 +16,10 @@ from refinectl.controller import (
     Action,
     Decision,
     SerializationError,
+    _conv1d,
     deserialize,
     forward,
+    infer,
     init,
     parameter_count,
     serialize,
@@ -104,6 +111,86 @@ def test_inference_bitwise_stable(rng):
         again = forward(model, f)
         assert again.probs == first.probs
         assert again.success_prob == first.success_prob
+
+
+def reference_conv1d(x, w, b, stride):
+    """Reference for ``_conv1d``: pad, take sliding windows, contract with
+    einsum. (B, C_in, L) -> (out (B, C_out, L_out), cols (B, C_in, L_out, K))."""
+    n, kernel = x.shape[2], w.shape[2]
+    n_out = -(-n // stride)
+    pad_total = max((n_out - 1) * stride + kernel - n, 0)
+    pad_l = pad_total // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_total - pad_l)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :]
+    out = np.einsum("bilk,oik->bol", cols, w, optimize=True) + b[None, :, None]
+    return out, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n_actions=st.sampled_from([3, 4]),
+       batch=st.integers(1, 64), length=st.integers(8, 33))
+def test_infer_matches_forward_batch(seed, n_actions, batch, length):
+    rng = np.random.default_rng(seed)
+    model = init(n_actions, length, seed=seed)
+    # a train-mode pass moves the running statistics off their defaults
+    model.forward_batch(rng.normal(10, 3, (16, length)), train=True, dropout_rng=None)
+    x = rng.normal(10, 3, (batch, length))
+
+    logits, s_logits = infer(model, x)
+    ref_logits, ref_s = model.forward_batch(x, train=False)
+    scale = max(np.abs(ref_logits).max(), np.abs(ref_s).max(), 1.0)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(s_logits, ref_s, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_array_equal(logits.argmax(axis=1), ref_logits.argmax(axis=1))
+
+    h = x[:, None, :]
+    for conv in model.convs:
+        out, cols = _conv1d(h, conv.w.value, conv.b.value, conv.stride)
+        ref_out, ref_cols = reference_conv1d(h, conv.w.value, conv.b.value, conv.stride)
+        np.testing.assert_array_equal(cols, ref_cols)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12 * np.abs(ref_out).max())
+        h = np.maximum(out, 0.0)
+
+
+def layer_caches(model) -> list:
+    """Whatever the differentiable path stores on the model and its layers."""
+    layers = [model]
+    for value in vars(model).values():
+        layers.extend(value if isinstance(value, list) else [value])
+    return [getattr(layer, attr) for layer in layers
+            for attr in ("_cache", "_mask", "_gap_length") if hasattr(layer, attr)]
+
+
+def test_decide_is_thread_safe():
+    model = init(3, 16, seed=13)
+    model.forward_batch(np.random.default_rng(0).normal(10, 3, (8, 16)), train=True,
+                        dropout_rng=None)
+    blob = serialize(model)
+    model = deserialize(blob)
+    features = [[FeatureVector(np.random.default_rng((t, i)).normal(10, 3, 16))
+                 for i in range(50)] for t in range(8)]
+    expected = [[model.decide(f) for f in fs] for fs in features]
+    got: list = [None] * len(features)
+    start = threading.Barrier(len(features), timeout=60)
+
+    def worker(t: int) -> None:
+        start.wait()
+        got[t] = [model.decide(f) for f in features[t]]
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside every decide
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(features))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert got == expected
+    assert serialize(model) == blob
+    assert all(cache is None for cache in layer_caches(model))  # decide wrote nothing
 
 
 def test_length_mismatch_rejected():

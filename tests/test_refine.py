@@ -325,6 +325,16 @@ def test_backend_failure_carries_partial_result():
     assert err.value.partial.iterations_used == 1
 
 
+def test_failed_truncation_retry_counts_served_tokens():
+    backend = mock_backend(boxed_record("5", [9.0] * 7, finish="length"),
+                           MockRecord(error="boom"))
+    with pytest.raises(RefinementError) as err:
+        run("p", backend, StubController(actions=[]), CFG,
+            LoopConfig(max_truncation_retries=1))
+    assert err.value.partial.total_generation_tokens == 7
+    assert err.value.partial.iterations_used == 0
+
+
 def test_run_deterministic_byte_identical():
     records = [boxed_record("5", [8.0] * 40), boxed_record("7", [16.0] * 30)]
     outcomes = []
