@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -173,32 +173,30 @@ class Backend:
 def drain_concurrent(
     backend: Backend,
     requests: list[tuple[list[Message], GenerationConfig]],
-) -> list[Completion | BackendError]:
+    serve: Callable[[list[Message], GenerationConfig], object] | None = None,
+) -> list:
     """Issue many generation requests; results come back in request order.
 
-    Each slot holds either a ``Completion`` or the ``BackendError`` that
-    request raised; one failure never aborts its siblings. Ordering is a
-    pure function of the request list, never of completion timing. Mock
-    backends are drained sequentially (their script consumption order is
-    part of the determinism contract); HTTP backends fan out over a thread
-    pool bounded by ``max_inflight``.
+    Each slot holds what ``serve(messages, cfg)`` returned (by default
+    ``backend.generate``, so a ``Completion``) or the ``BackendError`` it
+    raised; one failure never aborts its siblings. Ordering is a pure
+    function of the request list, never of completion timing. Backends with
+    ``max_inflight`` 1 (the mock, whose FIFO script order is its determinism
+    contract) are drained in order; others fan out over a thread pool
+    bounded by ``max_inflight``.
     """
-    if not requests:
-        return []
+    serve = serve or backend.generate
 
-    def one(req: tuple[list[Message], GenerationConfig]) -> Completion | BackendError:
-        messages, cfg = req
+    def one(req: tuple[list[Message], GenerationConfig]):
         try:
-            return backend.generate(messages, cfg)
+            return serve(*req)
         except BackendError as exc:
             return exc
 
-    if isinstance(backend, MockBackend) or backend.max_inflight <= 1:
+    if backend.max_inflight <= 1:
         return [one(r) for r in requests]
-
     with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
-        futures = [pool.submit(one, r) for r in requests]
-        return [f.result() for f in futures]
+        return list(pool.map(one, requests))
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +248,16 @@ class MockBackend(Backend):
     """Replays scripted completions in FIFO order.
 
     Identical script + identical call sequence gives byte-identical
-    completions; consumption is serialized under one lock.
+    completions; consumption is serialized under one lock, and requests
+    are drained one at a time so script order follows request order.
     """
 
-    def __init__(self, records: list[MockRecord], max_inflight: int = 8):
+    max_inflight = 1
+
+    def __init__(self, records: list[MockRecord]):
         self._records = list(records)
         self._cursor = 0
         self._lock = threading.Lock()
-        self.max_inflight = max_inflight
 
     @property
     def remaining(self) -> int:

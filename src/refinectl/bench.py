@@ -33,7 +33,7 @@ from .datasets import (  # re-exported: the dataset surface lives with the harne
 )
 from .refine import LoopConfig, RefinementError, RunResult, build_initial_prompt, \
     extract_answer, normalize_math_answer, run
-from .tree import TreeConfig, run_tree
+from .tree import TreeConfig, TreeRun, run_tree
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +97,9 @@ class ReportRow:
 # ---------------------------------------------------------------------------
 
 def majority_vote(answers: Sequence[str | None]) -> str | None:
-    """Modal non-empty answer; ties break lexicographically; all-empty -> None."""
-    counts = Counter(a for a in answers if a)
+    """Modal non-empty answer, keyed by ``normalize_math_answer``; ties break
+    lexicographically; all-empty -> None."""
+    counts = Counter(filter(None, map(normalize_math_answer, answers)))
     if not counts:
         return None
     return min(counts, key=lambda a: (-counts[a], a))
@@ -115,9 +116,9 @@ def conf_filtered_vote(
 
     Traces outside [exclude_min, exclude_max] are dropped first, then only
     the top ``keep_fraction`` by confidence vote, by count or by summed
-    confidence. With keep_fraction=1, no exclusions, and unweighted voting
-    this reduces exactly to :func:`majority_vote` (including the
-    lexicographic tie rule).
+    confidence, keyed by ``normalize_math_answer``. With keep_fraction=1,
+    no exclusions, and unweighted voting this reduces exactly to
+    :func:`majority_vote` (including the lexicographic tie rule).
     """
     if not (0 < keep_fraction <= 1):
         raise ValueError("keep_fraction must be in (0, 1]")
@@ -129,12 +130,13 @@ def conf_filtered_vote(
     take = max(1, math.ceil(keep_fraction * len(kept)))
     kept.sort(key=lambda t: -t[1])
     kept = kept[:take]
-    voting = [(a, c) for a, c in kept if a]
-    if not voting:
-        return None
     score: dict[str, float] = {}
-    for a, c in voting:
-        score[a] = score.get(a, 0.0) + (c if weighted else 1.0)
+    for a, c in kept:
+        key = normalize_math_answer(a)
+        if key:
+            score[key] = score.get(key, 0.0) + (c if weighted else 1.0)
+    if not score:
+        return None
     return min(score, key=lambda a: (-score[a], a))
 
 
@@ -223,21 +225,24 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
             answer = majority_vote([a for a, _, _ in samples])
         return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, k)
 
+    gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if spec.method == "corefine":
-        gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
-        result: RunResult = run(problem, backend, controller, gen, spec.loop_cfg,
-                                presentation=presentation)
-        return _ProblemOutcome(is_correct(problem, result.final_answer, presentation),
-                               result.total_generation_tokens, result.iterations_used)
+        done = run(problem, backend, controller, gen, spec.loop_cfg, presentation=presentation)
+    elif spec.method == "corefine_tree":
+        done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg,
+                        presentation=presentation)
+    else:
+        raise ValueError(f"unknown method {spec.method!r}")
+    return _ProblemOutcome(is_correct(problem, done.final_answer, presentation), *_spent(done))
 
-    if spec.method == "corefine_tree":
-        gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
-        tree_run = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg,
-                            presentation=presentation)
-        return _ProblemOutcome(is_correct(problem, tree_run.final_answer, presentation),
-                               tree_run.total_tokens, len(tree_run.nodes))
 
-    raise ValueError(f"unknown method {spec.method!r}")
+def _spent(done: RunResult | TreeRun | None) -> tuple[int, int]:
+    """(generation tokens, generations) of a finished or partial refinement."""
+    if isinstance(done, TreeRun):
+        return done.total_tokens, len(done.nodes)
+    if isinstance(done, RunResult):
+        return done.total_generation_tokens, done.iterations_used
+    return 0, 0
 
 
 def run_benchmark(
@@ -273,11 +278,9 @@ def run_benchmark(
             problems_total += 1
             try:
                 outcome = _run_problem(problem, spec, seed_backend, controller, seed, rng)
-            except (BackendError, RefinementError) as exc:
+            except RefinementError as exc:
                 logger.warning("problem %s failed: %s", problem.id, exc)
-                done = getattr(exc, "partial", None)
-                outcome = _ProblemOutcome(False, done.total_generation_tokens if done else 0,
-                                          done.iterations_used if done else 0)
+                outcome = _ProblemOutcome(False, *_spent(exc.partial))
             correct += outcome.correct
             tokens_total += outcome.tokens
             generations_total += outcome.generations

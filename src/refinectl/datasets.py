@@ -59,6 +59,13 @@ class Problem:
         return None
 
 
+def as_problem(problem: Problem | str, mode: str) -> Problem:
+    """A bare statement becomes an ad-hoc problem with no ground truth."""
+    if isinstance(problem, Problem):
+        return problem
+    return Problem(id="adhoc", statement=str(problem), ground_truth="", mode=mode)
+
+
 def choice_letter(index: int) -> str:
     return string.ascii_uppercase[index]
 
@@ -117,6 +124,7 @@ def load_dataset(path: str | Path) -> list[Problem]:
 __all__ = [
     "DatasetError",
     "Problem",
+    "as_problem",
     "choice_letter",
     "correct_letter",
     "is_unsure_choice",

@@ -26,7 +26,7 @@ from .confidence import (
     stats,
 )
 from .controller import Action, Decision
-from .datasets import Problem, choice_letter
+from .datasets import Problem, as_problem, choice_letter
 
 TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override")
 
@@ -108,9 +108,11 @@ class RunResult:
 
 
 class RefinementError(Exception):
-    """Backend failure mid-run; carries whatever completed so far."""
+    """Backend failure mid-run; ``partial`` is whatever completed so far: the
+    ``RunResult`` of ``run`` or the ``TreeRun`` of ``run_tree``, with every
+    token served before the failure counted."""
 
-    def __init__(self, message: str, partial: RunResult | None = None):
+    def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
 
@@ -285,7 +287,7 @@ def _mcq_choices_for_phase(problem: Problem, presentation: tuple[str, ...],
 
 def build_initial_prompt(problem: Problem | str, mode: str,
                          presentation: tuple[str, ...] | None = None) -> list[dict]:
-    problem = _as_problem(problem, mode)
+    problem = as_problem(problem, mode)
     if mode == "math_boxed":
         content = MATH_INITIAL.format(problem=problem.statement)
     else:
@@ -315,7 +317,7 @@ def build_prompt(
     """
     if action not in (Action.RETHINK, Action.ALTERNATIVE):
         raise ValueError(f"no synthesis prompt exists for {action.name}")
-    problem = _as_problem(problem, mode)
+    problem = as_problem(problem, mode)
     history_text = _history_text(history)
 
     if mode == "math_boxed":
@@ -353,14 +355,78 @@ def build_prompt(
 
 
 # ---------------------------------------------------------------------------
-# The loop
+# The node pipeline, shared by the loop and the tree
 # ---------------------------------------------------------------------------
 
-def _as_problem(problem: Problem | str, mode: str) -> Problem:
-    if isinstance(problem, Problem):
-        return problem
-    return Problem(id="adhoc", statement=str(problem), ground_truth="", mode=mode)
+def prepare_run(problem: Problem | str, controller, loop_cfg: LoopConfig,
+                presentation: tuple[str, ...] | None,
+                ) -> tuple[Problem, tuple[str, ...] | None]:
+    """Settle the problem record and the MCQ choice order, and reject a
+    controller whose input length differs from ``loop_cfg.feature_length``,
+    before anything is generated."""
+    problem = as_problem(problem, loop_cfg.mode)
+    model_length = getattr(controller, "input_length", None)
+    if model_length is not None and model_length != loop_cfg.feature_length:
+        raise ValueError(
+            f"controller expects length {model_length}, loop is configured "
+            f"for {loop_cfg.feature_length}")
+    if loop_cfg.mode == "mcq" and presentation is None:
+        presentation = tuple(problem.choices or ())
+    return problem, presentation
 
+
+def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
+                  retries: int) -> tuple[Completion | BackendError, int]:
+    """Generate one node, re-issuing a truncated completion up to ``retries``
+    times. Returns (the last completion, or the ``BackendError`` that failed
+    the node, tokens of every attempt served). A failed retry fails the node
+    like a failed first attempt; the tokens already served still count."""
+    tokens = 0
+    try:
+        completion = backend.generate(messages, cfg)
+        tokens += completion.completion_tokens
+        for _ in range(retries):
+            if completion.finish_reason != "length":
+                break
+            completion = backend.generate(messages, cfg)
+            tokens += completion.completion_tokens
+    except BackendError as exc:
+        return exc, tokens
+    return completion, tokens
+
+
+def score_node(completion: Completion, tokens: int, index: int, controller,
+               logprob_count: int, loop_cfg: LoopConfig) -> tuple[Decision, IterationSummary]:
+    """Score one served node: trace, statistics, pooled (and normalized)
+    feature, the controller's decision, the executed action, the extracted
+    answer and the compacted summary later prompts embed. ``index`` is the
+    zero-based generation index (iteration t - 1, or the tree depth)."""
+    trace = build_trace(completion, logprob_count)
+    trace_stats = stats(trace)
+    feature = downsample(trace, loop_cfg.feature_length, iteration=index)
+    if loop_cfg.normalization is not None:
+        feature = normalize(feature, loop_cfg.normalization)
+    decision = controller.decide(feature)
+    # a completion still truncated after retries is unproductive: switch
+    # approach instead of trusting its decision
+    action = Action.ALTERNATIVE if completion.finish_reason == "length" else decision.action
+    answer = extract_answer(completion.text, loop_cfg.mode)
+    return decision, IterationSummary(
+        iteration=index + 1,
+        answer=answer,
+        action_taken=action,
+        confidence_mean=trace_stats.mean,
+        confidence_min=trace_stats.min,
+        compacted_text=compact(completion.text, answer, trace_stats,
+                               loop_cfg.compaction_budget_chars,
+                               loop_cfg.rethink_window_chars),
+        tokens_used=tokens,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The loop
+# ---------------------------------------------------------------------------
 
 def run(
     problem: Problem | str,
@@ -375,97 +441,50 @@ def run(
     ``controller`` is anything with ``decide(FeatureVector) -> Decision``
     (the trained network, or a scripted stand-in for tests). Termination:
     the controller's HALT (or REFUSE on 4-action models), the answer-
-    consistency override, or the iteration cap, whichever comes first.
+    consistency override, or the iteration cap, whichever comes first. A
+    failed node raises ``RefinementError`` whose partial result counts the
+    tokens already served, the failed node's included.
     """
-    problem = _as_problem(problem, loop_cfg.mode)
-    model_length = getattr(controller, "input_length", None)
-    if model_length is not None and model_length != loop_cfg.feature_length:
-        raise ValueError(
-            f"controller expects length {model_length}, loop is configured "
-            f"for {loop_cfg.feature_length}")
-    if loop_cfg.mode == "mcq" and presentation is None:
-        presentation = tuple(problem.choices or ())
-
+    problem, presentation = prepare_run(problem, controller, loop_cfg, presentation)
     result = RunResult(problem_id=problem.id, final_answer=None, iterations_used=0,
                        decisions=[], total_generation_tokens=0, terminated_by="halt")
     answer_counts: Counter[str] = Counter()
-
-    def generate(messages) -> tuple[Completion, int, bool]:
-        """Generate; re-issue on truncation up to ``max_truncation_retries``
-        times. Returns (last completion, tokens of every attempt,
-        still-truncated). A failed attempt raises, with the tokens of the
-        attempts already served added to the partial result."""
-        tokens = 0
-        try:
-            completion = backend.generate(messages, gen_cfg)
-            tokens += completion.completion_tokens
-            for _ in range(loop_cfg.max_truncation_retries):
-                if completion.finish_reason != "length":
-                    break
-                completion = backend.generate(messages, gen_cfg)
-                tokens += completion.completion_tokens
-        except BackendError as exc:
-            result.total_generation_tokens += tokens
-            raise RefinementError(str(exc), partial=result) from exc
-        return completion, tokens, completion.finish_reason == "length"
-
     messages = build_initial_prompt(problem, loop_cfg.mode, presentation)
-    completion, tokens, truncated = generate(messages)
-    answer = extract_answer(completion.text, loop_cfg.mode)
 
     for t in range(1, loop_cfg.max_iterations + 1):
-        result.iterations_used = t
+        completion, tokens = generate_node(backend, messages, gen_cfg,
+                                           loop_cfg.max_truncation_retries)
         result.total_generation_tokens += tokens
-        trace = build_trace(completion, gen_cfg.logprob_count)
-        trace_stats = stats(trace)
-        feature = downsample(trace, loop_cfg.feature_length, iteration=t - 1)
-        if loop_cfg.normalization is not None:
-            feature = normalize(feature, loop_cfg.normalization)
-        decision = controller.decide(feature)
+        if isinstance(completion, BackendError):
+            raise RefinementError(str(completion), partial=result) from completion
+        result.iterations_used = t
+        decision, summary = score_node(completion, tokens, t - 1, controller,
+                                       gen_cfg.logprob_count, loop_cfg)
         result.decisions.append(decision)
-        # a completion still truncated after retries is unproductive: switch
-        # approach instead of trusting its decision
-        action = Action.ALTERNATIVE if truncated else decision.action
-        if answer is not None:
-            answer_counts[answer] += 1
+        answer, action = summary.answer, summary.action_taken
+        key = normalize_math_answer(answer)
+        if key is not None:
+            answer_counts[key] += 1
         result.records.append(IterationRecord(
             problem_id=problem.id, t=t, action=action, probs=decision.probs,
-            answer=answer, confidence_mean=trace_stats.mean, tokens=tokens))
+            answer=answer, confidence_mean=summary.confidence_mean, tokens=tokens))
 
-        if answer is not None and answer_counts[answer] >= loop_cfg.consistency_override_count:
-            result.final_answer = answer
+        if key is not None and answer_counts[key] >= loop_cfg.consistency_override_count:
             result.terminated_by = "consistency_override"
-            return result
-        if action is Action.HALT:
-            result.final_answer = answer
+        elif action is Action.HALT:
             result.terminated_by = "halt"
-            return result
-        if action is Action.REFUSE:
-            result.final_answer = None
+        elif action is Action.REFUSE:
             result.terminated_by = "refuse"
-            return result
-        if t == loop_cfg.max_iterations:
-            result.final_answer = answer
+        elif t == loop_cfg.max_iterations:
             result.terminated_by = "max_iterations"
-            return result
-
-        summary = IterationSummary(
-            iteration=t,
-            answer=answer,
-            action_taken=action,
-            confidence_mean=trace_stats.mean,
-            confidence_min=trace_stats.min,
-            compacted_text=compact(completion.text, answer, trace_stats,
-                                   loop_cfg.compaction_budget_chars,
-                                   loop_cfg.rethink_window_chars),
-            tokens_used=tokens,
-        )
-        result.history.append(summary)
-        messages = build_prompt(problem, result.history, action, loop_cfg.mode,
-                                phase=t, presentation=presentation,
-                                two_phase=loop_cfg.two_phase_refusal)
-        completion, tokens, truncated = generate(messages)
-        answer = extract_answer(completion.text, loop_cfg.mode)
+        else:
+            result.history.append(summary)
+            messages = build_prompt(problem, result.history, action, loop_cfg.mode,
+                                    phase=t, presentation=presentation,
+                                    two_phase=loop_cfg.two_phase_refusal)
+            continue
+        result.final_answer = None if result.terminated_by == "refuse" else answer
+        return result
 
     raise AssertionError("unreachable: loop always terminates inside")
 

@@ -7,7 +7,9 @@ completed depth level the cumulative halt rate over all decisions so far is
 checked: above one half the tree stops early, and exactly one half also
 stops when the halted traces agree on an answer. The final answer is voted
 over halted nodes (majority, confidence-weighted, or high-confidence
-majority), falling back to the leaves when nothing halted.
+majority), falling back to the leaves when nothing halted; refusing nodes
+halt but cast no vote. Each node runs the sequential loop's own step:
+``generate_node`` inside its ``drain_concurrent`` slot, then ``score_node``.
 """
 
 from __future__ import annotations
@@ -20,19 +22,18 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
-from .confidence import build_trace, downsample, normalize, stats
 from .controller import Action, Decision
 from .datasets import Problem
 from .refine import (
     IterationSummary,
     LoopConfig,
     RefinementError,
-    _as_problem,
     build_initial_prompt,
     build_prompt,
-    compact,
-    extract_answer,
+    generate_node,
     normalize_math_answer,
+    prepare_run,
+    score_node,
 )
 
 logger = logging.getLogger(__name__)
@@ -109,8 +110,9 @@ class TreeRun:
 
 def early_stop_check(decisions: Sequence, answers_of_halted: Sequence[str | None]) -> bool:
     """Stop when halting decisions exceed half of all decisions so far, or
-    hit exactly half while every halted trace carries the same answer.
-    Accepts Decision objects or raw Actions; REFUSE counts as halting."""
+    hit exactly half while every halted trace carries the same answer
+    (compared by ``normalize_math_answer``). Accepts Decision objects or raw
+    Actions; REFUSE counts as halting."""
     if not decisions:
         raise ValueError("decisions must be non-empty")
     actions = [d.action if isinstance(d, Decision) else Action(d) for d in decisions]
@@ -118,8 +120,8 @@ def early_stop_check(decisions: Sequence, answers_of_halted: Sequence[str | None
     if 2 * halting > len(actions):
         return True
     if 2 * halting == len(actions) and len(answers_of_halted) >= 1:
-        first = answers_of_halted[0]
-        return all(a == first for a in answers_of_halted)
+        keys = {normalize_math_answer(a) for a in answers_of_halted}
+        return len(keys) == 1
     return False
 
 
@@ -129,12 +131,13 @@ def aggregate(
     fallback_all: Sequence[TreeNode] = (),
     high_conf_quantile: float = 0.5,
 ) -> str | None:
-    """Vote a final answer. An empty halted set falls back to the given
-    nodes (normally the leaves); a halted set whose members all abstained
-    yields None. Ties break toward the higher summed trace confidence,
-    then lexicographically smallest answer."""
+    """Vote a final answer, keyed by ``normalize_math_answer``. An empty
+    halted set falls back to the given nodes (normally the leaves); refusing
+    nodes cast no vote, so a halted set whose members all refused or
+    abstained yields None. Ties break toward the higher summed trace
+    confidence, then lexicographically smallest answer."""
     pool = list(halted) if halted else list(fallback_all)
-    candidates = [n for n in pool if n.answer is not None]
+    candidates = [n for n in pool if n.answer is not None and n.action is not Action.REFUSE]
     if not candidates:
         return None
 
@@ -147,8 +150,9 @@ def aggregate(
     counts: dict[str, float] = {}
     conf_sums: dict[str, float] = {}
     for n in candidates:
-        counts[n.answer] = counts.get(n.answer, 0.0) + 1.0
-        conf_sums[n.answer] = conf_sums.get(n.answer, 0.0) + n.trace_mean_conf
+        key = normalize_math_answer(n.answer)
+        counts[key] = counts.get(key, 0.0) + 1.0
+        conf_sums[key] = conf_sums.get(key, 0.0) + n.trace_mean_conf
 
     if method == "majority":
         score = counts
@@ -173,101 +177,63 @@ def run_tree(
     Node ids are assigned level by level in (parent id, child index) order
     and controller decisions are evaluated in node-id order, so runs on the
     mock backend are deterministic regardless of completion scheduling.
-    """
-    problem = _as_problem(problem, loop_cfg.mode)
-    if loop_cfg.mode == "mcq" and presentation is None:
-        presentation = tuple(problem.choices or ())
 
+    A failed generation or failed truncation retry fails its slot only: the
+    slot is logged and skipped, and the tokens it was served still count in
+    ``total_tokens``. When every warmup slot fails, ``RefinementError``
+    carries the node-less ``TreeRun`` as its partial result.
+    """
+    problem, presentation = prepare_run(problem, controller, loop_cfg, presentation)
     run = TreeRun(problem_id=problem.id, nodes=[], early_stopped=False,
                   final_answer=None, halted_node_ids=[], total_tokens=0)
 
-    def slot_cfg(ordinal: int) -> GenerationConfig:
-        if gen_cfg.seed is None:
-            return gen_cfg
-        return gen_cfg.with_seed(gen_cfg.seed + ordinal)
+    def serve(messages, cfg):
+        return generate_node(backend, messages, cfg, loop_cfg.max_truncation_retries)
 
-    def evaluate_level(requests, parents: list[TreeNode | None], depth: int) -> list[TreeNode]:
-        """Generate one level concurrently, then score and decide serially in
-        id order. Failed slots are logged and skipped (sibling isolation)."""
-        results = drain_concurrent(backend, requests)
-        created: list[TreeNode] = []
-        for (messages, cfg), parent, outcome in zip(requests, parents, results):
-            if isinstance(outcome, BackendError):
-                logger.warning("tree node generation failed: %s", outcome)
-                continue
-            completion, tokens = outcome, outcome.completion_tokens
-            truncated = completion.finish_reason == "length"
-            retries = 0
-            while truncated and retries < loop_cfg.max_truncation_retries:
-                retries += 1
-                try:
-                    completion = backend.generate(messages, cfg)
-                except BackendError as exc:
-                    logger.warning("truncation retry failed: %s", exc)
-                    break
-                tokens += completion.completion_tokens
-                truncated = completion.finish_reason == "length"
+    def evaluate_level(level: list[tuple[TreeNode | None, list]], depth: int) -> list[TreeNode]:
+        """Generate one level of (parent, prompt) slots concurrently,
+        truncation retries inside each slot, then score and decide serially
+        in id order. A failed slot is logged and skipped (sibling
+        isolation); its served tokens still count."""
+        first = len(run.nodes)
+        requests = [(prompt, gen_cfg if gen_cfg.seed is None
+                     else gen_cfg.with_seed(gen_cfg.seed + first + i))
+                    for i, (_, prompt) in enumerate(level)]
+        served = drain_concurrent(backend, requests, serve)
+        for (parent, _), (completion, tokens) in zip(level, served):
             run.total_tokens += tokens
-
-            trace = build_trace(completion, gen_cfg.logprob_count)
-            feature = downsample(trace, loop_cfg.feature_length, iteration=depth)
-            if loop_cfg.normalization is not None:
-                feature = normalize(feature, loop_cfg.normalization)
-            decision = controller.decide(feature)
-            action = Action.ALTERNATIVE if truncated else decision.action
-            answer = extract_answer(completion.text, loop_cfg.mode)
-            trace_stats = stats(trace)
-            summary = IterationSummary(
-                iteration=depth + 1, answer=answer, action_taken=action,
-                confidence_mean=trace_stats.mean, confidence_min=trace_stats.min,
-                compacted_text=compact(completion.text, answer, trace_stats,
-                                       loop_cfg.compaction_budget_chars,
-                                       loop_cfg.rethink_window_chars),
-                tokens_used=tokens)
-            node = TreeNode(
+            if isinstance(completion, BackendError):
+                logger.warning("tree node generation failed: %s", completion)
+                continue
+            decision, summary = score_node(completion, tokens, depth, controller,
+                                           gen_cfg.logprob_count, loop_cfg)
+            run.nodes.append(TreeNode(
                 id=len(run.nodes), parent=parent.id if parent else None,
-                depth=depth, answer=answer, decision=decision, action=action,
-                trace_mean_conf=trace_stats.mean, tokens=tokens,
-                spawned_by=parent.action if parent else None,
-                history=(parent.history + (summary,)) if parent else (summary,))
-            run.nodes.append(node)
-            created.append(node)
-        return created
+                depth=depth, answer=summary.answer, decision=decision,
+                action=summary.action_taken, trace_mean_conf=summary.confidence_mean,
+                tokens=tokens, spawned_by=parent.action if parent else None,
+                history=(parent.history if parent else ()) + (summary,)))
+        return run.nodes[first:]
 
-    # Phase 1: warmup
-    warmup_requests = [
-        (build_initial_prompt(problem, loop_cfg.mode, presentation), slot_cfg(i))
-        for i in range(tree_cfg.warmup)
-    ]
-    frontier = evaluate_level(warmup_requests, [None] * tree_cfg.warmup, depth=0)
-    if not run.nodes:
-        raise RefinementError("all warmup generations failed")
-
-    def should_stop() -> bool:
-        halted_answers = [n.answer for n in run.nodes if n.halting]
-        return early_stop_check([n.action for n in run.nodes], halted_answers)
-
-    stopped = should_stop()
-
-    # Phase 2: branching refinement, level-synchronous
+    # warmup, then branching refinement, level-synchronous
     depth = 0
-    while not stopped and depth < tree_cfg.max_depth:
+    level = [(None, build_initial_prompt(problem, loop_cfg.mode, presentation))] * tree_cfg.warmup
+    while True:
+        frontier = evaluate_level(level, depth)
+        if not run.nodes:
+            raise RefinementError("all warmup generations failed", partial=run)
+        stopped = bool(frontier) and early_stop_check(
+            [n.action for n in run.nodes], [n.answer for n in run.nodes if n.halting])
+        if stopped or depth == tree_cfg.max_depth:
+            break
         depth += 1
-        refining = [n for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
-        if not refining:
+        level = [(n, build_prompt(problem, list(n.history), n.action, loop_cfg.mode,
+                                  phase=depth, presentation=presentation,
+                                  two_phase=loop_cfg.two_phase_refusal))
+                 for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
+        if not level:
             break
-        requests, parents = [], []
-        for parent in refining:
-            prompt = build_prompt(problem, list(parent.history), parent.action,
-                                  loop_cfg.mode, phase=depth, presentation=presentation,
-                                  two_phase=loop_cfg.two_phase_refusal)
-            for b in range(tree_cfg.branch_factor):
-                requests.append((prompt, slot_cfg(len(run.nodes) + len(requests))))
-                parents.append(parent)
-        frontier = evaluate_level(requests, parents, depth=depth)
-        if not frontier:
-            break
-        stopped = should_stop()
+        level = [slot for slot in level for _ in range(tree_cfg.branch_factor)]
 
     run.early_stopped = stopped
     halted = [n for n in run.nodes if n.halting]

@@ -315,3 +315,33 @@ def test_usage_mismatch_tree_finishes_on_surviving_warmup_nodes():
     assert len(tree.nodes) == 3
     assert tree.total_tokens == 4 + 6 + 7
     assert tree.final_answer == "1"
+
+
+def test_mock_backend_drains_one_request_at_a_time():
+    assert MockBackend.max_inflight == 1
+    with pytest.raises(TypeError):
+        MockBackend([], max_inflight=8)
+
+
+class _ThreadRecordingBackend(_BodyBackend):
+    def __init__(self, bodies):
+        super().__init__(bodies)
+        self.threads = []
+
+    def _generate_once(self, messages, cfg):
+        self.threads.append((cfg.seed, threading.current_thread()))
+        return super()._generate_once(messages, cfg)
+
+
+def test_tree_truncation_retry_runs_inside_its_drain_slot():
+    truncated = _boxed_body("1", 4)
+    truncated["choices"][0]["finish_reason"] = "length"
+    backend = _ThreadRecordingBackend([truncated, _boxed_body("1", 5)])
+    tree = run_tree("p", backend, StubController(fn=lambda f: Action.HALT),
+                    GenerationConfig(seed=0), TreeConfig(warmup=2, max_depth=0),
+                    LoopConfig(max_truncation_retries=1))
+    retried = [thread for seed, thread in backend.threads if seed == 0]
+    assert len(retried) == 2  # the truncated slot and its retry
+    assert all(t is not threading.main_thread() for t in retried)
+    assert tree.total_tokens == 4 + 4 + 5
+    assert [n.action for n in tree.nodes] == [Action.ALTERNATIVE, Action.HALT]

@@ -27,6 +27,7 @@ from refinectl.bench import (
     run_benchmark,
 )
 from refinectl.controller import Action
+from refinectl.tree import TreeConfig
 
 from conftest import StubController, boxed_record, mock_backend
 
@@ -104,6 +105,13 @@ def test_majority_matches_counting_oracle(rng):
         top = max(counts.values())
         oracle = sorted(a for a, c in counts.items() if c == top)[0]
         assert majority_vote(answers) == oracle
+
+
+def test_votes_compare_answers_by_one_key():
+    # three votes for 45 once "{45}" and "45" share a key, two for 46
+    answers = ["{45}", "{45}", "45", "46", "46"]
+    assert majority_vote(answers) == "45"
+    assert conf_filtered_vote([(a, 10.0) for a in answers]) == "45"
 
 
 def test_conf_filtered_keep_fraction():
@@ -337,6 +345,22 @@ def test_corefine_failed_truncation_retry_keeps_tokens():
                         backend_factory=factory)
     assert row.accuracy_mean == 0.0
     assert row.tokens_total == 7
+
+
+def test_corefine_tree_failed_warmup_retry_scored_incorrect_with_served_tokens():
+    from refinectl.backend import MockRecord
+
+    def factory(seed):
+        return MockBackend([boxed_record("5", [8.0] * 7, finish="length"),
+                            MockRecord(error="boom")])
+
+    dataset = [Problem(id="p", statement="q", ground_truth="5")]
+    spec = RunSpec(method="corefine_tree", seeds=(0,), tree_cfg=TreeConfig(warmup=1))
+    row = run_benchmark(dataset, spec, backend=None,
+                        controller=StubController(fn=lambda f: Action.HALT),
+                        backend_factory=factory)
+    assert row.accuracy_mean == 0.0  # the only warmup slot failed on its retry
+    assert row.tokens_total == 7     # but its truncated first attempt was served
 
 
 def test_std_over_seeds():

@@ -271,6 +271,16 @@ def test_consistency_override_at_third_identical_answer():
     assert result.final_answer == "8"
 
 
+def test_consistency_override_compares_answers_by_key():
+    backend = mock_backend(boxed_record("8", [9.0] * 10), boxed_record("{8}", [9.0] * 10),
+                           boxed_record("8", [9.0] * 10), boxed_record("8", [9.0] * 10))
+    controller = StubController(actions=[Action.RETHINK] * 3 + [Action.HALT])
+    result = run("p", backend, controller, CFG, LoopConfig(consistency_override_count=3))
+    assert result.terminated_by == "consistency_override"
+    assert result.iterations_used == 3
+    assert result.final_answer == "8"
+
+
 def test_differing_answers_do_not_trigger_override():
     backend = mock_backend(boxed_record("1", [9.0] * 5), boxed_record("2", [9.0] * 5),
                            boxed_record("1", [9.0] * 5), boxed_record("3", [9.0] * 5))

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from refinectl.backend import GenerationConfig, MockBackend
+from refinectl.backend import GenerationConfig, MockBackend, MockRecord
 from refinectl.controller import Action
 from refinectl.refine import LoopConfig
+from refinectl.refine import run as run_loop
 from refinectl.tree import (
     TreeConfig,
     TreeNode,
@@ -254,6 +255,57 @@ def test_refuse_nodes_halt_but_cast_no_vote():
                    CFG, TreeConfig(), LOOP)
     assert run.early_stopped is True  # 4/4 halting
     assert run.final_answer == "B"    # refusals contribute no answer
+
+
+def test_refuse_nodes_cast_no_vote_even_when_their_answer_would_win():
+    # refusals extract "A" twice; only the two halting "B"s may vote
+    records = [boxed_record("A", [12.0] * 5), boxed_record("B", [12.0] * 5),
+               boxed_record("A", [12.0] * 5), boxed_record("B", [12.0] * 5)]
+    actions = [Action.REFUSE, Action.HALT, Action.REFUSE, Action.HALT]
+    backend = mock_backend(*records)
+    run = run_tree("p", backend, StubController(actions=list(actions), n_actions=4),
+                   CFG, TreeConfig(), LOOP)
+    assert run.final_answer == "B"
+
+
+def test_votes_and_agreement_compare_answers_by_one_key():
+    halted = [node(0, "{8}", Action.HALT), node(1, "8", Action.HALT),
+              node(2, "9", Action.HALT)]
+    assert aggregate(halted, "majority") == "8"
+    decisions = [Action.HALT, Action.HALT, Action.RETHINK, Action.RETHINK]
+    assert early_stop_check(decisions, ["8", "{ 8 }"]) is True
+
+
+class EightBinController(StubController):
+    input_length = 8
+
+
+@pytest.mark.parametrize("mode", ["run", "run_tree"])
+def test_controller_length_mismatch_rejected_in_both_modes(mode):
+    backend = mock_backend(*[boxed_record("1", [12.0] * 5) for _ in range(4)])
+    controller = EightBinController(fn=lambda f: Action.HALT)
+    loop = LoopConfig(feature_length=16)
+    with pytest.raises(ValueError, match="length 8"):
+        if mode == "run":
+            run_loop("p", backend, controller, CFG, loop)
+        else:
+            run_tree("p", backend, controller, CFG, TreeConfig(), loop)
+    assert backend.remaining == 4  # rejected before anything was generated
+
+
+def test_failed_retry_at_depth_fails_its_slot_and_keeps_its_tokens():
+    records = [boxed_record("1", [9.0] * 3),                   # warmup, refines
+               boxed_record("2", [9.0] * 5),                   # depth 1, slot 0
+               boxed_record("3", [9.0] * 7, finish="length"),  # depth 1, slot 1 ...
+               MockRecord(error="boom")]                       # ... whose retry fails
+    backend = mock_backend(*records)
+    controller = StubController(actions=[Action.RETHINK, Action.HALT])
+    run = run_tree("p", backend, controller, CFG,
+                   TreeConfig(warmup=1, branch_factor=2, max_depth=1),
+                   LoopConfig(max_truncation_retries=1))
+    assert [n.answer for n in run.nodes] == ["1", "2"]
+    assert run.total_tokens == 3 + 5 + 7
+    assert backend.remaining == 0
 
 
 # ---------------------------------------------------------------------------
