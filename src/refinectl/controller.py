@@ -145,9 +145,6 @@ class Conv1d:
         self.b = Param(_uniform(rng, (out_ch,), fan_in))
         self._cache = None
 
-    def params(self):
-        return [self.w, self.b]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, cols = _conv1d(x, self.w.value, self.b.value, self.stride)
         self._cache = (cols, x.shape[2])
@@ -181,16 +178,14 @@ class BatchNorm1d:
         self.running_var = np.ones(channels)
         self._cache = None
 
-    def params(self):
-        return [self.gamma, self.beta]
-
     def forward(self, x: np.ndarray, train: bool, update_stats: bool = True) -> np.ndarray:
         if train:
             mean = x.mean(axis=(0, 2))
             var = x.var(axis=(0, 2))
-            if update_stats:
-                self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-                self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            if update_stats:  # in place: the model's state list holds these arrays
+                m = self.momentum
+                self.running_mean[...] = (1 - m) * self.running_mean + m * mean
+                self.running_var[...] = (1 - m) * self.running_var + m * var
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + _EPS_BN)
@@ -218,9 +213,6 @@ class ReLU:
     def __init__(self):
         self._mask = None
 
-    def params(self):
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
@@ -233,9 +225,6 @@ class Dropout:
     def __init__(self, rate: float):
         self.rate = rate
         self._mask = None
-
-    def params(self):
-        return []
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
         if not train or self.rate <= 0 or rng is None:
@@ -260,9 +249,6 @@ class Linear:
         self.w = Param(_uniform(rng, (out_features, in_features), in_features))
         self.b = Param(_uniform(rng, (out_features,), in_features))
         self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
@@ -321,50 +307,49 @@ class ControllerModel:
         self.success_fc2 = Linear(HEAD_HIDDEN, 1, rng)
         self._gap_length = None
 
+        # The state order, written once: serialization, ``parameters()`` and
+        # the flat buffers all follow it. Trainable entries are Params, batch
+        # norm's running statistics are plain arrays.
+        self._state: list[Param | np.ndarray] = []
+        for conv, bn in zip(self.convs, self.bns):
+            self._state += [conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var]
+        for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
+            self._state += [layer.w, layer.b]
+        # Every Param's value and grad become views into two flat buffers, so
+        # the optimizer steps all weights with a few whole-buffer operations.
+        params = self.parameters()
+        self.theta = np.concatenate([p.value.ravel() for p in params])
+        self.grad = np.zeros_like(self.theta)
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            p.value = self.theta[start:stop].reshape(p.value.shape)
+            p.grad = self.grad[start:stop].reshape(p.value.shape)
+            start = stop
+
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> list[Param]:
-        out: list[Param] = []
-        for conv, bn in zip(self.convs, self.bns):
-            out.extend(conv.params())
-            out.extend(bn.params())
-        for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
-            out.extend(layer.params())
-        return out
+        return [s for s in self._state if isinstance(s, Param)]
 
     def zero_grads(self) -> None:
-        for p in self.parameters():
-            p.grad[...] = 0.0
+        self.grad.fill(0.0)
 
     def state_arrays(self) -> list[np.ndarray]:
-        """All arrays needed to reproduce behaviour, in declared layer order
-        (conv w/b, bn gamma/beta/running mean/running var per block, then the
-        two heads)."""
-        out: list[np.ndarray] = []
-        for conv, bn in zip(self.convs, self.bns):
-            out += [conv.w.value, conv.b.value, bn.gamma.value, bn.beta.value,
-                    bn.running_mean, bn.running_var]
-        for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
-            out += [layer.w.value, layer.b.value]
-        return out
+        """All arrays needed to reproduce behaviour, in the state order set in
+        ``__init__``. These are the model's own arrays, not copies."""
+        return [s.value if isinstance(s, Param) else s for s in self._state]
 
     def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
-        expected = self.state_arrays()
-        if len(arrays) != len(expected):
-            raise SerializationError(f"expected {len(expected)} arrays, got {len(arrays)}")
-        it = iter(arrays)
-        for conv, bn in zip(self.convs, self.bns):
-            conv.w.value = next(it).reshape(conv.w.value.shape).copy()
-            conv.b.value = next(it).reshape(conv.b.value.shape).copy()
-            bn.gamma.value = next(it).reshape(bn.gamma.value.shape).copy()
-            bn.beta.value = next(it).reshape(bn.beta.value.shape).copy()
-            bn.running_mean = next(it).reshape(bn.running_mean.shape).copy()
-            bn.running_var = next(it).reshape(bn.running_var.shape).copy()
-        for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
-            layer.w.value = next(it).reshape(layer.w.value.shape).copy()
-            layer.b.value = next(it).reshape(layer.b.value.shape).copy()
-        for p in self.parameters():
-            p.grad = np.zeros_like(p.value)
+        """Copy ``arrays`` (in :meth:`state_arrays` order) into the model's
+        arrays in place, so the weights stay views of ``theta``, and zero the
+        gradients."""
+        targets = self.state_arrays()
+        if len(arrays) != len(targets):
+            raise SerializationError(f"expected {len(targets)} arrays, got {len(arrays)}")
+        for target, arr in zip(targets, arrays):
+            target[...] = np.reshape(arr, target.shape)
+        self.zero_grads()
 
     # -- forward / backward -------------------------------------------------
 
@@ -412,7 +397,7 @@ class ControllerModel:
             g = conv.backward(g)
 
     def decide(self, feature: FeatureVector) -> Decision:
-        return forward(self, feature, train_mode=False)
+        return forward(self, feature)
 
 
 def init(n_actions: int, input_length: int = 16, seed: int = 0) -> ControllerModel:
@@ -422,7 +407,7 @@ def init(n_actions: int, input_length: int = 16, seed: int = 0) -> ControllerMod
 
 
 def parameter_count(model: ControllerModel) -> int:
-    return sum(p.value.size for p in model.parameters())
+    return model.theta.size
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -464,26 +449,17 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a, s[:, 0]
 
 
-def forward(model: ControllerModel, feature: FeatureVector, train_mode: bool = False,
-            rng: np.random.Generator | None = None) -> Decision:
+def forward(model: ControllerModel, feature: FeatureVector) -> Decision:
     """Single-feature inference producing a :class:`Decision`.
 
-    Dropout is active only in train mode; batch norm uses running statistics
-    at inference, so repeated calls on a frozen model are bitwise stable.
-    Eval mode runs :func:`infer` and is thread-safe; train mode runs the
-    caching ``forward_batch``.
+    Runs :func:`infer`: dropout is off and batch norm uses running
+    statistics, so repeated calls on a frozen model are bitwise stable, and
+    the call is thread-safe.
     """
     if feature.length != model.input_length:
         raise ValueError(
             f"feature length {feature.length} != model input length {model.input_length}")
-    x = feature.bins[None, :]
-    if train_mode:
-        if rng is None:
-            rng = np.random.default_rng()
-        logits, s_logit = model.forward_batch(x, train=True, dropout_rng=rng,
-                                              update_stats=False)
-    else:
-        logits, s_logit = infer(model, x)
+    logits, s_logit = infer(model, feature.bins[None, :])
     probs = tuple(softmax(logits[0]).tolist())
     s = float(s_logit[0])
     e = math.exp(-abs(s))  # the two-branch form of ``sigmoid``, on one float
@@ -544,7 +520,7 @@ def deserialize(blob: bytes) -> ControllerModel:
     arrays = []
     for _ in range(n_arrays):
         (size,) = struct.unpack("<Q", read(8))
-        arrays.append(np.frombuffer(read(size * 8), dtype="<f8").copy())
+        arrays.append(np.frombuffer(read(size * 8), dtype="<f8"))
     if buf.tell() != len(blob):
         raise SerializationError(f"{len(blob) - buf.tell()} trailing bytes after the last array")
     try:

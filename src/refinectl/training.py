@@ -128,7 +128,7 @@ def batch_loss_and_grads(
     update_stats: bool | None = None,
 ) -> float:
     """Forward the batch, accumulate parameter gradients of the mean loss,
-    and return its value. Gradients are added into ``param.grad``; call
+    and return its value. Gradients are added into ``model.grad``; call
     ``model.zero_grads()`` first when starting a fresh step."""
     b = x.shape[0]
     logits, s_logits = model.forward_batch(x, train=train, dropout_rng=dropout_rng,
@@ -177,24 +177,41 @@ def batch_loss_and_grads(
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with beta=(0.9, 0.999), eps=1e-8."""
+    """Adam with beta=(0.9, 0.999), eps=1e-8, on one flat parameter buffer
+    ``theta`` and its gradient ``grad`` (``ControllerModel.theta`` and
+    ``.grad``). ``step`` updates ``theta`` in place."""
 
-    def __init__(self, params, lr: float):
-        self.params = list(params)
+    def __init__(self, theta: np.ndarray, grad: np.ndarray, lr: float):
+        self.theta, self.grad = theta, grad
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self._num = np.empty_like(theta)  # scratch: no full-size temporaries per step
+        self._den = np.empty_like(theta)
         self.t = 0
 
     def step(self) -> None:
+        """theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps), one operation at a
+        time in the textbook expression's order, so it rounds identically."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            m[...] = self.beta1 * m + (1 - self.beta1) * p.grad
-            v[...] = self.beta2 * v + (1 - self.beta2) * p.grad ** 2
-            p.value -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v, g, num, den = self.m, self.v, self.grad, self._num, self._den
+        m *= self.beta1  # m = beta1 * m + (1 - beta1) * g
+        np.multiply(g, 1 - self.beta1, out=num)
+        m += num
+        v *= self.beta2  # v = beta2 * v + (1 - beta2) * g ** 2
+        np.square(g, out=num)
+        num *= 1 - self.beta2
+        v += num
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, b1c, out=num)
+        num *= self.lr
+        num /= den
+        self.theta -= num
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +286,7 @@ def train(dataset, cfg: TrainConfig, n_actions: int = 3,
         weights = None
 
     model = init(n_actions=n_actions, input_length=input_length, seed=cfg.rng_seed)
-    optimizer = Adam(model.parameters(), lr=cfg.learning_rate)
+    optimizer = Adam(model.theta, model.grad, lr=cfg.learning_rate)
     success = (labels == int(Action.HALT))
 
     report = TrainReport(class_counts={int(c): int(n) for c, n in enumerate(counts)},

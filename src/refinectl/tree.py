@@ -5,11 +5,12 @@ refinement spawns B children built from its compacted history and the
 action-specific synthesis prompt; halting traces become leaves. After each
 completed depth level the cumulative halt rate over all decisions so far is
 checked: above one half the tree stops early, and exactly one half also
-stops when the halted traces agree on an answer. The final answer is voted
+stops when the HALT traces agree on an answer. The final answer is voted
 over halted nodes (majority, confidence-weighted, or high-confidence
 majority), falling back to the leaves when nothing halted; refusing nodes
-halt but cast no vote. Each node runs the sequential loop's own step:
-``generate_node`` inside its ``drain_concurrent`` slot, then ``score_node``.
+halt but cast no vote and take no part in the agreement. Each node runs
+the sequential loop's own step: ``generate_node`` inside its
+``drain_concurrent`` slot, then ``score_node``.
 """
 
 from __future__ import annotations
@@ -110,9 +111,10 @@ class TreeRun:
 
 def early_stop_check(decisions: Sequence, answers_of_halted: Sequence[str | None]) -> bool:
     """Stop when halting decisions exceed half of all decisions so far, or
-    hit exactly half while every halted trace carries the same answer
+    hit exactly half while every answer in ``answers_of_halted`` is the same
     (compared by ``normalize_math_answer``). Accepts Decision objects or raw
-    Actions; REFUSE counts as halting."""
+    Actions; REFUSE counts as halting, but ``run_tree`` passes only the
+    answers of HALT nodes, since refusing nodes cast no vote."""
     if not decisions:
         raise ValueError("decisions must be non-empty")
     actions = [d.action if isinstance(d, Decision) else Action(d) for d in decisions]
@@ -223,7 +225,8 @@ def run_tree(
         if not run.nodes:
             raise RefinementError("all warmup generations failed", partial=run)
         stopped = bool(frontier) and early_stop_check(
-            [n.action for n in run.nodes], [n.answer for n in run.nodes if n.halting])
+            [n.action for n in run.nodes],
+            [n.answer for n in run.nodes if n.action is Action.HALT])  # refusals cast no vote
         if stopped or depth == tree_cfg.max_depth:
             break
         depth += 1

@@ -24,7 +24,7 @@ from refinectl.controller import (
     parameter_count,
     serialize,
 )
-from refinectl.training import TrainConfig, batch_loss_and_grads, class_weights, loss
+from refinectl.training import Adam, TrainConfig, batch_loss_and_grads, class_weights, loss
 
 CONV = [(1, 64, 5), (64, 128, 5), (128, 256, 3)]
 
@@ -385,6 +385,36 @@ def test_shrunk_array_rejected(small_blob):
     del blob[offset + 8 * size:offset + 8 * size + 8]
     with pytest.raises(SerializationError, match="does not fit"):
         deserialize(bytes(blob))
+
+
+def assert_views_of_flat_buffers(model) -> None:
+    params = model.parameters()
+    for p in params:
+        assert np.shares_memory(p.value, model.theta)
+        assert np.shares_memory(p.grad, model.grad)
+    np.testing.assert_array_equal(np.concatenate([p.value.ravel() for p in params]),
+                                  model.theta)
+
+
+def test_params_stay_views_of_the_flat_buffers(rng):
+    model = init(3, seed=5)
+    assert_views_of_flat_buffers(model)
+    restored = deserialize(serialize(model))
+    assert_views_of_flat_buffers(restored)
+    restored.load_state_arrays([a.copy() for a in init(3, seed=6).state_arrays()])
+    assert_views_of_flat_buffers(restored)
+    np.testing.assert_array_equal(restored.theta, init(3, seed=6).theta)
+
+    # a training step on a loaded model must reach the weights decide reads
+    feature = FeatureVector(rng.normal(10, 2, 16))
+    before = restored.decide(feature).probs
+    restored.zero_grads()
+    batch_loss_and_grads(restored, rng.normal(10, 2, (8, 16)), np.arange(8) % 3,
+                         np.arange(8) % 2 == 0, np.zeros(8), TrainConfig(), None)
+    assert np.any(restored.grad != 0)
+    Adam(restored.theta, restored.grad, lr=1e-2).step()
+    assert restored.decide(feature).probs != before
+    assert_views_of_flat_buffers(restored)
 
 
 # ---------------------------------------------------------------------------

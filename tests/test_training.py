@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refinectl.confidence import ConfidenceTrace, downsample
 from refinectl.controller import Action
 from refinectl.labeler import LabeledTrace
 from refinectl.training import (
+    Adam,
     TrainConfig,
     evaluate_accuracy,
     predicted_action_counts,
@@ -168,3 +171,37 @@ def test_out_of_range_label_rejected():
                                problem_id="x")]
     with pytest.raises(ValueError):
         train(bad, TrainConfig(epochs=1), n_actions=3)
+
+
+def reference_adam(values, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as a loop over arrays, one (m, v) pair each; ``grads[t][i]`` is
+    the gradient of ``values[i]`` at step t + 1. Updates ``values`` in place."""
+    m = [np.zeros_like(p) for p in values]
+    v = [np.zeros_like(p) for p in values]
+    for t, step_grads in enumerate(grads, start=1):
+        b1c = 1.0 - beta1 ** t
+        b2c = 1.0 - beta2 ** t
+        for p, g, m_i, v_i in zip(values, step_grads, m, v):
+            m_i[...] = beta1 * m_i + (1 - beta1) * g
+            v_i[...] = beta2 * v_i + (1 - beta2) * g ** 2
+            p -= lr * (m_i / b1c) / (np.sqrt(v_i / b2c) + eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+                       min_size=1, max_size=6),
+       steps=st.integers(1, 50), lr=st.floats(1e-5, 1.0), seed=st.integers(0, 2**31 - 1))
+def test_flat_adam_matches_per_array_reference(shapes, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=s) for s in shapes]
+    # gradients over many magnitudes, with exact zeros
+    grads = [[rng.normal(size=s) * 10.0 ** rng.integers(-8, 4) * (rng.random(s) > 0.2)
+              for s in shapes] for _ in range(steps)]
+    theta = np.concatenate([p.ravel() for p in values])
+    grad = np.zeros_like(theta)
+    optimizer = Adam(theta, grad, lr)
+    for step_grads in grads:
+        grad[...] = np.concatenate([g.ravel() for g in step_grads])
+        optimizer.step()
+    reference_adam(values, grads, lr)
+    assert theta.tobytes() == np.concatenate([p.ravel() for p in values]).tobytes()

@@ -268,6 +268,20 @@ def test_refuse_nodes_cast_no_vote_even_when_their_answer_would_win():
     assert run.final_answer == "B"
 
 
+def test_refusing_answers_leave_the_agreement_test():
+    # exactly half of the warmup halts; the refusal's "9" must not count as
+    # a disagreeing answer, so the lone voting answer "7" stops the tree
+    records = [boxed_record(a, [12.0] * 8) for a in ("7", "9", "1", "2", "3", "4", "5", "6")]
+    actions = [Action.HALT, Action.REFUSE] + [Action.RETHINK] * 6
+    backend = mock_backend(*records)
+    run = run_tree("p", backend, StubController(actions=actions, n_actions=4),
+                   CFG, TreeConfig(branch_factor=1, max_depth=2), LOOP)
+    assert run.early_stopped is True
+    assert len(run.nodes) == 4 and run.total_tokens == 32
+    assert backend.remaining == 4
+    assert run.final_answer == "7"
+
+
 def test_votes_and_agreement_compare_answers_by_one_key():
     halted = [node(0, "{8}", Action.HALT), node(1, "8", Action.HALT),
               node(2, "9", Action.HALT)]
