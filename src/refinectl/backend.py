@@ -8,19 +8,21 @@ per-token top-k logprobs and token usage counts.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
+import re
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -118,11 +120,10 @@ class Completion:
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-def _padded_rows(flat: Iterable[float], counts: np.ndarray) -> np.ndarray:
+def _padded_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Row-major logprobs, ``counts[i]`` of them for row i, -> (N, w) padded with -inf."""
     out = np.full((counts.size, counts.max(initial=1)), -np.inf)
-    out[np.arange(out.shape[1]) < counts[:, None]] = np.fromiter(
-        flat, dtype=np.float64, count=int(counts.sum()))
+    out[np.arange(out.shape[1]) < counts[:, None]] = values
     return out
 
 
@@ -233,7 +234,9 @@ class MockRecord:
             counts = np.fromiter(map(len, rows), dtype=np.intp)
             if not counts.all():
                 raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
-            logprobs = _padded_rows(chain.from_iterable(rows), counts)
+            values = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
+                                 count=int(counts.sum()))
+            logprobs = _padded_rows(values, counts)
         return Completion(
             text=self.text,
             logprobs=logprobs,
@@ -317,50 +320,160 @@ def build_chat_payload(messages: list[Message], cfg: GenerationConfig, model: st
     return payload
 
 
-def parse_chat_response(obj: dict) -> Completion:
-    """Parse a chat-completions JSON body into a ``Completion``.
-
-    Raises ``MissingLogprobsError`` when the response carries no
-    per-token logprob content, and ``BackendError`` when that content is
-    malformed or ``usage.completion_tokens`` disagrees with its length.
-    """
+def _choice(obj: dict) -> tuple[dict, str, object]:
+    """``choices[0]``, its message text and its logprob content."""
     try:
         choice = obj["choices"][0]
-    except (KeyError, IndexError) as exc:
-        raise BackendError(f"malformed response: {exc}") from exc
-
-    text = (choice.get("message") or {}).get("content") or ""
-    logprobs = choice.get("logprobs") or {}
-    content = logprobs.get("content")
+        text = (choice.get("message") or {}).get("content") or ""
+        content = (choice.get("logprobs") or {}).get("content")
+    except (AttributeError, KeyError, IndexError, TypeError) as exc:
+        raise BackendError(f"malformed response: {exc!r}") from exc
     if not content:
         raise MissingLogprobsError("endpoint returned no logprobs content")
+    return choice, text, content
 
+
+def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
+                counts: np.ndarray) -> Completion:
+    """Check row-major logprob ``values`` (``counts[i]`` for row i) against
+    the body's usage and wrap them with its text and finish reason."""
     usage = obj.get("usage") or {}
-    # Some servers omit top_logprobs but keep the sampled token's own.
     try:
-        tops = [tok.get("top_logprobs") or (tok,) for tok in content]
-        counts = np.fromiter(map(len, tops), dtype=np.intp)
-        logprobs = _padded_rows(map(itemgetter("logprob"), chain.from_iterable(tops)), counts)
         completion_tokens = int(usage.get("completion_tokens", counts.size))
         prompt_tokens = int(usage.get("prompt_tokens", 0))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    if np.isnan(logprobs).any():
+    if np.isnan(values).any():
         raise BackendError("malformed response: non-numeric logprob")
     if completion_tokens != counts.size:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
                            f"but logprobs cover {counts.size}")
+    if prompt_tokens < 0:
+        raise BackendError(f"malformed response: usage reports {prompt_tokens} prompt tokens")
     finish = choice.get("finish_reason")
     if finish not in FINISH_REASONS:
         finish = "other"
     return Completion(
         text=text,
-        logprobs=logprobs,
+        logprobs=_padded_rows(values, counts),
         counts=counts,
         completion_tokens=completion_tokens,
         prompt_tokens=prompt_tokens,
         finish_reason=finish,
     )
+
+
+def parse_chat_response(obj: dict) -> Completion:
+    """Parse a chat-completions JSON body into a ``Completion``.
+
+    Raises ``MissingLogprobsError`` when the response carries no
+    per-token logprob content, and ``BackendError`` when the choice or that
+    content is malformed or ``usage.completion_tokens`` disagrees with its
+    length.
+    """
+    choice, text, content = _choice(obj)
+    # Some servers omit top_logprobs but keep the sampled token's own.
+    try:
+        tops = [tok.get("top_logprobs") or (tok,) for tok in content]
+        counts = np.fromiter(map(len, tops), dtype=np.intp)
+        values = np.fromiter(map(itemgetter("logprob"), chain.from_iterable(tops)),
+                             dtype=np.float64, count=int(counts.sum()))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise BackendError(f"malformed response: {exc!r}") from exc
+    return _completion(obj, choice, text, values, counts)
+
+
+# The compact form in which OpenAI-compatible servers render
+# ``choices[0].logprobs.content``: token objects keyed token, logprob, an
+# optional bytes list, then a non-empty top_logprobs list of entries keyed
+# the same way without top_logprobs. Strings and numbers follow JSON's
+# grammar. Integer parts stop at 300 digits, short of the 309 where the JSON
+# path's integers overflow a float; longer ones take that path.
+_STR = rb'"[^"\\\x00-\x1f]*(?:"|(?:\\(?:["\\/bfnrt]|u[0-9A-Fa-f]{4})[^"\\\x00-\x1f]*)+")'
+_NUM = rb'-?(?:0|[1-9][0-9]{0,299})(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)'
+_INT = rb'(?:0|[1-9][0-9]*)'
+_ENTRY = rb'\{"token":' + _STR + rb',"logprob":'
+_BYTES = rb'(?:,"bytes":(?:\[(?:' + _INT + rb'(?:,' + _INT + rb')*|)\]|null)|)'
+_TOKEN = _ENTRY + _NUM + _BYTES + rb',"top_logprobs":\['
+# One match per top-logprobs entry, capturing its logprob. The first match
+# also takes the array's "[" and the first token up to its top_logprobs; an
+# entry that ends a row takes the next token the same way, or the array's
+# end. So consecutive matches tile the array exactly when it has this form;
+# anything else falls to the last branch, which takes the rest and captures
+# nothing.
+_TOP_ENTRY = re.compile(
+    rb'(?:\A\[' + _TOKEN + rb'|)' + _ENTRY + rb'(' + _NUM + rb')' + _BYTES
+    + rb'\}(?:,|\]\}(?:,' + _TOKEN + rb'|\]))|[\s\S]+')
+_CONTENT = b'"logprobs":{"content":['
+_TOP_LOGPROBS = b',"top_logprobs":['
+_CONTENT_END = b"}]}]"
+
+
+def _scan_body(raw: bytes) -> Completion | None:
+    """``parse_chat_body`` for a body whose logprob content has the compact
+    form, or None when it may not."""
+    key = raw.find(_CONTENT)
+    if key < 0:
+        return None
+    start = key + len(_CONTENT) - 1
+    # The first "}]}]" after the "[" ends the array if the scan tiles it; a
+    # token holding "}]}]" sends the body to the JSON path.
+    end = raw.find(_CONTENT_END, start) + len(_CONTENT_END)
+    if end <= start:
+        return None
+    logprobs = _TOP_ENTRY.findall(memoryview(raw)[start:end])
+    if not logprobs[-1]:
+        return None
+    # In a tiled array '"logprob":' and ',"top_logprobs":[' occur only as
+    # keys (a quote inside a string is escaped), so the segments between
+    # top_logprobs keys hold one row's entries plus the next token's own
+    # logprob.
+    rows = raw[start:end].split(_TOP_LOGPROBS)[1:]
+    counts = np.fromiter(map(bytes.count, rows, repeat(b'"logprob":')), dtype=np.intp,
+                         count=len(rows))
+    counts[:-1] -= 1
+    # Parse the rest of the body with a NaN in place of the array, and have
+    # the parser hand back a marker for it: the body is that JSON with the
+    # array at choices[0].logprobs.content only if the marker lands there
+    # and no other NaN or Infinity was parsed.
+    constants: list[str] = []
+
+    def marker(name: str) -> list[str]:
+        constants.append(name)
+        return constants
+
+    rest = raw[:start] + b"NaN" + raw[end:]
+    try:
+        obj = json.loads(rest.decode("utf-8", errors="replace"), parse_constant=marker)
+        choice, text, content = _choice(obj)
+    except (ValueError, RecursionError, BackendError):
+        return None
+    if content is not constants or len(constants) != 1:
+        return None
+    values = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
+    return _completion(obj, choice, text, values, counts)
+
+
+def parse_chat_body(raw: bytes) -> Completion:
+    """Parse an undecoded chat-completions body into a ``Completion``.
+
+    Returns what ``parse_chat_response(json.loads(raw.decode("utf-8",
+    errors="replace")))`` returns and raises the same ``BackendError``
+    subclasses, plus ``BackendError`` for a body that is not JSON. A body
+    whose ``choices[0].logprobs.content`` is in the compact form servers
+    send is read by one validating byte scan of that array and a JSON parse
+    of the rest, without building a dict per top-k entry; any other body
+    takes the JSON path.
+    """
+    completion = _scan_body(raw)
+    if completion is not None:
+        return completion
+    try:
+        obj = json.loads(raw.decode("utf-8", errors="replace"))
+    except (ValueError, RecursionError) as exc:
+        raise BackendError(
+            f"non-JSON response: {raw[:200].decode('utf-8', errors='replace')}") from exc
+    return parse_chat_response(obj)
 
 
 class HttpBackend(Backend):
@@ -393,18 +506,16 @@ class HttpBackend(Backend):
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                raw = resp.read().decode("utf-8", errors="replace")
+                raw = resp.read()
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:
                 raise TransportError(f"HTTP {exc.code}: {exc.reason}") from exc
             raise BackendError(f"HTTP {exc.code}: {exc.reason}") from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        # URLError and timeouts are OSErrors; a body cut short by a closed
+        # connection raises http.client.IncompleteRead, an HTTPException.
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise BackendError(f"non-JSON response: {raw[:200]}") from exc
-        return parse_chat_response(obj)
+        return parse_chat_body(raw)
 
 
 __all__ = [
@@ -421,5 +532,6 @@ __all__ = [
     "build_chat_payload",
     "drain_concurrent",
     "load_mock_script",
+    "parse_chat_body",
     "parse_chat_response",
 ]

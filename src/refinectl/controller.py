@@ -84,16 +84,29 @@ def _argmax(values: tuple[float, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 class Param:
+    """A trainable array. ``ControllerModel`` turns ``value`` into a view of
+    its flat weight buffer and sets ``grad`` to a view of its gradient
+    buffer."""
+
     __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = None
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+class _Undrawn:
+    """Stands in for the generator when every weight is loaded right after
+    construction: the layers get uninitialised arrays instead of draws."""
+
+    @staticmethod
+    def uniform(low: float, high: float, size) -> np.ndarray:
+        return np.empty(size)
 
 
 @functools.lru_cache(maxsize=16)
@@ -525,7 +538,7 @@ def deserialize(blob: bytes) -> ControllerModel:
         raise SerializationError(f"{len(blob) - buf.tell()} trailing bytes after the last array")
     try:
         model = ControllerModel(n_actions=n_actions, input_length=input_length,
-                                rng=np.random.default_rng(0), dropout_rate=dropout_rate)
+                                rng=_Undrawn(), dropout_rate=dropout_rate)
         model.load_state_arrays(arrays)
     except ValueError as exc:
         raise SerializationError(f"model blob does not fit the architecture: {exc}") from exc

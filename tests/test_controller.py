@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ def test_roundtrip_byte_exact(rng):
     blob = serialize(model)
     again = serialize(deserialize(blob))
     assert blob == again
+
+
+def test_fixture_roundtrips_without_drawing_weights(monkeypatch):
+    blob = (Path(__file__).resolve().parent.parent / "perfbench" / "fixture"
+            / "controller.rcn").read_bytes()
+
+    def drew(*args, **kwargs):
+        raise AssertionError("deserialize drew random weights it then overwrote")
+
+    monkeypatch.setattr(np.random, "default_rng", drew)
+    assert serialize(deserialize(blob)) == blob
 
 
 def test_roundtrip_preserves_inference(rng):

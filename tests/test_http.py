@@ -1,0 +1,198 @@
+"""HttpBackend over a real loopback socket: status mapping, retries,
+timeouts, bodies cut short, and one bad response failing one slot."""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from refinectl.backend import (
+    BackendError,
+    Completion,
+    GenerationConfig,
+    HttpBackend,
+    TransportError,
+    drain_concurrent,
+    parse_chat_response,
+)
+
+from chat_bodies import chat_bodies, compact_body, json_path, mutated_bodies, outcome
+
+MSG = [{"role": "user", "content": "hi"}]
+BODY = compact_body([[-0.5, -1.5], [-0.25]], with_bytes=False)
+
+
+class ScriptedServer:
+    """Loopback chat-completions endpoint. Each request takes the next step
+    of the script kept under its sampling seed, so answers do not depend on
+    arrival order:
+
+    - ``("body", raw)``: 200 with ``raw``;
+    - ``("status", code)``: that status with a small JSON error body;
+    - ``("sleep", seconds)``: answer 200 after sleeping;
+    - ``("cut",)``: announce 1000 bytes, send 12, close the connection.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.scripts: dict[int, list[tuple]] = {}
+        self.requests: Counter = Counter()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, format, *args):
+                pass
+
+            def do_POST(self):
+                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                seed = request["seed"]
+                with server.lock:
+                    server.requests[seed] += 1
+                    script = server.scripts.get(seed) or [("status", 418)]
+                    step = script.pop(0)
+                try:
+                    self.answer(step)
+                except OSError:  # the client gave up first
+                    pass
+
+            def answer(self, step):
+                kind = step[0]
+                if kind == "status":
+                    code, raw = step[1], b"{}"
+                elif kind == "cut":
+                    code, raw = 200, b'{"choices": ['
+                elif kind == "sleep":
+                    time.sleep(step[1])
+                    code, raw = 200, BODY
+                else:
+                    code, raw = 200, step[1]
+                self.send_response(code)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(1000 if kind == "cut" else len(raw)))
+                self.end_headers()
+                self.wfile.write(raw)
+                self.close_connection = True
+
+        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.httpd.daemon_threads = True
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, daemon=True)
+        self.thread.start()
+
+    def script(self, scripts: dict[int, list[tuple]]) -> None:
+        with self.lock:
+            self.scripts = {seed: list(steps) for seed, steps in scripts.items()}
+            self.requests = Counter()
+
+    def backend(self, timeout: float = 5.0, max_inflight: int = 1) -> HttpBackend:
+        backend = HttpBackend(f"http://127.0.0.1:{self.httpd.server_address[1]}/v1", "m",
+                              timeout=timeout, max_inflight=max_inflight)
+        backend.retry_backoff = 0.0
+        return backend
+
+    def close(self) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture(scope="module")
+def server():
+    srv = ScriptedServer()
+    yield srv
+    srv.close()
+
+
+def generate(server, steps, **kwargs):
+    server.script({0: steps})
+    return server.backend(**kwargs).generate(MSG, GenerationConfig(seed=0))
+
+
+def test_200_body_parses(server):
+    assert generate(server, [("body", BODY)]) == parse_chat_response(json.loads(BODY))
+    assert server.requests[0] == 1
+
+
+@pytest.mark.parametrize("code", [429, 500])
+def test_retryable_status_is_tried_three_times(server, code):
+    with pytest.raises(TransportError, match=f"HTTP {code}") as info:
+        generate(server, [("status", code)] * 3)
+    assert info.value.attempts == 3 and server.requests[0] == 3
+    assert generate(server, [("status", code), ("body", BODY)]).completion_tokens == 2
+
+
+def test_client_error_is_tried_once(server):
+    with pytest.raises(BackendError, match="HTTP 400") as info:
+        generate(server, [("status", 400), ("body", BODY)])
+    assert not isinstance(info.value, TransportError)
+    assert server.requests[0] == 1
+
+
+def test_sleep_past_timeout_is_a_retried_transport_error(server):
+    with pytest.raises(TransportError) as info:
+        generate(server, [("sleep", 0.4)] * 3, timeout=0.1)
+    assert info.value.attempts == 3 and server.requests[0] == 3
+
+
+def test_connection_closed_mid_body_is_a_retried_transport_error(server):
+    with pytest.raises(TransportError, match="IncompleteRead") as info:
+        generate(server, [("cut",)] * 3)
+    assert info.value.attempts == 3 and server.requests[0] == 3
+    assert generate(server, [("cut",), ("body", BODY)]).completion_tokens == 2
+
+
+@pytest.mark.parametrize("raw, match", [
+    (BODY[:-10], "non-JSON"),
+    (compact_body([[-0.5]], with_bytes=True, usage_tokens=4), "4 completion tokens.*cover 1"),
+])
+def test_bad_200_body_fails_once_without_retry(server, raw, match):
+    with pytest.raises(BackendError, match=match) as info:
+        generate(server, [("body", raw), ("body", BODY)])
+    assert not isinstance(info.value, TransportError)
+    assert server.requests[0] == 1
+
+
+RETRYABLE = [("status", 429), ("status", 500), ("cut",)]
+final_steps = st.one_of(
+    st.just(("status", 400)),
+    st.one_of(chat_bodies(max_tokens=3), mutated_bodies(max_tokens=3)).map(
+        lambda raw: ("body", raw)),
+)
+scripts = st.lists(
+    st.tuples(st.lists(st.sampled_from(RETRYABLE), max_size=3), final_steps)
+    .map(lambda t: t[0] + [t[1]]),
+    min_size=1, max_size=6)
+
+
+def expected(steps: list[tuple]):
+    """What ``generate`` returns for a script, and how many requests it makes."""
+    for attempt, step in enumerate(steps[:3], start=1):
+        if step in RETRYABLE:
+            continue
+        if step[0] == "status":
+            return BackendError, attempt
+        return outcome(json_path, step[1]), attempt
+    return TransportError, 3
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scripts=scripts)
+def test_drain_fails_bad_slots_and_keeps_siblings(server, max_inflight, scripts):
+    server.script(dict(enumerate(scripts)))
+    backend = server.backend(max_inflight=max_inflight)
+    results = drain_concurrent(
+        backend, [(MSG, GenerationConfig(seed=i)) for i in range(len(scripts))])
+    for seed, (steps, result) in enumerate(zip(scripts, results)):
+        want, requests = expected(steps)
+        assert isinstance(result, (Completion, BackendError))
+        assert (result if isinstance(result, Completion) else type(result)) == want
+        assert server.requests[seed] == requests
