@@ -84,29 +84,16 @@ def _argmax(values: tuple[float, ...]) -> int:
 # ---------------------------------------------------------------------------
 
 class Param:
-    """A trainable array. ``ControllerModel`` turns ``value`` into a view of
-    its flat weight buffer and sets ``grad`` to a view of its gradient
-    buffer."""
+    """A trainable array of a given shape. ``ControllerModel`` sets ``value``
+    to a view of its flat weight buffer and ``grad`` to a view of its
+    gradient buffer; a fresh model's ``value`` is uniform in
+    +/-1/sqrt(fan_in) when ``fan_in`` is set, else the constant ``fill``."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("shape", "fan_in", "fill", "value", "grad")
 
-    def __init__(self, value: np.ndarray):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-class _Undrawn:
-    """Stands in for the generator when every weight is loaded right after
-    construction: the layers get uninitialised arrays instead of draws."""
-
-    @staticmethod
-    def uniform(low: float, high: float, size) -> np.ndarray:
-        return np.empty(size)
+    def __init__(self, shape: tuple[int, ...], fan_in: int | None = None, fill: float = 0.0):
+        self.shape, self.fan_in, self.fill = shape, fan_in, fill
+        self.value = self.grad = None
 
 
 @functools.lru_cache(maxsize=16)
@@ -123,23 +110,36 @@ def _windows(batch: int, n: int, kernel: int, stride: int) -> tuple[np.ndarray, 
     return index, pad_total // 2, padded
 
 
+@functools.lru_cache(maxsize=8)
+def _scatter_index(channels: int, batch: int, n: int, kernel: int, stride: int) -> np.ndarray:
+    """The gather index of :func:`_windows` repeated for every channel of a
+    (channels, batch * padded) buffer, flat in (C, K, B, L_out) order: where
+    each window element's gradient lands in the padded input."""
+    index, _, padded = _windows(batch, n, kernel, stride)
+    flat = (batch * padded * np.arange(channels)[:, None, None, None] + index).ravel()
+    flat.setflags(write=False)  # shared by every caller
+    return flat
+
+
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded strided 1-D convolution of x (B, C_in, L) with
     w (C_out, C_in, K). Returns the output (B, C_out, L_out) and the input
     windows ``cols`` (B, C_in, L_out, K) that the backward pass needs.
 
-    Both are views of channel-major buffers (channel, batch, position), so
-    the contraction is one matrix product and per-channel reductions over
-    batch and position read contiguous memory. Allocates its results and
-    writes nothing else, so concurrent calls on shared weights are safe.
+    Both are views of channel-major buffers: the output of a contiguous
+    (C_out, B, L_out) array, the windows of a contiguous (C_in, K, B, L_out)
+    array, so the contraction is one matrix product over reshaped views and
+    per-channel reductions over batch and position read contiguous memory.
+    Allocates its results and writes nothing else, so concurrent calls on
+    shared weights are safe.
     """
     bsz, c_in, n = x.shape
     c_out, _, kernel = w.shape
     index, pad_l, padded = _windows(bsz, n, kernel, stride)
     xp = np.zeros((c_in, bsz, padded))
     xp[:, :, pad_l:pad_l + n] = x.transpose(1, 0, 2)
-    windows = xp.reshape(c_in, bsz * padded)[:, index]  # (C_in, K, B, L_out)
+    windows = np.take(xp.reshape(c_in, bsz * padded), index, axis=1)  # (C_in, K, B, L_out)
     n_out = index.shape[2]
     out = w.reshape(c_out, c_in * kernel) @ windows.reshape(c_in * kernel, bsz * n_out)
     out += b[:, None]
@@ -150,12 +150,11 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 class Conv1d:
     """Same-padded strided 1-D convolution, im2col style."""
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 rng: np.random.Generator):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int):
         fan_in = in_ch * kernel
         self.in_ch, self.out_ch, self.kernel, self.stride = in_ch, out_ch, kernel, stride
-        self.w = Param(_uniform(rng, (out_ch, in_ch, kernel), fan_in))
-        self.b = Param(_uniform(rng, (out_ch,), fan_in))
+        self.w = Param((out_ch, in_ch, kernel), fan_in=fan_in)
+        self.b = Param((out_ch,), fan_in=fan_in)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -163,30 +162,50 @@ class Conv1d:
         self._cache = (cols, x.shape[2])
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate dW and db for the output gradient ``grad``
+        (B, C_out, L_out) and return the input gradient (B, C_in, L), or
+        None when ``input_grad`` is false (the first layer's input is data).
+
+        With G the gradient as a (C_out, B * L_out) matrix and the cached
+        windows as (C_in * K, B * L_out), dW = G @ windows.T and the window
+        gradient is W.T @ G, two matrix products; the window gradient goes
+        back to the padded input with one ``bincount`` over the memoised
+        gather index, which adds every window element into its input position.
+        """
         cols, n = self._cache
-        _, pad_l, padded = _windows(cols.shape[0], n, self.kernel, self.stride)
-        self.w.grad += np.einsum("bol,bilk->oik", grad, cols, optimize=True)
-        self.b.grad += grad.sum(axis=(0, 2))
-        dcols = np.einsum("bol,oik->bilk", grad, self.w.value, optimize=True)
-        dxp = np.zeros(cols.shape[:2] + (padded,))
-        for j in range(grad.shape[2]):
-            start = j * self.stride
-            dxp[:, :, start:start + self.kernel] += dcols[:, :, j, :]
-        return dxp[:, :, pad_l:pad_l + n]
+        windows = cols.transpose(1, 3, 0, 2)  # the contiguous (C_in, K, B, L_out) buffer
+        c_in, kernel, bsz, n_out = windows.shape
+        g = grad.transpose(1, 0, 2).reshape(self.out_ch, bsz * n_out)
+        self.w.grad += (g @ windows.reshape(c_in * kernel, bsz * n_out).T).reshape(
+            self.w.shape)
+        self.b.grad += g.sum(axis=1)
+        if not input_grad:
+            return None
+        dwin = self.w.value.reshape(self.out_ch, c_in * kernel).T @ g
+        _, pad_l, padded = _windows(bsz, n, kernel, self.stride)
+        dxp = np.bincount(_scatter_index(c_in, bsz, n, kernel, self.stride),
+                          weights=dwin.ravel(), minlength=c_in * bsz * padded)
+        return dxp.reshape(c_in, bsz, padded)[:, :, pad_l:pad_l + n].transpose(1, 0, 2)
 
 
 class BatchNorm1d:
     """Per-channel batch norm over (batch, length); running stats with
     momentum 0.1 are used at inference so single-sample decisions never
-    depend on batch composition."""
+    depend on batch composition.
+
+    The forward pass caches only the normalised input x̂ and 1/std. In train
+    mode the statistics are the batch's, and the input gradient is the
+    closed form γ/std · (g − mean(g) − x̂ · mean(g · x̂)), means per channel
+    over batch and position; in eval mode it is γ/std · g.
+    """
 
     momentum = 0.1
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.gamma = Param(np.ones(channels))
-        self.beta = Param(np.zeros(channels))
+        self.gamma = Param((channels,), fill=1.0)
+        self.beta = Param((channels,))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self._cache = None
@@ -194,32 +213,35 @@ class BatchNorm1d:
     def forward(self, x: np.ndarray, train: bool, update_stats: bool = True) -> np.ndarray:
         if train:
             mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            xhat = x - mean[None, :, None]  # centred here, scaled in place below
+            var = np.square(xhat).mean(axis=(0, 2))
             if update_stats:  # in place: the model's state list holds these arrays
                 m = self.momentum
                 self.running_mean[...] = (1 - m) * self.running_mean + m * mean
                 self.running_var[...] = (1 - m) * self.running_var + m * var
         else:
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean[None, :, None]
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + _EPS_BN)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        self._cache = (xhat, inv_std, x - mean[None, :, None], train, x.shape)
+        xhat *= inv_std[None, :, None]
+        self._cache = (xhat, inv_std, train)
         return self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, centered, train, shape = self._cache
-        self.gamma.grad += (grad * xhat).sum(axis=(0, 2))
-        self.beta.grad += grad.sum(axis=(0, 2))
-        dxhat = grad * self.gamma.value[None, :, None]
+        xhat, inv_std, train = self._cache
+        sum_gx = np.einsum("bcl,bcl->c", grad, xhat)
+        sum_g = grad.sum(axis=(0, 2))
+        self.gamma.grad += sum_gx
+        self.beta.grad += sum_g
+        scale = (self.gamma.value * inv_std)[None, :, None]
         if not train:
-            return dxhat * inv_std[None, :, None]
-        m = shape[0] * shape[2]
-        dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
-        dmean = (-dxhat * inv_std[None, :, None]).sum(axis=(0, 2)) \
-            + dvar * (-2.0 / m) * centered.sum(axis=(0, 2))
-        return (dxhat * inv_std[None, :, None]
-                + (2.0 / m) * dvar[None, :, None] * centered
-                + dmean[None, :, None] / m)
+            return grad * scale
+        m = grad.shape[0] * grad.shape[2]
+        dx = xhat * (-sum_gx / m)[None, :, None]
+        dx += grad
+        dx -= (sum_g / m)[None, :, None]
+        dx *= scale
+        return dx
 
 
 class ReLU:
@@ -243,7 +265,10 @@ class Dropout:
         if not train or self.rate <= 0 or rng is None:
             self._mask = None
             return x
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        # the mask takes x's memory layout (channel-major in the trunk), so the
+        # products here and in backward stream both operands in one order
+        self._mask = np.empty_like(x)
+        np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, out=self._mask)
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -257,10 +282,10 @@ def _linear(layer: Linear, x: np.ndarray) -> np.ndarray:
 
 
 class Linear:
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int):
         self.in_features, self.out_features = in_features, out_features
-        self.w = Param(_uniform(rng, (out_features, in_features), in_features))
-        self.b = Param(_uniform(rng, (out_features,), in_features))
+        self.w = Param((out_features, in_features), fan_in=in_features)
+        self.b = Param((out_features,), fan_in=in_features)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -286,9 +311,13 @@ DROPOUT_RATE = 0.3
 
 
 class ControllerModel:
-    """Conv1D trunk + action/success heads. Build via :func:`init`."""
+    """Conv1D trunk + action/success heads. Build via :func:`init`.
 
-    def __init__(self, n_actions: int, input_length: int, rng: np.random.Generator,
+    ``rng`` draws the initial weights; with None they are left unset, for a
+    caller that loads every array right after construction (:func:`deserialize`).
+    """
+
+    def __init__(self, n_actions: int, input_length: int, rng: np.random.Generator | None,
                  dropout_rate: float = DROPOUT_RATE):
         if n_actions not in (3, 4):
             raise ValueError("n_actions must be 3 or 4")
@@ -305,19 +334,19 @@ class ControllerModel:
         self.drops: list[Dropout] = []
         in_ch = 1
         for out_ch, kernel in zip(CONV_CHANNELS, CONV_KERNELS):
-            self.convs.append(Conv1d(in_ch, out_ch, kernel, CONV_STRIDE, rng))
+            self.convs.append(Conv1d(in_ch, out_ch, kernel, CONV_STRIDE))
             self.bns.append(BatchNorm1d(out_ch))
             self.relus.append(ReLU())
             self.drops.append(Dropout(dropout_rate))
             in_ch = out_ch
 
         trunk = CONV_CHANNELS[-1]
-        self.action_fc1 = Linear(trunk, HEAD_HIDDEN, rng)
+        self.action_fc1 = Linear(trunk, HEAD_HIDDEN)
         self.action_relu = ReLU()
-        self.action_fc2 = Linear(HEAD_HIDDEN, n_actions, rng)
-        self.success_fc1 = Linear(trunk, HEAD_HIDDEN, rng)
+        self.action_fc2 = Linear(HEAD_HIDDEN, n_actions)
+        self.success_fc1 = Linear(trunk, HEAD_HIDDEN)
         self.success_relu = ReLU()
-        self.success_fc2 = Linear(HEAD_HIDDEN, 1, rng)
+        self.success_fc2 = Linear(HEAD_HIDDEN, 1)
         self._gap_length = None
 
         # The state order, written once: serialization, ``parameters()`` and
@@ -328,17 +357,25 @@ class ControllerModel:
             self._state += [conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var]
         for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
             self._state += [layer.w, layer.b]
-        # Every Param's value and grad become views into two flat buffers, so
+        # Every Param's value and grad are views into two flat buffers, so
         # the optimizer steps all weights with a few whole-buffer operations.
+        # Weights are drawn in state order, straight into their views.
         params = self.parameters()
-        self.theta = np.concatenate([p.value.ravel() for p in params])
-        self.grad = np.zeros_like(self.theta)
+        sizes = [math.prod(p.shape) for p in params]
+        self.theta = np.empty(sum(sizes))
+        self.grad = np.zeros(sum(sizes))
         start = 0
-        for p in params:
-            stop = start + p.value.size
-            p.value = self.theta[start:stop].reshape(p.value.shape)
-            p.grad = self.grad[start:stop].reshape(p.value.shape)
-            start = stop
+        for p, size in zip(params, sizes):
+            p.value = self.theta[start:start + size].reshape(p.shape)
+            p.grad = self.grad[start:start + size].reshape(p.shape)
+            start += size
+            if rng is None:
+                continue
+            if p.fan_in is None:
+                p.value.fill(p.fill)
+            else:
+                bound = 1.0 / np.sqrt(p.fan_in)
+                p.value[...] = rng.uniform(-bound, bound, size=p.shape)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -355,14 +392,14 @@ class ControllerModel:
 
     def load_state_arrays(self, arrays: list[np.ndarray]) -> None:
         """Copy ``arrays`` (in :meth:`state_arrays` order) into the model's
-        arrays in place, so the weights stay views of ``theta``, and zero the
-        gradients."""
+        arrays in place, so the weights stay views of ``theta``. Gradients are
+        left alone: a new model's are zero, and a training step starts with
+        :meth:`zero_grads`."""
         targets = self.state_arrays()
         if len(arrays) != len(targets):
             raise SerializationError(f"expected {len(targets)} arrays, got {len(arrays)}")
         for target, arr in zip(targets, arrays):
             target[...] = np.reshape(arr, target.shape)
-        self.zero_grads()
 
     # -- forward / backward -------------------------------------------------
 
@@ -401,13 +438,15 @@ class ControllerModel:
         ds = self.success_fc1.backward(
             self.success_relu.backward(self.success_fc2.backward(grad_success[:, None])))
         dz = da + ds
-        g = np.repeat(dz[:, :, None], self._gap_length, axis=2) / self._gap_length
-        for conv, bn, relu, drop in zip(reversed(self.convs), reversed(self.bns),
-                                        reversed(self.relus), reversed(self.drops)):
-            g = drop.backward(g)
-            g = relu.backward(g)
-            g = bn.backward(g)
-            g = conv.backward(g)
+        # the pool's gradient, broadcast over the temporal axis of a
+        # channel-major (C, B) copy so it streams in the trunk's memory order
+        dz = np.ascontiguousarray(dz.T) / self._gap_length
+        g = np.broadcast_to(dz[:, :, None], dz.shape + (self._gap_length,)).transpose(1, 0, 2)
+        for i in reversed(range(len(self.convs))):
+            g = self.drops[i].backward(g)
+            g = self.relus[i].backward(g)
+            g = self.bns[i].backward(g)
+            g = self.convs[i].backward(g, input_grad=i > 0)
 
     def decide(self, feature: FeatureVector) -> Decision:
         return forward(self, feature)
@@ -505,12 +544,15 @@ def serialize(model: ControllerModel) -> bytes:
 
 
 def deserialize(blob: bytes) -> ControllerModel:
-    buf = io.BytesIO(blob)
+    view = memoryview(blob)  # slices and arrays read the blob without copying it
+    pos = 0
 
-    def read(n: int) -> bytes:
-        if n > len(blob) - buf.tell():
+    def read(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(view) - pos:
             raise SerializationError("truncated model blob")
-        return buf.read(n)
+        pos += n
+        return view[pos - n:pos]
 
     if read(4) != MAGIC:
         raise SerializationError("bad magic: not a controller model blob")
@@ -534,11 +576,11 @@ def deserialize(blob: bytes) -> ControllerModel:
     for _ in range(n_arrays):
         (size,) = struct.unpack("<Q", read(8))
         arrays.append(np.frombuffer(read(size * 8), dtype="<f8"))
-    if buf.tell() != len(blob):
-        raise SerializationError(f"{len(blob) - buf.tell()} trailing bytes after the last array")
+    if pos != len(view):
+        raise SerializationError(f"{len(view) - pos} trailing bytes after the last array")
     try:
         model = ControllerModel(n_actions=n_actions, input_length=input_length,
-                                rng=_Undrawn(), dropout_rate=dropout_rate)
+                                rng=None, dropout_rate=dropout_rate)
         model.load_state_arrays(arrays)
     except ValueError as exc:
         raise SerializationError(f"model blob does not fit the architecture: {exc}") from exc

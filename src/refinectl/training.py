@@ -162,8 +162,9 @@ def batch_loss_and_grads(
         dlogits = w[:, None] * (probs - onehot) / b
     else:
         g = cfg.focal_gamma
-        # dL/dq = w * (g*(1-q)^(g-1)*log q - (1-q)^g / q); dq/dz = q*(onehot - p)
-        dLdq = w * (g * (1.0 - q) ** max(g - 1.0, 0.0) * np.log(q)
+        # dL/dq = w * (g*(1-q)^(g-1)*log q - (1-q)^g / q); dq/dz = q*(onehot - p).
+        # q <= 1 - 1e-12, so (1-q)^(g-1) stays finite for 0 < g < 1.
+        dLdq = w * (g * (1.0 - q) ** (g - 1.0) * np.log(q)
                     - focal_factor / q) if g > 0 else -w / q
         dlogits = (dLdq * q)[:, None] * (onehot - probs) / b
 

@@ -153,6 +153,113 @@ def test_infer_matches_forward_batch(seed, n_actions, batch, length):
         h = np.maximum(out, 0.0)
 
 
+def reference_conv1d_backward(grad, cols, w, n, stride):
+    """Reference for ``Conv1d.backward``: two einsum contractions and a loop
+    over output positions. Returns (dW, db, dx)."""
+    kernel, n_out = w.shape[2], grad.shape[2]
+    pad_total = max((n_out - 1) * stride + kernel - n, 0)
+    pad_l = pad_total // 2
+    dw = np.einsum("bol,bilk->oik", grad, cols, optimize=True)
+    db = grad.sum(axis=(0, 2))
+    dcols = np.einsum("bol,oik->bilk", grad, w, optimize=True)
+    dxp = np.zeros(cols.shape[:2] + (n + pad_total,))
+    for j in range(n_out):
+        dxp[:, :, j * stride:j * stride + kernel] += dcols[:, :, j, :]
+    return dw, db, dxp[:, :, pad_l:pad_l + n]
+
+
+def reference_batchnorm_backward(x, gamma, grad, train, running_mean, running_var):
+    """Reference for ``BatchNorm1d.backward``: the chain rule through the
+    variance and the mean, one term at a time. Returns (dgamma, dbeta, dx)."""
+    if train:
+        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    centered = x - mean[None, :, None]
+    xhat = centered * inv_std[None, :, None]
+    dgamma = (grad * xhat).sum(axis=(0, 2))
+    dbeta = grad.sum(axis=(0, 2))
+    dxhat = grad * gamma[None, :, None]
+    if not train:
+        return dgamma, dbeta, dxhat * inv_std[None, :, None]
+    m = x.shape[0] * x.shape[2]
+    dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
+    dmean = (-dxhat * inv_std[None, :, None]).sum(axis=(0, 2)) \
+        + dvar * (-2.0 / m) * centered.sum(axis=(0, 2))
+    dx = (dxhat * inv_std[None, :, None] + (2.0 / m) * dvar[None, :, None] * centered
+          + dmean[None, :, None] / m)
+    return dgamma, dbeta, dx
+
+
+def assert_close_to_reference(actual, ref, scale):
+    """Equal up to rounding: rtol 1e-12, and atol 1e-12 times ``scale``, the
+    largest magnitude among the terms the result sums."""
+    np.testing.assert_allclose(actual, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+def bind(rng, *params):
+    """Give standalone layer parameters random values and zero gradients."""
+    for p in params:
+        p.value = rng.normal(0.0, 1.0, p.shape)
+        p.grad = np.zeros(p.shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 64), c_in=st.integers(1, 16),
+       c_out=st.integers(1, 16), kernel=st.integers(1, 5), stride=st.integers(1, 3),
+       length=st.integers(1, 33), train=st.booleans(), channel_major=st.booleans())
+def test_backward_matches_reference(seed, batch, c_in, c_out, kernel, stride, length,
+                                    train, channel_major):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        """A standard-normal array, either C-ordered or (like the trunk's
+        activations) a (B, C, L) view of a channel-major buffer."""
+        if channel_major:
+            return rng.normal(0.0, 1.0, (shape[1], shape[0], shape[2])).transpose(1, 0, 2)
+        return rng.normal(0.0, 1.0, shape)
+
+    conv = controller_mod.Conv1d(c_in, c_out, kernel, stride)
+    bind(rng, conv.w, conv.b)
+    x = draw((batch, c_in, length))
+    out = conv.forward(x)
+    cols = conv._cache[0]
+    n_out = out.shape[2]
+    windows = cols.transpose(1, 3, 0, 2)
+    assert windows.shape == (c_in, kernel, batch, n_out)
+    assert windows.flags.c_contiguous  # the buffer _conv1d's docstring promises
+    grad = draw(out.shape)
+    dx = conv.backward(grad)
+    ref_dw, ref_db, ref_dx = reference_conv1d_backward(
+        grad, reference_conv1d(x, conv.w.value, conv.b.value, stride)[1], conv.w.value,
+        length, stride)
+    terms = np.abs(grad).max()
+    assert_close_to_reference(conv.w.grad, ref_dw, terms * np.abs(cols).max())
+    assert_close_to_reference(conv.b.grad, ref_db, terms)
+    assert_close_to_reference(dx, ref_dx, terms * np.abs(conv.w.value).max())
+    assert conv.backward(grad, input_grad=False) is None
+    assert_close_to_reference(conv.w.grad, 2 * ref_dw, terms * np.abs(cols).max())
+
+    bn = controller_mod.BatchNorm1d(c_out)
+    bind(rng, bn.gamma, bn.beta)
+    bn.running_mean[...] = rng.normal(0.0, 1.0, c_out)
+    bn.running_var[...] = rng.uniform(0.1, 4.0, c_out)
+    x = 3.0 + 2.0 * draw((batch, c_out, length))
+    bn.forward(x, train=train, update_stats=False)
+    grad = draw(x.shape)
+    dx = bn.backward(grad)
+    ref_dgamma, ref_dbeta, ref_dx = reference_batchnorm_backward(
+        x, bn.gamma.value, grad, train, bn.running_mean, bn.running_var)
+    xhat, inv_std = bn._cache[:2]
+    terms = np.abs(grad).max()
+    assert_close_to_reference(bn.gamma.grad, ref_dgamma, terms * np.abs(xhat).max())
+    assert_close_to_reference(bn.beta.grad, ref_dbeta, terms)
+    # the x̂ · mean(g · x̂) term scales with x̂ squared
+    dx_terms = terms * np.abs(bn.gamma.value * inv_std).max() * max(np.abs(xhat).max(), 1) ** 2
+    assert_close_to_reference(dx, ref_dx, dx_terms)
+
+
 def layer_caches(model) -> list:
     """Whatever the differentiable path stores on the model and its layers."""
     layers = [model]
@@ -234,6 +341,36 @@ def test_focal_gamma_zero_reduces_to_weighted_ce(rng):
         a = loss(probs, 0.7, label, True, t, _cfg("focal", lam=0.1, gamma=0.0), weights)
         b = loss(probs, 0.7, label, True, t, _cfg("weighted_ce", lam=0.1), weights)
         assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0, 2.0])
+def test_focal_gradient_matches_finite_differences(gamma):
+    """dL/d(action bias) is the summed logit gradient; the bias sits after
+    the last ReLU, so central differences are exact up to O(h^2)."""
+    rng = np.random.default_rng(3)
+    model = init(3, 16, seed=4)
+    x = rng.normal(10, 3, (4, 16))
+    labels, success, steps = np.array([0, 1, 2, 1]), np.array([1, 0, 0, 1], bool), np.zeros(4)
+    cfg = TrainConfig(loss_kind="focal", focal_gamma=gamma)
+    weights = np.array([0.5, 1.5, 2.0])
+
+    def value() -> float:
+        return batch_loss_and_grads(model, x, labels, success, steps, cfg, weights,
+                                    train=True, dropout_rng=None, update_stats=False)
+
+    model.zero_grads()
+    value()
+    analytic = model.action_fc2.b.grad.copy()
+    bias, h = model.action_fc2.b.value, 1e-5
+    numeric = np.empty(3)
+    for i in range(3):
+        bias[i] += h
+        plus = value()
+        bias[i] -= 2 * h
+        minus = value()
+        bias[i] += h
+        numeric[i] = (plus - minus) / (2 * h)
+    np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
 def test_cross_entropy_direct_arithmetic():
