@@ -173,7 +173,7 @@ def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
     """K samples of the same prompt -> ((answer, mean confidence, tokens) of
     every served sample, the first failure or None). Sequential sampling
     stops at the first failure; parallel sampling serves every other slot."""
-    messages = build_initial_prompt(problem, spec.loop_cfg.mode, presentation)
+    messages = build_initial_prompt(problem, problem.mode, presentation)
     base = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if sequential:
         results: list = []
@@ -192,7 +192,7 @@ def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
         if isinstance(completion, BackendError):
             failure = failure if failure is not None else completion
             continue
-        answer = extract_answer(completion.text, spec.loop_cfg.mode)
+        answer = extract_answer(completion.text, problem.mode)
         trace = build_trace(completion, base.logprob_count)
         samples.append((answer, trace.mean, completion.completion_tokens))
     return samples, failure

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    refinectl run    --problem-file p.jsonl --model-file ctl.bin --max-iters 20 --mode math_boxed
+    refinectl run    --problem-file p.jsonl --model-file ctl.bin --max-iters 20
     refinectl tree   --problem-file p.jsonl --model-file ctl.bin --warmup 4 --branch 2 --depth 3
     refinectl bench  --dataset d.jsonl --method majority_parallel --k 20 --seeds 5 --out report.csv
     refinectl report --in report.json --format markdown
@@ -8,6 +8,12 @@
 Backends: ``--endpoint URL --model NAME`` for an OpenAI-compatible server
 (credential in $REFINECTL_API_KEY, override with --api-key-env), or
 ``--mock-script script.json`` for offline scripted runs.
+
+Each problem is answered in its own mode (``math_boxed`` or ``mcq``, from the
+dataset row), so one file can mix both. ``run`` and ``tree`` print one line
+per problem; a problem whose generation fails prints
+``<id>: failed: <message> tokens=<served>`` and the rest still run. The log
+or dump then holds the finished problems, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .backend import (
 )
 from .bench import RunSpec, emit_report, load_dataset, load_report, run_benchmark
 from .controller import load_model
-from .refine import LoopConfig, run, write_run_log
+from .refine import LoopConfig, RefinementError, run, write_run_log
 from .tree import TreeConfig, run_tree, write_tree_dump
 
 
@@ -77,37 +83,46 @@ def _cmd_run(args) -> int:
     backend = _make_backend(args)
     controller, _ = load_model(args.model_file)
     problems = load_dataset(args.problem_file)
-    loop_cfg = LoopConfig(max_iterations=args.max_iters, mode=args.mode,
-                          two_phase_refusal=args.two_phase)
-    results = []
+    loop_cfg = LoopConfig(max_iterations=args.max_iters, two_phase_refusal=args.two_phase)
+    results, failed = [], False
     for problem in problems:
-        result = run(problem, backend, controller, _gen_cfg(args), loop_cfg)
+        try:
+            result = run(problem, backend, controller, _gen_cfg(args), loop_cfg)
+        except RefinementError as exc:
+            failed = True
+            print(f"{problem.id}: failed: {exc} tokens={exc.partial.total_generation_tokens}")
+            continue
         results.append(result)
         print(f"{problem.id}: answer={result.final_answer!r} "
               f"iterations={result.iterations_used} terminated_by={result.terminated_by} "
               f"tokens={result.total_generation_tokens}")
     if args.log:
         write_run_log(args.log, results)
-    return 0
+    return int(failed)
 
 
 def _cmd_tree(args) -> int:
     backend = _make_backend(args)
     controller, _ = load_model(args.model_file)
     problems = load_dataset(args.problem_file)
-    loop_cfg = LoopConfig(mode=args.mode, two_phase_refusal=args.two_phase)
+    loop_cfg = LoopConfig(two_phase_refusal=args.two_phase)
     tree_cfg = TreeConfig(warmup=args.warmup, branch_factor=args.branch,
                           max_depth=args.depth, vote=args.vote)
-    runs = []
+    runs, failed = [], False
     for problem in problems:
-        tree_run = run_tree(problem, backend, controller, _gen_cfg(args), tree_cfg, loop_cfg)
+        try:
+            tree_run = run_tree(problem, backend, controller, _gen_cfg(args), tree_cfg, loop_cfg)
+        except RefinementError as exc:
+            failed = True
+            print(f"{problem.id}: failed: {exc} tokens={exc.partial.total_tokens}")
+            continue
         runs.append(tree_run)
         print(f"{problem.id}: answer={tree_run.final_answer!r} "
               f"nodes={len(tree_run.nodes)} early_stopped={tree_run.early_stopped} "
               f"tokens={tree_run.total_tokens}")
     if args.dump:
         write_tree_dump(args.dump, runs)
-    return 0
+    return int(failed)
 
 
 def _cmd_bench(args) -> int:
@@ -124,7 +139,6 @@ def _cmd_bench(args) -> int:
         exclude_min=args.exclude_min,
         exclude_max=args.exclude_max,
         gen_cfg=_gen_cfg(args),
-        loop_cfg=LoopConfig(mode=args.mode),
     )
     row = run_benchmark(problems, spec, backend=None, controller=controller,
                         dataset_name=Path(args.dataset).stem,
@@ -156,7 +170,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--problem-file", required=True)
     p_run.add_argument("--model-file", required=True)
     p_run.add_argument("--max-iters", type=int, default=20)
-    p_run.add_argument("--mode", choices=("math_boxed", "mcq"), default="math_boxed")
     p_run.add_argument("--two-phase", action="store_true",
                        help="neutral prompt at iteration 0, aggressive afterwards (mcq)")
     p_run.add_argument("--log", help="write per-iteration JSONL log here")
@@ -172,7 +185,6 @@ def main(argv=None) -> int:
     p_tree.add_argument("--depth", type=int, default=3)
     p_tree.add_argument("--vote", choices=("majority", "confidence_weighted",
                                            "high_confidence_majority"), default="majority")
-    p_tree.add_argument("--mode", choices=("math_boxed", "mcq"), default="math_boxed")
     p_tree.add_argument("--two-phase", action="store_true")
     p_tree.add_argument("--dump", help="write tree JSONL dump here")
     p_tree.set_defaults(func=_cmd_tree)
@@ -188,7 +200,6 @@ def main(argv=None) -> int:
     p_bench.add_argument("--weighted", action="store_true")
     p_bench.add_argument("--exclude-min", type=float, default=None)
     p_bench.add_argument("--exclude-max", type=float, default=None)
-    p_bench.add_argument("--mode", choices=("math_boxed", "mcq"), default="math_boxed")
     p_bench.add_argument("--model-file", help="controller (required for refinement methods)")
     p_bench.add_argument("--out", help="write the report here (.csv or .json)")
     p_bench.set_defaults(func=_cmd_bench)

@@ -36,7 +36,6 @@ class Problem:
     ground_truth: str
     mode: str = "math_boxed"
     choices: tuple[str, ...] | None = None
-    unsure_choice_present: bool = False
     unanswerable: bool = False
 
     def __post_init__(self) -> None:
@@ -47,6 +46,10 @@ class Problem:
                 raise ValueError("mcq problems need at least 2 choices")
             if self.ground_truth not in self.choices:
                 raise ValueError("mcq ground truth must be one of the choices")
+
+    @property
+    def unsure_choice_present(self) -> bool:
+        return self.unsure_index() is not None
 
     def unsure_index(self, choices: tuple[str, ...] | None = None) -> int | None:
         """Index of the refusal choice in the given (or stored) order."""
@@ -59,8 +62,9 @@ class Problem:
         return None
 
 
-def as_problem(problem: Problem | str, mode: str) -> Problem:
-    """A bare statement becomes an ad-hoc problem with no ground truth."""
+def as_problem(problem: Problem | str, mode: str = "math_boxed") -> Problem:
+    """A bare statement becomes an ad-hoc problem in ``mode`` (``math_boxed``
+    unless given) with no ground truth."""
     if isinstance(problem, Problem):
         return problem
     return Problem(id="adhoc", statement=str(problem), ground_truth="", mode=mode)
@@ -111,8 +115,6 @@ def load_dataset(path: str | Path) -> list[Problem]:
                     ground_truth=str(rec["answer"]),
                     mode=rec.get("mode", "math_boxed"),
                     choices=choices,
-                    unsure_choice_present=bool(choices) and any(
-                        is_unsure_choice(c) for c in choices),
                     unanswerable=bool(rec.get("unanswerable", False)),
                 )
             except (KeyError, ValueError) as exc:

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from .backend import Backend, BackendError, Completion, GenerationConfig
 from .confidence import (
+    DEFAULT_BINS,
     NormalizationTable,
     TraceStats,
     build_trace,
@@ -38,10 +39,8 @@ class LoopConfig:
     rethink_window_tokens: int = 800
     compaction_budget_chars: int = 4000
     normalization: NormalizationTable | None = None
-    mode: str = "math_boxed"
     two_phase_refusal: bool = False
     max_truncation_retries: int = 1
-    feature_length: int = 16
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -358,23 +357,6 @@ def build_prompt(
 # The node pipeline, shared by the loop and the tree
 # ---------------------------------------------------------------------------
 
-def prepare_run(problem: Problem | str, controller, loop_cfg: LoopConfig,
-                presentation: tuple[str, ...] | None,
-                ) -> tuple[Problem, tuple[str, ...] | None]:
-    """Settle the problem record and the MCQ choice order, and reject a
-    controller whose input length differs from ``loop_cfg.feature_length``,
-    before anything is generated."""
-    problem = as_problem(problem, loop_cfg.mode)
-    model_length = getattr(controller, "input_length", None)
-    if model_length is not None and model_length != loop_cfg.feature_length:
-        raise ValueError(
-            f"controller expects length {model_length}, loop is configured "
-            f"for {loop_cfg.feature_length}")
-    if loop_cfg.mode == "mcq" and presentation is None:
-        presentation = tuple(problem.choices or ())
-    return problem, presentation
-
-
 def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
                   retries: int) -> tuple[Completion | BackendError, int]:
     """Generate one node, re-issuing a truncated completion up to ``retries``
@@ -396,21 +378,25 @@ def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
 
 
 def score_node(completion: Completion, tokens: int, index: int, controller,
-               logprob_count: int, loop_cfg: LoopConfig) -> tuple[Decision, IterationSummary]:
-    """Score one served node: trace, statistics, pooled (and normalized)
-    feature, the controller's decision, the executed action, the extracted
-    answer and the compacted summary later prompts embed. ``index`` is the
-    zero-based generation index (iteration t - 1, or the tree depth)."""
+               logprob_count: int, loop_cfg: LoopConfig,
+               mode: str) -> tuple[Decision, IterationSummary]:
+    """Score one served node: trace, statistics, feature pooled to the
+    controller's ``input_length`` (``DEFAULT_BINS`` for a controller without
+    one) and normalized, the controller's decision, the executed action, the
+    answer extracted in ``mode`` and the compacted summary later prompts
+    embed. ``index`` is the zero-based generation index (iteration t - 1, or
+    the tree depth)."""
     trace = build_trace(completion, logprob_count)
     trace_stats = stats(trace)
-    feature = downsample(trace, loop_cfg.feature_length, iteration=index)
+    length = getattr(controller, "input_length", DEFAULT_BINS)
+    feature = downsample(trace, length, iteration=index)
     if loop_cfg.normalization is not None:
         feature = normalize(feature, loop_cfg.normalization)
     decision = controller.decide(feature)
     # a completion still truncated after retries is unproductive: switch
     # approach instead of trusting its decision
     action = Action.ALTERNATIVE if completion.finish_reason == "length" else decision.action
-    answer = extract_answer(completion.text, loop_cfg.mode)
+    answer = extract_answer(completion.text, mode)
     return decision, IterationSummary(
         iteration=index + 1,
         answer=answer,
@@ -445,11 +431,11 @@ def run(
     failed node raises ``RefinementError`` whose partial result counts the
     tokens already served, the failed node's included.
     """
-    problem, presentation = prepare_run(problem, controller, loop_cfg, presentation)
+    problem = as_problem(problem)
     result = RunResult(problem_id=problem.id, final_answer=None, iterations_used=0,
                        decisions=[], total_generation_tokens=0, terminated_by="halt")
     answer_counts: Counter[str] = Counter()
-    messages = build_initial_prompt(problem, loop_cfg.mode, presentation)
+    messages = build_initial_prompt(problem, problem.mode, presentation)
 
     for t in range(1, loop_cfg.max_iterations + 1):
         completion, tokens = generate_node(backend, messages, gen_cfg,
@@ -459,7 +445,7 @@ def run(
             raise RefinementError(str(completion), partial=result) from completion
         result.iterations_used = t
         decision, summary = score_node(completion, tokens, t - 1, controller,
-                                       gen_cfg.logprob_count, loop_cfg)
+                                       gen_cfg.logprob_count, loop_cfg, problem.mode)
         result.decisions.append(decision)
         answer, action = summary.answer, summary.action_taken
         key = normalize_math_answer(answer)
@@ -479,7 +465,7 @@ def run(
             result.terminated_by = "max_iterations"
         else:
             result.history.append(summary)
-            messages = build_prompt(problem, result.history, action, loop_cfg.mode,
+            messages = build_prompt(problem, result.history, action, problem.mode,
                                     phase=t, presentation=presentation,
                                     two_phase=loop_cfg.two_phase_refusal)
             continue

@@ -24,7 +24,7 @@ import numpy as np
 
 from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
 from .controller import Action, Decision
-from .datasets import Problem
+from .datasets import Problem, as_problem
 from .refine import (
     IterationSummary,
     LoopConfig,
@@ -33,7 +33,6 @@ from .refine import (
     build_prompt,
     generate_node,
     normalize_math_answer,
-    prepare_run,
     score_node,
 )
 
@@ -47,7 +46,6 @@ class TreeConfig:
     warmup: int = 4
     branch_factor: int = 2
     max_depth: int = 3
-    halt_rate_threshold: float = 0.5
     vote: str = "majority"
     high_conf_quantile: float = 0.5
 
@@ -185,7 +183,7 @@ def run_tree(
     ``total_tokens``. When every warmup slot fails, ``RefinementError``
     carries the node-less ``TreeRun`` as its partial result.
     """
-    problem, presentation = prepare_run(problem, controller, loop_cfg, presentation)
+    problem = as_problem(problem)
     run = TreeRun(problem_id=problem.id, nodes=[], early_stopped=False,
                   final_answer=None, halted_node_ids=[], total_tokens=0)
 
@@ -208,7 +206,7 @@ def run_tree(
                 logger.warning("tree node generation failed: %s", completion)
                 continue
             decision, summary = score_node(completion, tokens, depth, controller,
-                                           gen_cfg.logprob_count, loop_cfg)
+                                           gen_cfg.logprob_count, loop_cfg, problem.mode)
             run.nodes.append(TreeNode(
                 id=len(run.nodes), parent=parent.id if parent else None,
                 depth=depth, answer=summary.answer, decision=decision,
@@ -219,7 +217,7 @@ def run_tree(
 
     # warmup, then branching refinement, level-synchronous
     depth = 0
-    level = [(None, build_initial_prompt(problem, loop_cfg.mode, presentation))] * tree_cfg.warmup
+    level = [(None, build_initial_prompt(problem, problem.mode, presentation))] * tree_cfg.warmup
     while True:
         frontier = evaluate_level(level, depth)
         if not run.nodes:
@@ -230,7 +228,7 @@ def run_tree(
         if stopped or depth == tree_cfg.max_depth:
             break
         depth += 1
-        level = [(n, build_prompt(problem, list(n.history), n.action, loop_cfg.mode,
+        level = [(n, build_prompt(problem, list(n.history), n.action, problem.mode,
                                   phase=depth, presentation=presentation,
                                   two_phase=loop_cfg.two_phase_refusal))
                  for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]

@@ -11,6 +11,7 @@ import pytest
 
 from refinectl.backend import MockBackend
 from refinectl.bench import (
+    METHODS,
     DatasetError,
     Problem,
     ReportRow,
@@ -377,6 +378,44 @@ def test_std_over_seeds():
     assert row.accuracy_mean == 50.0
     expected_std = np.std([100, 0, 100, 0], ddof=1)
     assert row.accuracy_std == pytest.approx(expected_std)
+
+
+class PromptRecordingBackend(MockBackend):
+    def __init__(self, records):
+        super().__init__(records)
+        self.prompts: list[str] = []
+
+    def _generate_once(self, messages, cfg):
+        self.prompts.append(messages[-1]["content"])
+        return super()._generate_once(messages, cfg)
+
+
+MIXED_DATASET = [
+    Problem(id="m", statement="What is 2+5?", ground_truth="7"),
+    Problem(id="q", statement="Which gene?", ground_truth="BRCA2", mode="mcq",
+            choices=("BRCA1", "BRCA2", "Insufficient information to answer")),
+]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_mixed_mode_dataset_scores_every_problem_in_its_own_mode(method):
+    """One math and one MCQ problem under the default spec: each is prompted
+    and scored in its own mode, whatever the method."""
+    from refinectl.backend import MockRecord
+    k = 3
+    per_problem = {"pass1": 1, "corefine": 1, "corefine_tree": TreeConfig().warmup}.get(method, k)
+    backend = PromptRecordingBackend(
+        [boxed_record("7", [12.0] * 5)] * per_problem
+        + [MockRecord(text="weighing the choices...\nB", confidences=[12.0] * 4)] * per_problem)
+    row = run_benchmark(MIXED_DATASET, RunSpec(method=method, k=k, seeds=(0,)), backend,
+                        controller=StubController(fn=lambda f: Action.HALT))
+    assert row.accuracy_mean == 100.0
+    assert row.tokens_total == per_problem * (5 + 4)
+    assert backend.remaining == 0
+    math_prompts, mcq_prompts = backend.prompts[:per_problem], backend.prompts[per_problem:]
+    assert all("\\boxed{}" in p and "Choices" not in p for p in math_prompts)
+    assert all("Which gene?" in p and "A. BRCA1\nB. BRCA2\nC. Insufficient" in p
+               for p in mcq_prompts)
 
 
 # ---------------------------------------------------------------------------

@@ -90,3 +90,60 @@ def test_backend_flags_required(tmp_path, model_file):
     dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
     with pytest.raises(SystemExit):
         main(["run", "--problem-file", dataset, "--model-file", model_file])
+
+
+def write_records(path, records):
+    path.write_text(json.dumps({"responses": records}))
+    return str(path)
+
+
+BOXED = {"text": "... \\boxed{7}", "confidences": [12.0] * 6}
+TRUNCATED = {"text": "...", "confidences": [12.0] * 5, "finish_reason": "length"}
+FAILED = {"error": "boom"}
+
+
+def test_run_reports_a_failed_problem_and_goes_on(tmp_path, capsys, model_file):
+    # p1's first attempt is truncated and its retry fails: 5 tokens served
+    script = write_records(tmp_path / "script.json", [BOXED, TRUNCATED, FAILED, BOXED])
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=3)
+    log = tmp_path / "run.jsonl"
+    code = main(["run", "--mock-script", script, "--problem-file", dataset,
+                 "--model-file", model_file, "--max-iters", "1", "--log", str(log)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "p1: failed: boom tokens=5"
+    assert out[0].startswith("p0: answer='7'") and out[2].startswith("p2: answer='7'")
+    assert [json.loads(line)["problem_id"] for line in log.read_text().splitlines()] == \
+        ["p0", "p2"]
+
+
+def test_tree_reports_a_failed_problem_and_goes_on(tmp_path, capsys, model_file):
+    # every warmup slot of p1 fails, the first after a truncated attempt
+    script = write_records(tmp_path / "script.json",
+                           [BOXED, BOXED, TRUNCATED, FAILED, FAILED, BOXED, BOXED])
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=3)
+    dump = tmp_path / "trees.jsonl"
+    code = main(["tree", "--mock-script", script, "--problem-file", dataset,
+                 "--model-file", model_file, "--warmup", "2", "--depth", "0",
+                 "--dump", str(dump)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "p1: failed: all warmup generations failed tokens=5"
+    assert out[0].startswith("p0: answer='7'") and out[2].startswith("p2: answer='7'")
+    assert [json.loads(line)["problem_id"] for line in dump.read_text().splitlines()] == \
+        ["p0", "p2"]
+
+
+def test_bench_runs_a_mixed_mode_dataset_without_a_mode_flag(tmp_path):
+    script = write_records(tmp_path / "script.json", [
+        BOXED, {"text": "weighing the choices...\nB", "confidences": [12.0] * 4}])
+    dataset = tmp_path / "mixed.jsonl"
+    dataset.write_text(json.dumps({"id": "m", "statement": "2+5?", "answer": "7"}) + "\n" +
+                       json.dumps({"id": "q", "statement": "Which gene?", "answer": "BRCA2",
+                                   "mode": "mcq", "choices": ["BRCA1", "BRCA2"]}) + "\n")
+    out = tmp_path / "report.json"
+    code = main(["bench", "--mock-script", script, "--dataset", str(dataset),
+                 "--method", "pass1", "--seeds", "1", "--out", str(out)])
+    assert code == 0
+    row = json.loads(out.read_text())[0]
+    assert row["acc_mean"] == 100.0 and row["tokens"] == 10

@@ -22,8 +22,12 @@ from refinectl.backend import (
     drain_concurrent,
     parse_chat_response,
 )
+from refinectl.bench import Problem, RunSpec, run_benchmark
+from refinectl.controller import Action
+from refinectl.tree import TreeConfig
 
 from chat_bodies import chat_bodies, compact_body, json_path, mutated_bodies, outcome
+from conftest import StubController
 
 MSG = [{"role": "user", "content": "hi"}]
 BODY = compact_body([[-0.5, -1.5], [-0.25]], with_bytes=False)
@@ -196,3 +200,42 @@ def test_drain_fails_bad_slots_and_keeps_siblings(server, max_inflight, scripts)
         assert isinstance(result, (Completion, BackendError))
         assert (result if isinstance(result, Completion) else type(result)) == want
         assert server.requests[seed] == requests
+
+
+# ---------------------------------------------------------------------------
+# run_benchmark over HTTP: token accounting
+# ---------------------------------------------------------------------------
+
+SEVEN = compact_body([[-0.5]] * 2, with_bytes=False)  # 2 tokens, \boxed{7}
+CUT_SHORT = compact_body([[-0.5]] * 3, with_bytes=False).replace(
+    b'"finish_reason":"stop"', b'"finish_reason":"length"')  # 3 tokens, truncated
+TWO_PROBLEMS = [Problem(id=f"p{i}", statement=f"question {i}", ground_truth="7")
+                for i in range(2)]
+
+
+@pytest.mark.parametrize("spec, scripts, tokens, accuracy, requests", [
+    # one seed for every iteration: p0 is served after a 500 and a
+    # truncation retry; p1's request gets a 400
+    (RunSpec(method="corefine", seeds=(0,)),
+     {0: [("status", 500), ("body", CUT_SHORT), ("body", SEVEN), ("status", 400)]},
+     3 + 2, 50.0, {0: 4}),
+    # one warmup slot per seed: served after a 500, served after a truncation
+    # retry, failed by a 400 (its siblings still vote)
+    (RunSpec(method="corefine_tree", seeds=(0,), tree_cfg=TreeConfig(warmup=3, max_depth=0)),
+     {0: [("status", 500), ("body", SEVEN)], 1: [("body", CUT_SHORT), ("body", SEVEN)],
+      2: [("status", 400)]},
+     2 + 3 + 2, 100.0, {0: 2, 1: 2, 2: 1}),
+    # one sample per seed; the 400 loses the problem, not the served tokens
+    (RunSpec(method="majority_parallel", k=3, seeds=(0,)),
+     {0: [("status", 500), ("body", SEVEN)], 1: [("body", CUT_SHORT)], 2: [("status", 400)]},
+     2 + 3, 0.0, {0: 2, 1: 1, 2: 1}),
+], ids=["corefine", "corefine_tree", "majority_parallel"])
+def test_run_benchmark_counts_the_tokens_of_served_bodies(server, spec, scripts, tokens,
+                                                          accuracy, requests):
+    server.script(scripts)
+    dataset = TWO_PROBLEMS if spec.method == "corefine" else TWO_PROBLEMS[:1]
+    row = run_benchmark(dataset, spec, server.backend(max_inflight=3),
+                        controller=StubController(fn=lambda f: Action.HALT))
+    assert row.tokens_total == tokens  # a request retried after a 500 counts once
+    assert row.accuracy_mean == accuracy
+    assert dict(server.requests) == requests

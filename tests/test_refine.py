@@ -182,8 +182,7 @@ def test_prompt_size_bounded():
 
 MCQ_PROBLEM = Problem(
     id="q1", statement="Which gene?", ground_truth="BRCA2", mode="mcq",
-    choices=("BRCA1", "BRCA2", "TP53", "EGFR", "Insufficient information to answer"),
-    unsure_choice_present=True)
+    choices=("BRCA1", "BRCA2", "TP53", "EGFR", "Insufficient information to answer"))
 
 
 def test_mcq_neutral_prompt_lists_all_choices():
@@ -407,7 +406,7 @@ def test_mcq_two_phase_end_to_end():
         MockRecord(text="reconsidering...\nB", confidences=[13.0] * 20),
     ])
     controller = StubController(actions=[Action.RETHINK, Action.HALT], n_actions=4)
-    loop_cfg = LoopConfig(mode="mcq", two_phase_refusal=True)
+    loop_cfg = LoopConfig(two_phase_refusal=True)
     result = run(MCQ_PROBLEM, backend, controller, CFG, loop_cfg)
     assert result.final_answer == "B"
     assert result.iterations_used == 2
@@ -419,6 +418,6 @@ def test_mcq_two_phase_end_to_end():
 def test_mcq_refuse_run():
     backend = mock_backend(MockRecord(text="I lean toward\nE", confidences=[12.0] * 10))
     controller = StubController(actions=[Action.REFUSE], n_actions=4)
-    result = run(MCQ_PROBLEM, backend, controller, CFG, LoopConfig(mode="mcq"))
+    result = run(MCQ_PROBLEM, backend, controller, CFG, LoopConfig())
     assert result.terminated_by == "refuse"
     assert result.final_answer is None

@@ -295,16 +295,19 @@ class EightBinController(StubController):
 
 
 @pytest.mark.parametrize("mode", ["run", "run_tree"])
-def test_controller_length_mismatch_rejected_in_both_modes(mode):
-    backend = mock_backend(*[boxed_record("1", [12.0] * 5) for _ in range(4)])
-    controller = EightBinController(fn=lambda f: Action.HALT)
-    loop = LoopConfig(feature_length=16)
-    with pytest.raises(ValueError, match="length 8"):
-        if mode == "run":
-            run_loop("p", backend, controller, CFG, loop)
-        else:
-            run_tree("p", backend, controller, CFG, TreeConfig(), loop)
-    assert backend.remaining == 4  # rejected before anything was generated
+@pytest.mark.parametrize("controller_cls, bins", [(EightBinController, 8),
+                                                  (StubController, 16)])
+def test_features_pool_to_the_controller_input_length(mode, controller_cls, bins):
+    """Features take the controller's ``input_length``; a scripted controller
+    without one gets ``DEFAULT_BINS``."""
+    backend = mock_backend(*[boxed_record("1", [12.0] * 20) for _ in range(4)])
+    controller = controller_cls(fn=lambda f: Action.HALT)
+    if mode == "run":
+        run_loop("p", backend, controller, CFG, LOOP)
+    else:
+        run_tree("p", backend, controller, CFG, TreeConfig(max_depth=0), LOOP)
+    assert controller.seen
+    assert all(f.length == bins for f in controller.seen)
 
 
 def test_failed_retry_at_depth_fails_its_slot_and_keeps_its_tokens():
