@@ -19,7 +19,7 @@ import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -406,7 +406,11 @@ _TOP_ENTRY = re.compile(
     + rb'\}(?:,|\]\}(?:,' + _TOKEN + rb'|\]))|[\s\S]+')
 _CONTENT = b'"logprobs":{"content":['
 _TOP_LOGPROBS = b',"top_logprobs":['
+_LOGPROB = b'"logprob":'
 _CONTENT_END = b"}]}]"
+# Bytes of the array scanned at a time, plus the rest of the row a window
+# ends in: what one window's captures and row counts hold in memory.
+_WINDOW = 1 << 18
 
 
 def _scan_body(raw: bytes) -> Completion | None:
@@ -416,22 +420,49 @@ def _scan_body(raw: bytes) -> Completion | None:
     if key < 0:
         return None
     start = key + len(_CONTENT) - 1
-    # The first "}]}]" after the "[" ends the array if the scan tiles it; a
-    # token holding "}]}]" sends the body to the JSON path.
-    end = raw.find(_CONTENT_END, start) + len(_CONTENT_END)
-    if end <= start:
+    # The first top_logprobs key belongs to the first token, inside the first
+    # match. In a tiled array '"logprob":' and every later top_logprobs key
+    # occur only as keys (a quote inside a string is escaped), and each such
+    # key ends a row and a match, so a window ends right after one. The
+    # array ends at the first "}]}]" that ends a row that tiles: a token may
+    # hold "}]}]" too.
+    first_row = raw.find(_TOP_LOGPROBS, start) + len(_TOP_LOGPROBS)
+    if first_row < len(_TOP_LOGPROBS):
         return None
-    logprobs = _TOP_ENTRY.findall(memoryview(raw)[start:end])
-    if not logprobs[-1]:
-        return None
-    # In a tiled array '"logprob":' and ',"top_logprobs":[' occur only as
-    # keys (a quote inside a string is escaped), so the segments between
-    # top_logprobs keys hold one row's entries plus the next token's own
-    # logprob.
-    rows = raw[start:end].split(_TOP_LOGPROBS)[1:]
-    counts = np.fromiter(map(bytes.count, rows, repeat(b'"logprob":')), dtype=np.intp,
-                         count=len(rows))
-    counts[:-1] -= 1
+    end = raw.find(_CONTENT_END, first_row)
+    array = memoryview(raw)[start:]  # \A matches only at the array's "["
+    chunks: list[np.ndarray] = []
+    counts: list[int] = []
+    lo = start
+    spare = len(raw)  # bytes that failed end candidates may rescan: keeps the scan linear
+    while True:
+        if end < 0:
+            return None
+        cut = raw.find(_TOP_LOGPROBS, max(lo + _WINDOW, first_row), end)
+        if cut < 0:  # stop short of the row that the candidate end is in
+            cut = raw.rfind(_TOP_LOGPROBS, max(lo, first_row), end)
+        hi = end + len(_CONTENT_END) if cut < 0 else cut + len(_TOP_LOGPROBS)
+        logprobs = _TOP_ENTRY.findall(array, lo - start, hi - start)
+        if not logprobs[-1]:
+            spare -= hi - lo
+            if cut >= 0 or spare < 0:
+                return None
+            end = raw.find(_CONTENT_END, end + 1)
+            continue
+        chunks.append(np.fromiter(map(float, logprobs), dtype=np.float64,
+                                  count=len(logprobs)))
+        # The segment between two top_logprobs keys holds one row's entries
+        # plus the next token's own logprob.
+        pos = max(lo, first_row)
+        while (k := raw.find(_TOP_LOGPROBS, pos, hi)) >= 0:
+            counts.append(raw.count(_LOGPROB, pos, k) - 1)
+            pos = k + len(_TOP_LOGPROBS)
+        if cut < 0:
+            counts.append(raw.count(_LOGPROB, pos, hi))
+            break
+        lo = hi
+    values = np.concatenate(chunks)
+    del chunks  # one copy of the values at a time, before they are padded
     # Parse the rest of the body with a NaN in place of the array, and have
     # the parser hand back a marker for it: the body is that JSON with the
     # array at choices[0].logprobs.content only if the marker lands there
@@ -442,7 +473,7 @@ def _scan_body(raw: bytes) -> Completion | None:
         constants.append(name)
         return constants
 
-    rest = raw[:start] + b"NaN" + raw[end:]
+    rest = raw[:start] + b"NaN" + raw[hi:]
     try:
         obj = json.loads(rest.decode("utf-8", errors="replace"), parse_constant=marker)
         choice, text, content = _choice(obj)
@@ -450,8 +481,7 @@ def _scan_body(raw: bytes) -> Completion | None:
         return None
     if content is not constants or len(constants) != 1:
         return None
-    values = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
-    return _completion(obj, choice, text, values, counts)
+    return _completion(obj, choice, text, values, np.array(counts, dtype=np.intp))
 
 
 def parse_chat_body(raw: bytes) -> Completion:
@@ -461,9 +491,10 @@ def parse_chat_body(raw: bytes) -> Completion:
     errors="replace")))`` returns and raises the same ``BackendError``
     subclasses, plus ``BackendError`` for a body that is not JSON. A body
     whose ``choices[0].logprobs.content`` is in the compact form servers
-    send is read by one validating byte scan of that array and a JSON parse
-    of the rest, without building a dict per top-k entry; any other body
-    takes the JSON path.
+    send is read by a validating byte scan of that array, one bounded
+    window at a time, and a JSON parse of the rest, without building a dict
+    per top-k entry or copying the array; any other body takes the JSON
+    path.
     """
     completion = _scan_body(raw)
     if completion is not None:

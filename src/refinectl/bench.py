@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("pass1", "majority_parallel", "majority_sequential", "conf_filtered",
            "corefine", "corefine_tree")
+CONTROLLED = ("corefine", "corefine_tree")  # the methods that need a controller
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,7 @@ def run_benchmark(
     incorrect rather than aborting the sweep; a failed problem still counts
     the tokens of every generation served to it before or beside the failure.
     """
-    if spec.method in ("corefine", "corefine_tree") and controller is None:
+    if spec.method in CONTROLLED and controller is None:
         raise ValueError(f"{spec.method} needs a controller model")
 
     per_seed_acc: list[float] = []

@@ -210,6 +210,8 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.method in bench_mod.CONTROLLED and not args.model_file:
+        p_bench.error(f"--method {args.method} needs --model-file")
     return args.func(args)
 
 

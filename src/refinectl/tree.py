@@ -187,6 +187,8 @@ def run_tree(
     run = TreeRun(problem_id=problem.id, nodes=[], early_stopped=False,
                   final_answer=None, halted_node_ids=[], total_tokens=0)
 
+    sent = 0  # slots sent so far: slot i of the run samples with seed + i
+
     def serve(messages, cfg):
         return generate_node(backend, messages, cfg, loop_cfg.max_truncation_retries)
 
@@ -195,10 +197,12 @@ def run_tree(
         truncation retries inside each slot, then score and decide serially
         in id order. A failed slot is logged and skipped (sibling
         isolation); its served tokens still count."""
+        nonlocal sent
         first = len(run.nodes)
         requests = [(prompt, gen_cfg if gen_cfg.seed is None
-                     else gen_cfg.with_seed(gen_cfg.seed + first + i))
+                     else gen_cfg.with_seed(gen_cfg.seed + sent + i))
                     for i, (_, prompt) in enumerate(level)]
+        sent += len(level)
         served = drain_concurrent(backend, requests, serve)
         for (parent, _), (completion, tokens) in zip(level, served):
             run.total_tokens += tokens

@@ -4,6 +4,8 @@ JSON path on every body, valid or not."""
 from __future__ import annotations
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +41,20 @@ def test_scan_agrees_with_json_path(raw):
     assert outcome(parse_chat_body, raw) == outcome(json_path, raw)
 
 
+# Shorter than any row (at least 50 bytes from one top_logprobs key to the
+# next), so every row boundary is a window boundary, yet longer than a
+# token's own header, so a window can start at an array nested in a row.
+TINY_WINDOW = 40
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(chat_bodies(), chat_bodies(), mutated_bodies()))
+def test_scan_agrees_with_json_path_in_tiny_windows(raw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
+        assert outcome(parse_chat_body, raw) == outcome(json_path, raw)
+
+
 TEMPLATE = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=True)
 SPLICES = ([(b'"t11"', json.dumps(t).encode()) for t in TRICKY_TOKENS]
            + [(b'"t11"', s) for s in INVALID_STRINGS]
@@ -62,6 +78,25 @@ def test_each_token_form_agrees_with_json_path(old, new):
     assert outcome(parse_chat_body, raw) == outcome(json_path, raw)
 
 
+@pytest.mark.parametrize("old, new", SPLICES)
+def test_each_token_form_agrees_in_tiny_windows(monkeypatch, old, new):
+    monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
+    raw = TEMPLATE.replace(old, new)
+    assert outcome(parse_chat_body, raw) == outcome(json_path, raw)
+
+
+def test_a_window_starting_at_a_nested_array_does_not_tile(monkeypatch):
+    """Only the array's own "[" may open a token: a middle row whose
+    top_logprobs opens a second array fails the scan even where a window
+    starts right at that "[" and reaches past the nested token's key."""
+    raw = compact_body([[-0.5], [-1.5], [-2.5]], with_bytes=False).replace(
+        b'"top_logprobs":[{"token":"t10"',
+        b'"top_logprobs":[[{"token":"x","logprob":-1,"top_logprobs":[{"token":"t10"')
+    monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
+    assert backend_mod._scan_body(raw) is None
+    assert outcome(parse_chat_body, raw) is outcome(json_path, raw) is BackendError
+
+
 @pytest.mark.parametrize("with_bytes", [False, True])
 def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
     rows = [[-0.5, -1.25, -3e-05], [-0.0, -2.0], [-7.5]]
@@ -77,6 +112,69 @@ def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
     assert completion.counts.tolist() == [3, 2, 1]
     np.testing.assert_array_equal(completion.logprobs[0], rows[0])
     assert completion.text == 'say "NaN" \\boxed{7}'
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@pytest.mark.parametrize("tokens", [["t11"], ["t21"], ["t2"],
+                                    ["t0", "t00", "t01", "t1", "t10", "t11", "t2", "t20", "t21"]],
+                         ids=["middle_row", "last_row", "last_token", "every_token"])
+def test_tokens_holding_the_array_end_take_the_scan_path(monkeypatch, tokens, window):
+    """A token string holding "}]}]" does not end the array: the scan reads
+    on to the real end, and JSON parses only the rest of the body."""
+    raw = compact_body([[-0.5, -1.5], [-2.5, -3.5], [-4.5, -5.5]], with_bytes=True)
+    for token in tokens:
+        raw = raw.replace(f'"{token}"'.encode(), b'"x}]}]"')
+    expected = parse_chat_response(json.loads(raw))
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    parsed = []
+
+    def loads(text, **kwargs):
+        parsed.append(text)
+        return json.loads(text, **kwargs)
+
+    def json_path_taken(obj):
+        raise AssertionError("the JSON path parsed a compact body")
+
+    monkeypatch.setattr(backend_mod, "parse_chat_response", json_path_taken)
+    monkeypatch.setattr(backend_mod, "json", SimpleNamespace(loads=loads))
+    assert parse_chat_body(raw) == expected
+    assert len(parsed) == 1 and "top_logprobs" not in parsed[0]
+
+
+def test_end_candidates_keep_the_scan_linear(monkeypatch):
+    """A broken last row followed by many "}]}]" is not rescanned once per
+    candidate end: failed candidates may rescan at most the body's length."""
+    raw = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=False)
+    raw = raw.replace(b"-3.5", b"-03.5") + b"}]}]" * 2000
+    scans = []
+
+    class Counting:
+        def findall(self, *args):
+            scans.append(args)
+            return pattern.findall(*args)
+
+    pattern = backend_mod._TOP_ENTRY
+    monkeypatch.setattr(backend_mod, "_TOP_ENTRY", Counting())
+    assert outcome(parse_chat_body, raw) is BackendError
+    assert len(scans) < 100
+
+
+def test_scan_memory_stays_below_the_body():
+    """Parsing holds a window of the logprob array at a time, not copies of
+    the whole of it: the peak stays below the body's own size."""
+    rng = np.random.default_rng(0)
+    rows = np.sort(-rng.exponential(2.0, size=(3000, 20)))[:, ::-1].tolist()
+    raw = compact_body(rows, with_bytes=True)
+    expected = parse_chat_body(raw)
+    tracemalloc.start()
+    try:
+        completion = parse_chat_body(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert completion == expected
+    assert peak < len(raw), (peak, len(raw))
 
 
 @pytest.mark.parametrize("raw, error", [

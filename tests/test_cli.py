@@ -92,6 +92,17 @@ def test_backend_flags_required(tmp_path, model_file):
         main(["run", "--problem-file", dataset, "--model-file", model_file])
 
 
+@pytest.mark.parametrize("method", ["corefine", "corefine_tree"])
+def test_bench_refinement_without_model_file_is_a_usage_error(tmp_path, capsys, method):
+    script = write_script(tmp_path / "script.json", n_records=2)
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--mock-script", script, "--dataset", dataset,
+              "--method", method, "--seeds", "1"])
+    assert exit_info.value.code == 2
+    assert "--model-file" in capsys.readouterr().err
+
+
 def write_records(path, records):
     path.write_text(json.dumps({"responses": records}))
     return str(path)

@@ -325,6 +325,30 @@ def test_failed_retry_at_depth_fails_its_slot_and_keeps_its_tokens():
     assert backend.remaining == 0
 
 
+class SeedRecordingBackend(MockBackend):
+    def __init__(self, records):
+        super().__init__(records)
+        self.retry_backoff = 0.0
+        self.seeds = []
+
+    def _generate_once(self, messages, cfg):
+        self.seeds.append(cfg.seed)
+        return super()._generate_once(messages, cfg)
+
+
+def test_a_failed_slot_keeps_its_seed_sent():
+    """Slot seeds count the slots sent, not the nodes scored, so the level
+    after a failed slot draws fresh seeds."""
+    records = ([boxed_record("1", [9.0] * 3)] * 2 + [MockRecord(error="boom")]
+               + [boxed_record("2", [9.0] * 3)] * 4)
+    backend = SeedRecordingBackend(records)
+    controller = StubController(actions=[Action.RETHINK] * 2 + [Action.HALT] * 4)
+    run = run_tree("p", backend, controller, GenerationConfig(seed=0),
+                   TreeConfig(warmup=3, branch_factor=2, max_depth=1), LOOP)
+    assert len(run.nodes) == 6
+    assert backend.seeds == list(range(7))
+
+
 # ---------------------------------------------------------------------------
 # tree_metrics
 # ---------------------------------------------------------------------------
