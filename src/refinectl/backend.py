@@ -449,8 +449,12 @@ def _scan_body(raw: bytes) -> Completion | None:
                 return None
             end = raw.find(_CONTENT_END, end + 1)
             continue
-        chunks.append(np.fromiter(map(float, logprobs), dtype=np.float64,
-                                  count=len(logprobs)))
+        chunk = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
+        # JSON reads the integer -0 as 0, and float() reads it as -0.0
+        for i in np.flatnonzero((chunk == 0) & np.signbit(chunk)):
+            if logprobs[i] == b"-0":
+                chunk[i] = 0.0
+        chunks.append(chunk)
         # The segment between two top_logprobs keys holds one row's entries
         # plus the next token's own logprob.
         pos = max(lo, first_row)

@@ -145,16 +145,15 @@ def conf_filtered_vote(
 # Scoring
 # ---------------------------------------------------------------------------
 
-def is_correct(problem: Problem, answer: str | None,
-               presentation: tuple[str, ...] | None = None) -> bool:
-    """String-match scoring. REFUSE/absent answers count as incorrect unless
-    the dataset marks the problem unanswerable."""
+def is_correct(problem: Problem, answer: str | None) -> bool:
+    """String-match scoring; an MCQ answer is the letter of the choice's
+    index in ``problem.choices``. REFUSE/absent answers count as incorrect
+    unless the dataset marks the problem unanswerable."""
     if answer is None:
         return problem.unanswerable
     if problem.mode == "math_boxed":
         return normalize_math_answer(answer) == normalize_math_answer(problem.ground_truth)
-    pres = presentation if presentation is not None else tuple(problem.choices or ())
-    return answer.strip().upper() == correct_letter(problem, pres)
+    return answer.strip().upper() == correct_letter(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +168,11 @@ class _ProblemOutcome:
 
 
 def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
-              presentation: tuple[str, ...] | None, sequential: bool,
-              ) -> tuple[list[tuple[str | None, float, int]], BackendError | None]:
+              sequential: bool) -> tuple[list[tuple[str | None, float, int]], BackendError | None]:
     """K samples of the same prompt -> ((answer, mean confidence, tokens) of
     every served sample, the first failure or None). Sequential sampling
     stops at the first failure; parallel sampling serves every other slot."""
-    messages = build_initial_prompt(problem, problem.mode, presentation)
+    messages = build_initial_prompt(problem, problem.mode)
     base = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if sequential:
         results: list = []
@@ -200,15 +198,11 @@ def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
 
 
 def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
-                 seed: int, rng: np.random.Generator) -> _ProblemOutcome:
-    presentation = None
-    if problem.mode == "mcq":
-        presentation = presented_choices(problem, rng if spec.randomize_choices else None)
-
+                 seed: int) -> _ProblemOutcome:
     if spec.method in ("pass1", "majority_parallel", "majority_sequential", "conf_filtered"):
         k = 1 if spec.method == "pass1" else spec.k
         samples, failure = _sample_k(
-            problem, backend, replace(spec, k=k), seed, presentation,
+            problem, backend, replace(spec, k=k), seed,
             sequential=spec.method in ("pass1", "majority_sequential"))
         tokens = sum(t for _, _, t in samples)
         if failure is not None:
@@ -224,17 +218,16 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
                                         exclude_max=spec.exclude_max)
         else:
             answer = majority_vote([a for a, _, _ in samples])
-        return _ProblemOutcome(is_correct(problem, answer, presentation), tokens, k)
+        return _ProblemOutcome(is_correct(problem, answer), tokens, k)
 
     gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if spec.method == "corefine":
-        done = run(problem, backend, controller, gen, spec.loop_cfg, presentation=presentation)
+        done = run(problem, backend, controller, gen, spec.loop_cfg)
     elif spec.method == "corefine_tree":
-        done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg,
-                        presentation=presentation)
+        done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg)
     else:
         raise ValueError(f"unknown method {spec.method!r}")
-    return _ProblemOutcome(is_correct(problem, done.final_answer, presentation), *_spent(done))
+    return _ProblemOutcome(is_correct(problem, done.final_answer), *_spent(done))
 
 
 def _spent(done: RunResult | TreeRun | None) -> tuple[int, int]:
@@ -262,6 +255,8 @@ def run_benchmark(
     voting, not report I/O. Per-problem failures are logged and scored as
     incorrect rather than aborting the sweep; a failed problem still counts
     the tokens of every generation served to it before or beside the failure.
+    With ``spec.randomize_choices`` each seed reorders every MCQ problem's
+    choices up front, drawn in dataset order from ``default_rng(seed)``.
     """
     if spec.method in CONTROLLED and controller is None:
         raise ValueError(f"{spec.method} needs a controller model")
@@ -274,11 +269,13 @@ def run_benchmark(
     for seed in spec.seeds:
         seed_backend = backend_factory(seed) if backend_factory is not None else backend
         rng = np.random.default_rng(seed)
+        problems = [replace(p, choices=presented_choices(p, rng))
+                    if spec.randomize_choices and p.mode == "mcq" else p for p in dataset]
         correct = 0
-        for problem in dataset:
+        for problem in problems:
             problems_total += 1
             try:
-                outcome = _run_problem(problem, spec, seed_backend, controller, seed, rng)
+                outcome = _run_problem(problem, spec, seed_backend, controller, seed)
             except RefinementError as exc:
                 logger.warning("problem %s failed: %s", problem.id, exc)
                 outcome = _ProblemOutcome(False, *_spent(exc.partial))

@@ -2,8 +2,9 @@
 
 Dataset rows: {"id": ..., "statement": ..., "answer": ..., "mode":
 "math_boxed"|"mcq", "choices": [...]?, "unanswerable": bool?}. For MCQ
-problems the stored answer is the text of the correct choice, so choice
-order can be randomized per sample without invalidating the ground truth.
+problems the stored answer is the text of the correct choice, and a choice's
+letter is its index in ``Problem.choices``; the bench randomizes choice order
+by reordering a problem's choices, which keeps the ground truth valid.
 """
 
 from __future__ import annotations
@@ -46,17 +47,16 @@ class Problem:
                 raise ValueError("mcq problems need at least 2 choices")
             if self.ground_truth not in self.choices:
                 raise ValueError("mcq ground truth must be one of the choices")
+            if len(set(self.choices)) != len(self.choices):
+                raise ValueError("mcq choices must be distinct")
 
     @property
     def unsure_choice_present(self) -> bool:
         return self.unsure_index() is not None
 
-    def unsure_index(self, choices: tuple[str, ...] | None = None) -> int | None:
-        """Index of the refusal choice in the given (or stored) order."""
-        pool = choices if choices is not None else self.choices
-        if not pool:
-            return None
-        for i, c in enumerate(pool):
+    def unsure_index(self) -> int | None:
+        """Index of the refusal choice in ``choices``."""
+        for i, c in enumerate(self.choices or ()):
             if is_unsure_choice(c):
                 return i
         return None
@@ -74,19 +74,16 @@ def choice_letter(index: int) -> str:
     return string.ascii_uppercase[index]
 
 
-def presented_choices(problem: Problem,
-                      rng: np.random.Generator | None = None) -> tuple[str, ...]:
-    """Choice order for one sample; pass an rng to randomize (guards against
-    position bias), otherwise the stored order is kept."""
+def presented_choices(problem: Problem, rng: np.random.Generator) -> tuple[str, ...]:
+    """A random choice order for one sample (guards against position bias)."""
     assert problem.choices is not None
     order = list(problem.choices)
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     return tuple(order)
 
 
-def correct_letter(problem: Problem, presentation: tuple[str, ...]) -> str:
-    return choice_letter(presentation.index(problem.ground_truth))
+def correct_letter(problem: Problem) -> str:
+    return choice_letter(problem.choices.index(problem.ground_truth))
 
 
 def load_dataset(path: str | Path) -> list[Problem]:

@@ -264,8 +264,10 @@ MCQ_ALTERNATIVE_TASK = (
 )
 
 
-def _format_choices(choices: Iterable[str]) -> str:
-    return "\n".join(f"{choice_letter(i)}. {c}" for i, c in enumerate(choices))
+def _format_choices(choices: Iterable[tuple[int, str]]) -> str:
+    """One line per (index, text) pair, lettered by the choice's index in
+    ``Problem.choices``, so a letter names the same choice in every phase."""
+    return "\n".join(f"{choice_letter(i)}. {c}" for i, c in choices)
 
 
 def _history_text(history: list[IterationSummary]) -> str:
@@ -274,26 +276,26 @@ def _history_text(history: list[IterationSummary]) -> str:
     return "\n\n".join(f"[Attempt {s.iteration}]\n{s.compacted_text}" for s in history)
 
 
-def _mcq_choices_for_phase(problem: Problem, presentation: tuple[str, ...],
-                           phase: int, two_phase: bool) -> tuple[tuple[str, ...], bool]:
-    """Returns (choices to show, whether the refusal option was removed)."""
-    unsure = problem.unsure_index(presentation)
-    if two_phase and phase >= 1 and unsure is not None:
-        kept = tuple(c for i, c in enumerate(presentation) if i != unsure)
-        return kept, True
-    return presentation, False
+def _mcq_choices_for_phase(problem: Problem, phase: int,
+                           two_phase: bool) -> tuple[list[tuple[int, str]], bool]:
+    """Returns ((index, text) of each choice to show, whether the refusal
+    option was removed)."""
+    shown = list(enumerate(problem.choices or ()))
+    unsure = problem.unsure_index()
+    removed = two_phase and phase >= 1 and unsure is not None
+    if removed:
+        del shown[unsure]
+    return shown, removed
 
 
-def build_initial_prompt(problem: Problem | str, mode: str,
-                         presentation: tuple[str, ...] | None = None) -> list[dict]:
+def build_initial_prompt(problem: Problem | str, mode: str) -> list[dict]:
     problem = as_problem(problem, mode)
     if mode == "math_boxed":
         content = MATH_INITIAL.format(problem=problem.statement)
     else:
-        choices = presentation if presentation is not None else problem.choices
         content = (f"Answer the following multiple-choice question.\n\n"
                    f"Question: {problem.statement}\n\n"
-                   f"Choices:\n{_format_choices(choices)}\n\n"
+                   f"Choices:\n{_format_choices(enumerate(problem.choices))}\n\n"
                    f"Think it through, then answer. {MCQ_ANSWER_FORMAT}")
     return [{"role": "user", "content": content}]
 
@@ -304,15 +306,15 @@ def build_prompt(
     action: Action,
     mode: str = "math_boxed",
     phase: int = 0,
-    presentation: tuple[str, ...] | None = None,
-    two_phase: bool = True,
+    two_phase: bool = False,
 ) -> list[dict]:
     """Synthesis prompt for a refinement step.
 
     RETHINK embeds the previous answer and a verification instruction;
     ALTERNATIVE embeds the compacted history and a switch-method
     instruction. In refusal mode, phase >= 1 uses the aggressive template:
-    the refusal choice is removed and the prompt says so.
+    the refusal choice is removed and the prompt says so; the other
+    choices keep their letters.
     """
     if action not in (Action.RETHINK, Action.ALTERNATIVE):
         raise ValueError(f"no synthesis prompt exists for {action.name}")
@@ -336,8 +338,7 @@ def build_prompt(
 
     if mode != "mcq":
         raise ValueError(f"unknown mode {mode!r}")
-    pres = presentation if presentation is not None else tuple(problem.choices or ())
-    choices, removed = _mcq_choices_for_phase(problem, pres, phase, two_phase)
+    choices, removed = _mcq_choices_for_phase(problem, phase, two_phase)
     task = MCQ_RETHINK_TASK if action is Action.RETHINK else MCQ_ALTERNATIVE_TASK
     parts = [
         "You are answering a multiple-choice question. Your previous attempt "
@@ -420,7 +421,6 @@ def run(
     controller,
     gen_cfg: GenerationConfig,
     loop_cfg: LoopConfig,
-    presentation: tuple[str, ...] | None = None,
 ) -> RunResult:
     """Run the refinement loop on one problem.
 
@@ -435,7 +435,7 @@ def run(
     result = RunResult(problem_id=problem.id, final_answer=None, iterations_used=0,
                        decisions=[], total_generation_tokens=0, terminated_by="halt")
     answer_counts: Counter[str] = Counter()
-    messages = build_initial_prompt(problem, problem.mode, presentation)
+    messages = build_initial_prompt(problem, problem.mode)
 
     for t in range(1, loop_cfg.max_iterations + 1):
         completion, tokens = generate_node(backend, messages, gen_cfg,
@@ -466,8 +466,7 @@ def run(
         else:
             result.history.append(summary)
             messages = build_prompt(problem, result.history, action, problem.mode,
-                                    phase=t, presentation=presentation,
-                                    two_phase=loop_cfg.two_phase_refusal)
+                                    phase=t, two_phase=loop_cfg.two_phase_refusal)
             continue
         result.final_answer = None if result.terminated_by == "refuse" else answer
         return result

@@ -170,7 +170,6 @@ def run_tree(
     gen_cfg: GenerationConfig,
     tree_cfg: TreeConfig,
     loop_cfg: LoopConfig,
-    presentation: tuple[str, ...] | None = None,
 ) -> TreeRun:
     """Execute one tree: warmup, branching refinement, early stopping, vote.
 
@@ -221,7 +220,7 @@ def run_tree(
 
     # warmup, then branching refinement, level-synchronous
     depth = 0
-    level = [(None, build_initial_prompt(problem, problem.mode, presentation))] * tree_cfg.warmup
+    level = [(None, build_initial_prompt(problem, problem.mode))] * tree_cfg.warmup
     while True:
         frontier = evaluate_level(level, depth)
         if not run.nodes:
@@ -233,8 +232,7 @@ def run_tree(
             break
         depth += 1
         level = [(n, build_prompt(problem, list(n.history), n.action, problem.mode,
-                                  phase=depth, presentation=presentation,
-                                  two_phase=loop_cfg.two_phase_refusal))
+                                  phase=depth, two_phase=loop_cfg.two_phase_refusal))
                  for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
         if not level:
             break

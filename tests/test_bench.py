@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from refinectl.backend import MockBackend
+from refinectl.backend import Backend, GenerationConfig, MockBackend, MockRecord
 from refinectl.bench import (
+    CONTROLLED,
     METHODS,
     DatasetError,
     Problem,
@@ -28,7 +31,9 @@ from refinectl.bench import (
     run_benchmark,
 )
 from refinectl.controller import Action
-from refinectl.tree import TreeConfig
+from refinectl.datasets import is_unsure_choice
+from refinectl.refine import LoopConfig, run
+from refinectl.tree import TreeConfig, run_tree
 
 from conftest import StubController, boxed_record, mock_backend
 
@@ -59,6 +64,18 @@ def test_mcq_ground_truth_must_be_a_choice(tmp_path):
         load_dataset(path)
 
 
+def test_repeated_mcq_choices_rejected(tmp_path):
+    """A choice listed twice has two letters, and only the first would score."""
+    with pytest.raises(ValueError, match="distinct"):
+        Problem(id="q", statement="s", ground_truth="4", mode="mcq", choices=("4", "4", "5"))
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"},
+                       {"id": "q", "statement": "s", "answer": "4", "mode": "mcq",
+                        "choices": ["4", "4", "5"]}])
+    with pytest.raises(DatasetError, match="d.jsonl:2: mcq choices must be distinct"):
+        load_dataset(path)
+
+
 def test_duplicate_ids_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"},
@@ -82,7 +99,7 @@ def test_choice_randomization_tracks_ground_truth(rng):
     seen = set()
     for _ in range(10):
         pres = presented_choices(problem, rng)
-        letter = correct_letter(problem, pres)
+        letter = correct_letter(replace(problem, choices=pres))
         seen.add(letter)
         assert pres[ord(letter) - 65] == "beta"
     assert len(seen) > 1  # the shuffle actually moves the answer around
@@ -180,7 +197,7 @@ def test_mcq_scoring_uses_presentation():
     problem = Problem(id="q", statement="s", ground_truth="beta", mode="mcq",
                       choices=("alpha", "beta"))
     assert is_correct(problem, "B")
-    assert is_correct(problem, "A", presentation=("beta", "alpha"))
+    assert is_correct(replace(problem, choices=("beta", "alpha")), "A")
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +418,6 @@ MIXED_DATASET = [
 def test_mixed_mode_dataset_scores_every_problem_in_its_own_mode(method):
     """One math and one MCQ problem under the default spec: each is prompted
     and scored in its own mode, whatever the method."""
-    from refinectl.backend import MockRecord
     k = 3
     per_problem = {"pass1": 1, "corefine": 1, "corefine_tree": TreeConfig().warmup}.get(method, k)
     backend = PromptRecordingBackend(
@@ -416,6 +432,104 @@ def test_mixed_mode_dataset_scores_every_problem_in_its_own_mode(method):
     assert all("\\boxed{}" in p and "Choices" not in p for p in math_prompts)
     assert all("Which gene?" in p and "A. BRCA1\nB. BRCA2\nC. Insufficient" in p
                for p in mcq_prompts)
+
+
+CHOICE_LINE = re.compile(r"^([A-Z])\. (.*)$", re.MULTILINE)
+
+
+class PromptReadingBackend(Backend):
+    """Answers what the prompt shows: the letter printed next to the ground
+    truth, or, with ``refuse_while_shown``, next to the refusal choice while
+    the prompt lists it. Records each MCQ prompt's (letter, text) lines, and
+    every refinement prompt line whose letter the problem's last initial
+    prompt gave to another choice."""
+
+    max_inflight = 1
+
+    def __init__(self, problems, refuse_while_shown=False):
+        self.problems = problems
+        self.refuse_while_shown = refuse_while_shown
+        self.shown: list[tuple[str, list[tuple[str, str]]]] = []
+        self.initial: dict[str, dict[str, str]] = {}
+        self.relettered: list[tuple[str, str, str]] = []
+
+    def _generate_once(self, messages, cfg):
+        content = messages[-1]["content"]
+        problem = next(p for p in self.problems if p.statement in content)
+        if problem.mode == "math_boxed":
+            text = f"working... \\boxed{{{problem.ground_truth}}}"
+        else:
+            lines = CHOICE_LINE.findall(content)
+            self.shown.append((problem.id, lines))
+            if content.startswith("Answer the following"):
+                self.initial[problem.id] = dict(lines)
+            self.relettered += [(problem.id, letter, choice) for letter, choice in lines
+                                if self.initial[problem.id][letter] != choice]
+            target = next((c for _, c in lines if self.refuse_while_shown
+                           and is_unsure_choice(c)), problem.ground_truth)
+            text = "weighing the choices...\n" + next(k for k, c in lines if c == target)
+        return MockRecord(text=text, confidences=[12.0] * 4).to_completion()
+
+
+REFUSAL_FIRST = Problem(id="r0", statement="Which one, first?", ground_truth="beta",
+                        mode="mcq", choices=("Insufficient information", "alpha", "beta",
+                                             "gamma"))
+REFUSAL_MIDDLE = Problem(id="r1", statement="Which one, middle?", ground_truth="beta",
+                         mode="mcq", choices=("alpha", "Insufficient information", "beta",
+                                              "gamma"))
+TWO_PHASE = LoopConfig(two_phase_refusal=True, consistency_override_count=2)
+TWO_LEVELS = TreeConfig(warmup=2, branch_factor=2, max_depth=2)
+
+
+def rethink_then_halt():
+    return StubController(fn=lambda f: Action.RETHINK if f.iteration == 0 else Action.HALT)
+
+
+@pytest.mark.parametrize("problem, refusal, truth",
+                         [(REFUSAL_FIRST, "A", "C"), (REFUSAL_MIDDLE, "B", "C")],
+                         ids=["first", "middle"])
+def test_two_phase_refusal_keeps_every_letter(problem, refusal, truth):
+    """The model picks the refusal choice while it is shown, then the truth:
+    the two letters never count as one answer, in the loop or the tree."""
+    backend = PromptReadingBackend([problem], refuse_while_shown=True)
+    done = run(problem, backend, rethink_then_halt(), GenerationConfig(), TWO_PHASE)
+    assert [r.answer for r in done.records] == [refusal, truth]
+    assert done.terminated_by == "halt"
+    assert is_correct(problem, done.final_answer)
+
+    tree = run_tree(problem, backend, rethink_then_halt(), GenerationConfig(seed=0),
+                    TWO_LEVELS, TWO_PHASE)
+    assert {(n.depth, n.answer) for n in tree.nodes} == {(0, refusal), (1, truth)}
+    assert tree.final_answer == truth
+    assert is_correct(problem, tree.final_answer)
+    assert backend.relettered == []
+
+
+@pytest.mark.parametrize("randomize", [False, True], ids=["stored", "randomized"])
+@pytest.mark.parametrize("method", METHODS)
+def test_two_phase_refusal_scores_every_method(method, randomize):
+    dataset = [REFUSAL_FIRST, REFUSAL_MIDDLE]
+    backend = PromptReadingBackend(dataset, refuse_while_shown=method in CONTROLLED)
+    spec = RunSpec(method=method, k=3, seeds=(0, 1, 2), loop_cfg=TWO_PHASE,
+                   tree_cfg=TWO_LEVELS, randomize_choices=randomize)
+    row = run_benchmark(dataset, spec, backend, controller=rethink_then_halt())
+    assert row.accuracy_mean == 100.0
+    assert backend.relettered == []
+
+
+def test_randomized_choice_orders_follow_the_seed_rng():
+    """Each seed draws the MCQ problems' choice orders from default_rng(seed)
+    in dataset order, and the prompts list the choices in that order."""
+    dataset = [REFUSAL_FIRST, MIXED_DATASET[0], MIXED_DATASET[1], REFUSAL_MIDDLE]
+    backend = PromptReadingBackend(dataset)
+    seeds = (3, 4, 5)
+    run_benchmark(dataset, RunSpec(method="pass1", seeds=seeds, randomize_choices=True),
+                  backend)
+    expected = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        expected += [presented_choices(p, rng) for p in dataset if p.mode == "mcq"]
+    assert [tuple(c for _, c in lines) for _, lines in backend.shown] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from refinectl.backend import GenerationConfig, MockBackend, MockRecord
 from refinectl.confidence import ConfidenceTrace, NormalizationTable, stats
 from refinectl.controller import Action
-from refinectl.datasets import Problem
+from refinectl.datasets import Problem, choice_letter
 from refinectl.refine import (
     LoopConfig,
     RefinementError,
@@ -218,6 +220,39 @@ def test_mcq_without_two_phase_keeps_unsure():
     text = messages[0]["content"]
     assert "E." in text
     assert "REMOVED" not in text
+
+
+CHOICE_LINE = re.compile(r"^([A-Z])\. (.*)$", re.MULTILINE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.integers(0, 99).map(lambda k: f"option {k}"),
+                      min_size=1, max_size=6, unique=True),
+       unsure=st.one_of(st.none(), st.integers(0, 5)),
+       phase=st.integers(0, 3), two_phase=st.sampled_from([None, False, True]),
+       action=st.sampled_from([Action.RETHINK, Action.ALTERNATIVE]))
+def test_mcq_choice_lines_keep_their_letters(texts, unsure, phase, two_phase, action):
+    """Every choice line reads "<letter of its index>. <text>" in every
+    prompt; the refusal line is missing exactly when two-phase refusal is on
+    (it is off when not passed), the phase is >= 1 and a refusal choice
+    exists."""
+    choices = list(texts)
+    if unsure is not None:
+        choices.insert(min(unsure, len(choices)), "Insufficient information")
+    assume(2 <= len(choices) <= 6)
+    problem = Problem(id="q", statement="Which?", ground_truth=choices[-1], mode="mcq",
+                      choices=tuple(choices))
+    kwargs = {} if two_phase is None else {"two_phase": two_phase}
+    removed = bool(two_phase) and phase >= 1 and unsure is not None
+    expected = [(choice_letter(i), c) for i, c in enumerate(choices)
+                if not (removed and c == "Insufficient information")]
+    refined = build_prompt(problem, [summary_for_tests("B")], action, mode="mcq",
+                           phase=phase, **kwargs)[0]["content"]
+    assert CHOICE_LINE.findall(refined) == expected
+    assert ("REMOVED" in refined) == removed
+    initial = build_initial_prompt(problem, "mcq")[0]["content"]
+    assert CHOICE_LINE.findall(initial) == list(zip(map(choice_letter, range(len(choices))),
+                                                    choices))
 
 
 # ---------------------------------------------------------------------------
