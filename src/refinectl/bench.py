@@ -28,11 +28,13 @@ from .datasets import (  # re-exported: the dataset surface lives with the harne
     Problem,
     choice_letter,
     correct_letter,
+    is_correct,
     load_dataset,
+    normalize_math_answer,
     presented_choices,
 )
 from .refine import LoopConfig, RefinementError, RunResult, build_initial_prompt, \
-    extract_answer, normalize_math_answer, run
+    extract_answer, run
 from .tree import TreeConfig, TreeRun, run_tree
 
 logger = logging.getLogger(__name__)
@@ -139,21 +141,6 @@ def conf_filtered_vote(
     if not score:
         return None
     return min(score, key=lambda a: (-score[a], a))
-
-
-# ---------------------------------------------------------------------------
-# Scoring
-# ---------------------------------------------------------------------------
-
-def is_correct(problem: Problem, answer: str | None) -> bool:
-    """String-match scoring; an MCQ answer is the letter of the choice's
-    index in ``problem.choices``. REFUSE/absent answers count as incorrect
-    unless the dataset marks the problem unanswerable."""
-    if answer is None:
-        return problem.unanswerable
-    if problem.mode == "math_boxed":
-        return normalize_math_answer(answer) == normalize_math_answer(problem.ground_truth)
-    return answer.strip().upper() == correct_letter(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ parameters at input length 16 with 3 actions.
 
 Everything is plain numpy with hand-written backward passes, so the
 gradient path can be checked against finite differences rather than
-trusted.
+trusted. The weights are plain records over one flat buffer, and the layers
+are module-level functions. Training is a forward pass that returns a tape
+(``forward_batch``) plus a backward pass that consumes it
+(``backward_batch``); :func:`infer` is the only eval path.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .confidence import FeatureVector
 
 _EPS_BN = 1e-5
+_BN_MOMENTUM = 0.1
 
 MAGIC = b"RCN1"
 FORMAT_VERSION = 1
@@ -80,7 +85,7 @@ def _argmax(values: tuple[float, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Layers
+# Weights and the training tape
 # ---------------------------------------------------------------------------
 
 class Param:
@@ -95,6 +100,58 @@ class Param:
         self.shape, self.fan_in, self.fill = shape, fan_in, fill
         self.value = self.grad = None
 
+
+class ConvBlock(NamedTuple):
+    """One trunk block's weights, fields in state order: the conv kernel
+    (C_out, C_in, K) and bias, batch norm's scale and shift, and its running
+    statistics (momentum 0.1), which inference normalises with so that a
+    single-sample decision never depends on batch composition."""
+
+    w: Param
+    b: Param
+    gamma: Param
+    beta: Param
+    running_mean: np.ndarray
+    running_var: np.ndarray
+
+
+class Dense(NamedTuple):
+    """A head layer: weight (out, in) and bias."""
+
+    w: Param
+    b: Param
+
+
+def _dense(in_features: int, out_features: int) -> Dense:
+    return Dense(Param((out_features, in_features), fan_in=in_features),
+                 Param((out_features,), fan_in=in_features))
+
+
+class BlockTape(NamedTuple):
+    """What one trunk block's backward pass reads."""
+
+    cols: np.ndarray  # the conv's input windows
+    n: int  # the conv's input length
+    xhat: np.ndarray  # batch norm's normalised input
+    inv_std: np.ndarray
+    relu: np.ndarray  # the ReLU's on/off mask
+    keep: np.ndarray | None  # dropout's scaled keep mask; None when dropout is off
+
+
+class Tape(NamedTuple):
+    """One train-mode forward pass, as :meth:`ControllerModel.backward_batch`
+    reads it; it refers to no model state, so several may be alive. Each
+    head's entry is its hidden ReLU output and that ReLU's mask."""
+
+    blocks: list[BlockTape]
+    z: np.ndarray  # the pooled trunk output (B, 256)
+    action: tuple[np.ndarray, np.ndarray]
+    success: tuple[np.ndarray, np.ndarray]
+
+
+# ---------------------------------------------------------------------------
+# Layer functions
+# ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
 def _windows(batch: int, n: int, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
@@ -147,156 +204,81 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             windows.transpose(2, 0, 3, 1))
 
 
-class Conv1d:
-    """Same-padded strided 1-D convolution, im2col style."""
+def _conv1d_backward(grad: np.ndarray, cols: np.ndarray, w: np.ndarray, n: int, stride: int,
+                     input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Gradients of :func:`_conv1d` for the output gradient ``grad``
+    (B, C_out, L_out), given its windows ``cols`` and input length ``n``:
+    (dW, db, dx (B, C_in, n)), with dx None when ``input_grad`` is false
+    (the first block's input is data).
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int):
-        fan_in = in_ch * kernel
-        self.in_ch, self.out_ch, self.kernel, self.stride = in_ch, out_ch, kernel, stride
-        self.w = Param((out_ch, in_ch, kernel), fan_in=fan_in)
-        self.b = Param((out_ch,), fan_in=fan_in)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, cols = _conv1d(x, self.w.value, self.b.value, self.stride)
-        self._cache = (cols, x.shape[2])
-        return out
-
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate dW and db for the output gradient ``grad``
-        (B, C_out, L_out) and return the input gradient (B, C_in, L), or
-        None when ``input_grad`` is false (the first layer's input is data).
-
-        With G the gradient as a (C_out, B * L_out) matrix and the cached
-        windows as (C_in * K, B * L_out), dW = G @ windows.T and the window
-        gradient is W.T @ G, two matrix products; the window gradient goes
-        back to the padded input with one ``bincount`` over the memoised
-        gather index, which adds every window element into its input position.
-        """
-        cols, n = self._cache
-        windows = cols.transpose(1, 3, 0, 2)  # the contiguous (C_in, K, B, L_out) buffer
-        c_in, kernel, bsz, n_out = windows.shape
-        g = grad.transpose(1, 0, 2).reshape(self.out_ch, bsz * n_out)
-        self.w.grad += (g @ windows.reshape(c_in * kernel, bsz * n_out).T).reshape(
-            self.w.shape)
-        self.b.grad += g.sum(axis=1)
-        if not input_grad:
-            return None
-        dwin = self.w.value.reshape(self.out_ch, c_in * kernel).T @ g
-        _, pad_l, padded = _windows(bsz, n, kernel, self.stride)
-        dxp = np.bincount(_scatter_index(c_in, bsz, n, kernel, self.stride),
-                          weights=dwin.ravel(), minlength=c_in * bsz * padded)
-        return dxp.reshape(c_in, bsz, padded)[:, :, pad_l:pad_l + n].transpose(1, 0, 2)
-
-
-class BatchNorm1d:
-    """Per-channel batch norm over (batch, length); running stats with
-    momentum 0.1 are used at inference so single-sample decisions never
-    depend on batch composition.
-
-    The forward pass caches only the normalised input x̂ and 1/std. In train
-    mode the statistics are the batch's, and the input gradient is the
-    closed form γ/std · (g − mean(g) − x̂ · mean(g · x̂)), means per channel
-    over batch and position; in eval mode it is γ/std · g.
+    With G the gradient as a (C_out, B * L_out) matrix and the windows as
+    (C_in * K, B * L_out), dW = G @ windows.T and the window gradient is
+    W.T @ G, two matrix products; the window gradient goes back to the
+    padded input with one ``bincount`` over the memoised gather index, which
+    adds every window element into its input position.
     """
-
-    momentum = 0.1
-
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.gamma = Param((channels,), fill=1.0)
-        self.beta = Param((channels,))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self._cache = None
-
-    def forward(self, x: np.ndarray, train: bool, update_stats: bool = True) -> np.ndarray:
-        if train:
-            mean = x.mean(axis=(0, 2))
-            xhat = x - mean[None, :, None]  # centred here, scaled in place below
-            var = np.square(xhat).mean(axis=(0, 2))
-            if update_stats:  # in place: the model's state list holds these arrays
-                m = self.momentum
-                self.running_mean[...] = (1 - m) * self.running_mean + m * mean
-                self.running_var[...] = (1 - m) * self.running_var + m * var
-        else:
-            xhat = x - self.running_mean[None, :, None]
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + _EPS_BN)
-        xhat *= inv_std[None, :, None]
-        self._cache = (xhat, inv_std, train)
-        return self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, train = self._cache
-        sum_gx = np.einsum("bcl,bcl->c", grad, xhat)
-        sum_g = grad.sum(axis=(0, 2))
-        self.gamma.grad += sum_gx
-        self.beta.grad += sum_g
-        scale = (self.gamma.value * inv_std)[None, :, None]
-        if not train:
-            return grad * scale
-        m = grad.shape[0] * grad.shape[2]
-        dx = xhat * (-sum_gx / m)[None, :, None]
-        dx += grad
-        dx -= (sum_g / m)[None, :, None]
-        dx *= scale
-        return dx
+    windows = cols.transpose(1, 3, 0, 2)  # the contiguous (C_in, K, B, L_out) buffer
+    c_in, kernel, bsz, n_out = windows.shape
+    c_out = w.shape[0]
+    g = grad.transpose(1, 0, 2).reshape(c_out, bsz * n_out)
+    dw = (g @ windows.reshape(c_in * kernel, bsz * n_out).T).reshape(w.shape)
+    db = g.sum(axis=1)
+    if not input_grad:
+        return dw, db, None
+    dwin = w.reshape(c_out, c_in * kernel).T @ g
+    _, pad_l, padded = _windows(bsz, n, kernel, stride)
+    dxp = np.bincount(_scatter_index(c_in, bsz, n, kernel, stride),
+                      weights=dwin.ravel(), minlength=c_in * bsz * padded)
+    return dw, db, dxp.reshape(c_in, bsz, padded)[:, :, pad_l:pad_l + n].transpose(1, 0, 2)
 
 
-class ReLU:
-    def __init__(self):
-        self._mask = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._mask
-
-
-class Dropout:
-    def __init__(self, rate: float):
-        self.rate = rate
-        self._mask = None
-
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
-        if not train or self.rate <= 0 or rng is None:
-            self._mask = None
-            return x
-        # the mask takes x's memory layout (channel-major in the trunk), so the
-        # products here and in backward stream both operands in one order
-        self._mask = np.empty_like(x)
-        np.divide(rng.random(x.shape) >= self.rate, 1.0 - self.rate, out=self._mask)
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad
-        return grad * self._mask
+def _batchnorm_train(x: np.ndarray, gamma: np.ndarray,
+                     beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Batch norm of x (B, C, L) with the batch's per-channel statistics
+    over batch and position: (output, x̂, 1/std, mean, variance)."""
+    mean = x.mean(axis=(0, 2))
+    xhat = x - mean[None, :, None]  # centred here, scaled in place below
+    var = np.square(xhat).mean(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + _EPS_BN)
+    xhat *= inv_std[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat, inv_std, mean, var
 
 
-def _linear(layer: Linear, x: np.ndarray) -> np.ndarray:
+def _batchnorm_backward(grad: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                        gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of :func:`_batchnorm_train`: (dγ, dβ, dx), with dx the
+    closed form γ/std · (g − mean(g) − x̂ · mean(g · x̂)), means per channel
+    over batch and position."""
+    sum_gx = np.einsum("bcl,bcl->c", grad, xhat)
+    sum_g = grad.sum(axis=(0, 2))
+    m = grad.shape[0] * grad.shape[2]
+    dx = xhat * (-sum_gx / m)[None, :, None]
+    dx += grad
+    dx -= (sum_g / m)[None, :, None]
+    dx *= (gamma * inv_std)[None, :, None]
+    return sum_gx, sum_g, dx
+
+
+def _relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ReLU output and its on/off mask, the factor of the backward pass."""
+    mask = x > 0
+    return x * mask, mask
+
+
+def _linear(layer: Dense, x: np.ndarray) -> np.ndarray:
     return x @ layer.w.value.T + layer.b.value
 
 
-class Linear:
-    def __init__(self, in_features: int, out_features: int):
-        self.in_features, self.out_features = in_features, out_features
-        self.w = Param((out_features, in_features), fan_in=in_features)
-        self.b = Param((out_features,), fan_in=in_features)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
-        return _linear(self, x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        x = self._cache
-        self.w.grad += grad.T @ x
-        self.b.grad += grad.sum(axis=0)
-        return grad @ self.w.value
+def _head_backward(fc1: Dense, fc2: Dense, z: np.ndarray, hidden: np.ndarray,
+                   mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Add fc1's and fc2's weight gradients for the head-output gradient
+    ``grad``; returns the gradient of the head input ``z``."""
+    fc2.w.grad += grad.T @ hidden
+    fc2.b.grad += grad.sum(axis=0)
+    grad = (grad @ fc2.w.value) * mask
+    fc1.w.grad += grad.T @ z
+    fc1.b.grad += grad.sum(axis=0)
+    return grad @ fc1.w.value
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +310,26 @@ class ControllerModel:
         self.dropout_rate = dropout_rate
         self.version = FORMAT_VERSION
 
-        self.convs: list[Conv1d] = []
-        self.bns: list[BatchNorm1d] = []
-        self.relus: list[ReLU] = []
-        self.drops: list[Dropout] = []
-        in_ch = 1
-        for out_ch, kernel in zip(CONV_CHANNELS, CONV_KERNELS):
-            self.convs.append(Conv1d(in_ch, out_ch, kernel, CONV_STRIDE))
-            self.bns.append(BatchNorm1d(out_ch))
-            self.relus.append(ReLU())
-            self.drops.append(Dropout(dropout_rate))
-            in_ch = out_ch
-
+        self.blocks = []
+        for in_ch, out_ch, kernel in zip((1,) + CONV_CHANNELS[:-1], CONV_CHANNELS,
+                                         CONV_KERNELS):
+            fan_in = in_ch * kernel
+            self.blocks.append(ConvBlock(
+                Param((out_ch, in_ch, kernel), fan_in=fan_in), Param((out_ch,), fan_in=fan_in),
+                Param((out_ch,), fill=1.0), Param((out_ch,)), np.zeros(out_ch), np.ones(out_ch)))
         trunk = CONV_CHANNELS[-1]
-        self.action_fc1 = Linear(trunk, HEAD_HIDDEN)
-        self.action_relu = ReLU()
-        self.action_fc2 = Linear(HEAD_HIDDEN, n_actions)
-        self.success_fc1 = Linear(trunk, HEAD_HIDDEN)
-        self.success_relu = ReLU()
-        self.success_fc2 = Linear(HEAD_HIDDEN, 1)
-        self._gap_length = None
+        self.action_fc1 = _dense(trunk, HEAD_HIDDEN)
+        self.action_fc2 = _dense(HEAD_HIDDEN, n_actions)
+        self.success_fc1 = _dense(trunk, HEAD_HIDDEN)
+        self.success_fc2 = _dense(HEAD_HIDDEN, 1)
 
         # The state order, written once: serialization, ``parameters()`` and
         # the flat buffers all follow it. Trainable entries are Params, batch
         # norm's running statistics are plain arrays.
         self._state: list[Param | np.ndarray] = []
-        for conv, bn in zip(self.convs, self.bns):
-            self._state += [conv.w, conv.b, bn.gamma, bn.beta, bn.running_mean, bn.running_var]
-        for layer in (self.action_fc1, self.action_fc2, self.success_fc1, self.success_fc2):
-            self._state += [layer.w, layer.b]
+        for record in self.blocks + [self.action_fc1, self.action_fc2,
+                                     self.success_fc1, self.success_fc2]:
+            self._state += record
         # Every Param's value and grad are views into two flat buffers, so
         # the optimizer steps all weights with a few whole-buffer operations.
         # Weights are drawn in state order, straight into their views.
@@ -401,52 +374,69 @@ class ControllerModel:
         for target, arr in zip(targets, arrays):
             target[...] = np.reshape(arr, target.shape)
 
-    # -- forward / backward -------------------------------------------------
+    # -- training: a forward that records a tape, a backward that reads it ---
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 2 or x.shape[1] != self.input_length:
             raise ValueError(f"expected input of shape (B, {self.input_length})")
 
-    def forward_batch(self, x: np.ndarray, train: bool = False,
-                      dropout_rng: np.random.Generator | None = None,
-                      update_stats: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Run a (B, L) batch; returns (action logits (B, A), success logits (B,)).
-
-        The differentiable path: every layer caches what ``backward_batch``
-        needs, so one model must not run it from two threads. Inference goes
-        through :func:`infer` instead.
-        """
+    def forward_batch(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, Tape]:
+        """Train-mode forward of a (B, L) batch: (action logits (B, A),
+        success logits (B,), the tape for :meth:`backward_batch`). Batch norm
+        uses the batch's statistics and moves the running ones toward them;
+        dropout applies when ``dropout_rng`` is given and the rate is > 0."""
         self._check_input(x)
-        if update_stats is None:
-            update_stats = train
+        dropout = dropout_rng is not None and self.dropout_rate > 0
         h = x[:, None, :].astype(np.float64)
-        for conv, bn, relu, drop in zip(self.convs, self.bns, self.relus, self.drops):
-            h = conv.forward(h)
-            h = bn.forward(h, train, update_stats)
-            h = relu.forward(h)
-            h = drop.forward(h, train, dropout_rng)
-        self._gap_length = h.shape[2]
+        blocks = []
+        for blk in self.blocks:
+            n = h.shape[2]
+            h, cols = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
+            h, xhat, inv_std, mean, var = _batchnorm_train(h, blk.gamma.value, blk.beta.value)
+            # in place: the model's state list holds these arrays
+            blk.running_mean[...] = (1 - _BN_MOMENTUM) * blk.running_mean + _BN_MOMENTUM * mean
+            blk.running_var[...] = (1 - _BN_MOMENTUM) * blk.running_var + _BN_MOMENTUM * var
+            h, relu = _relu(h)
+            keep = None
+            if dropout:
+                # the mask takes h's memory layout (channel-major), so the
+                # products here and in backward stream both operands in one order
+                keep = np.empty_like(h)
+                np.divide(dropout_rng.random(h.shape) >= self.dropout_rate,
+                          1.0 - self.dropout_rate, out=keep)
+                h = h * keep
+            blocks.append(BlockTape(cols, n, xhat, inv_std, relu, keep))
         z = h.mean(axis=2)  # global average pool -> (B, 256)
-        a = self.action_fc2.forward(self.action_relu.forward(self.action_fc1.forward(z)))
-        s = self.success_fc2.forward(self.success_relu.forward(self.success_fc1.forward(z)))
-        return a, s[:, 0]
+        action, success = _relu(_linear(self.action_fc1, z)), _relu(_linear(self.success_fc1, z))
+        return (_linear(self.action_fc2, action[0]), _linear(self.success_fc2, success[0])[:, 0],
+                Tape(blocks, z, action, success))
 
-    def backward_batch(self, grad_action: np.ndarray, grad_success: np.ndarray) -> None:
-        """Accumulate parameter gradients given head-logit gradients."""
-        da = self.action_fc1.backward(
-            self.action_relu.backward(self.action_fc2.backward(grad_action)))
-        ds = self.success_fc1.backward(
-            self.success_relu.backward(self.success_fc2.backward(grad_success[:, None])))
-        dz = da + ds
+    def backward_batch(self, tape: Tape, grad_action: np.ndarray,
+                       grad_success: np.ndarray) -> None:
+        """Add into ``grad`` the parameter gradients for the head-logit
+        gradients (B, A) and (B,) of the forward pass that made ``tape``."""
+        dz = (_head_backward(self.action_fc1, self.action_fc2, tape.z, *tape.action,
+                             grad_action)
+              + _head_backward(self.success_fc1, self.success_fc2, tape.z, *tape.success,
+                               grad_success[:, None]))
         # the pool's gradient, broadcast over the temporal axis of a
         # channel-major (C, B) copy so it streams in the trunk's memory order
-        dz = np.ascontiguousarray(dz.T) / self._gap_length
-        g = np.broadcast_to(dz[:, :, None], dz.shape + (self._gap_length,)).transpose(1, 0, 2)
-        for i in reversed(range(len(self.convs))):
-            g = self.drops[i].backward(g)
-            g = self.relus[i].backward(g)
-            g = self.bns[i].backward(g)
-            g = self.convs[i].backward(g, input_grad=i > 0)
+        length = tape.blocks[-1].relu.shape[2]
+        dz = np.ascontiguousarray(dz.T) / length
+        g = np.broadcast_to(dz[:, :, None], dz.shape + (length,)).transpose(1, 0, 2)
+        for i in reversed(range(len(self.blocks))):
+            blk, step = self.blocks[i], tape.blocks[i]
+            if step.keep is not None:
+                g = g * step.keep
+            g = g * step.relu
+            dgamma, dbeta, g = _batchnorm_backward(g, step.xhat, step.inv_std, blk.gamma.value)
+            blk.gamma.grad += dgamma
+            blk.beta.grad += dbeta
+            dw, db, g = _conv1d_backward(g, step.cols, blk.w.value, step.n, CONV_STRIDE,
+                                         input_grad=i > 0)
+            blk.w.grad += dw
+            blk.b.grad += db
 
     def decide(self, feature: FeatureVector) -> Decision:
         return forward(self, feature)
@@ -484,16 +474,15 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A pure function of the model's current parameters: batch norm is the
     per-channel affine of its running statistics, computed on each call, and
     dropout is off. It writes to no object, so any number of threads may
-    call it on one model. Agrees with ``forward_batch(x, train=False)`` up to
-    rounding.
+    call it on one model. This is the model's only eval-mode path.
     """
     model._check_input(x)
     h = x[:, None, :]
-    for conv, bn in zip(model.convs, model.bns):
-        h, _ = _conv1d(h, conv.w.value, conv.b.value, conv.stride)
-        scale = bn.gamma.value / np.sqrt(bn.running_var + _EPS_BN)
+    for blk in model.blocks:
+        h, _ = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
+        scale = blk.gamma.value / np.sqrt(blk.running_var + _EPS_BN)
         h *= scale[:, None]
-        h += (bn.beta.value - bn.running_mean * scale)[:, None]
+        h += (blk.beta.value - blk.running_mean * scale)[:, None]
         np.maximum(h, 0.0, out=h)
     z = h.mean(axis=2)  # global average pool -> (B, 256)
     a = _linear(model.action_fc2, np.maximum(_linear(model.action_fc1, z), 0.0))
@@ -529,9 +518,10 @@ def serialize(model: ControllerModel) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<III", model.n_actions, model.input_length, len(model.convs)))
-    for conv in model.convs:
-        buf.write(struct.pack("<IIII", conv.in_ch, conv.out_ch, conv.kernel, conv.stride))
+    buf.write(struct.pack("<III", model.n_actions, model.input_length, len(model.blocks)))
+    for blk in model.blocks:
+        c_out, c_in, kernel = blk.w.shape
+        buf.write(struct.pack("<IIII", c_in, c_out, kernel, CONV_STRIDE))
     buf.write(struct.pack("<I", HEAD_HIDDEN))
     buf.write(struct.pack("<d", model.dropout_rate))
     arrays = model.state_arrays()

@@ -86,6 +86,28 @@ def correct_letter(problem: Problem) -> str:
     return choice_letter(problem.choices.index(problem.ground_truth))
 
 
+def normalize_math_answer(answer: str | None) -> str | None:
+    """Strip whitespace and one layer of surrounding braces for string
+    comparison; no CAS equivalence is attempted."""
+    if answer is None:
+        return None
+    out = answer.strip()
+    while len(out) >= 2 and out[0] == "{" and out[-1] == "}":
+        out = out[1:-1].strip()
+    return " ".join(out.split())
+
+
+def is_correct(problem: Problem, answer: str | None) -> bool:
+    """String-match scoring; an MCQ answer is the letter of the choice's
+    index in ``problem.choices``. REFUSE/absent answers count as incorrect
+    unless the dataset marks the problem unanswerable."""
+    if answer is None:
+        return problem.unanswerable
+    if problem.mode == "math_boxed":
+        return normalize_math_answer(answer) == normalize_math_answer(problem.ground_truth)
+    return answer.strip().upper() == correct_letter(problem)
+
+
 def load_dataset(path: str | Path) -> list[Problem]:
     """Parse and validate a JSONL dataset; schema errors carry line numbers."""
     problems: list[Problem] = []
@@ -126,7 +148,9 @@ __all__ = [
     "as_problem",
     "choice_letter",
     "correct_letter",
+    "is_correct",
     "is_unsure_choice",
     "load_dataset",
+    "normalize_math_answer",
     "presented_choices",
 ]

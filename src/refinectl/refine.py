@@ -27,7 +27,7 @@ from .confidence import (
     stats,
 )
 from .controller import Action, Decision
-from .datasets import Problem, as_problem, choice_letter
+from .datasets import Problem, as_problem, choice_letter, normalize_math_answer
 
 TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override")
 
@@ -176,17 +176,6 @@ def extract_answer(text: str, mode: str = "math_boxed") -> str | None:
     if mode == "mcq":
         return _final_choice_letter(text)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def normalize_math_answer(answer: str | None) -> str | None:
-    """Strip whitespace and one layer of surrounding braces for string
-    comparison; no CAS equivalence is attempted."""
-    if answer is None:
-        return None
-    out = answer.strip()
-    while len(out) >= 2 and out[0] == "{" and out[-1] == "}":
-        out = out[1:-1].strip()
-    return " ".join(out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,14 @@ def batch_loss_and_grads(
     steps: np.ndarray,
     cfg: TrainConfig,
     weights: np.ndarray | None,
-    train: bool = True,
     dropout_rng: np.random.Generator | None = None,
-    update_stats: bool | None = None,
 ) -> float:
-    """Forward the batch, accumulate parameter gradients of the mean loss,
-    and return its value. Gradients are added into ``model.grad``; call
-    ``model.zero_grads()`` first when starting a fresh step."""
+    """Forward the batch in train mode, accumulate parameter gradients of
+    the mean loss, and return its value. Gradients are added into
+    ``model.grad``; call ``model.zero_grads()`` first when starting a fresh
+    step."""
     b = x.shape[0]
-    logits, s_logits = model.forward_batch(x, train=train, dropout_rng=dropout_rng,
-                                           update_stats=update_stats)
+    logits, s_logits, tape = model.forward_batch(x, dropout_rng)
     probs = softmax(logits)
     q = np.clip(probs[np.arange(b), labels], _EPS, 1.0 - _EPS)
     s = np.clip(sigmoid(s_logits), _EPS, 1.0 - _EPS)
@@ -169,13 +167,16 @@ def batch_loss_and_grads(
         dlogits = (dLdq * q)[:, None] * (onehot - probs) / b
 
     ds_logits = (s - y) / b
-    model.backward_batch(dlogits, ds_logits)
+    model.backward_batch(tape, dlogits, ds_logits)
     return total
 
 
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 15  # elements per Adam pass: the six 256 KiB slices of a block stay in cache
+
 
 class Adam:
     """Adam with beta=(0.9, 0.999), eps=1e-8, on one flat parameter buffer
@@ -188,31 +189,36 @@ class Adam:
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
-        self._num = np.empty_like(theta)  # scratch: no full-size temporaries per step
-        self._den = np.empty_like(theta)
+        # scratch for one block: no full-size temporaries per step
+        self._num = np.empty(min(theta.size, _BLOCK))
+        self._den = np.empty_like(self._num)
         self.t = 0
 
     def step(self) -> None:
         """theta -= lr * (m / b1c) / (sqrt(v / b2c) + eps), one operation at a
-        time in the textbook expression's order, so it rounds identically."""
+        time in the textbook expression's order, so it rounds identically.
+        They run one cache-sized block at a time, which changes no element's
+        sequence of operations."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        m, v, g, num, den = self.m, self.v, self.grad, self._num, self._den
-        m *= self.beta1  # m = beta1 * m + (1 - beta1) * g
-        np.multiply(g, 1 - self.beta1, out=num)
-        m += num
-        v *= self.beta2  # v = beta2 * v + (1 - beta2) * g ** 2
-        np.square(g, out=num)
-        num *= 1 - self.beta2
-        v += num
-        np.divide(v, b2c, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
-        np.divide(m, b1c, out=num)
-        num *= self.lr
-        num /= den
-        self.theta -= num
+        for lo in range(0, self.theta.size, _BLOCK):
+            theta, m, v, g = (a[lo:lo + _BLOCK] for a in (self.theta, self.m, self.v, self.grad))
+            num, den = self._num[:g.size], self._den[:g.size]
+            m *= self.beta1  # m = beta1 * m + (1 - beta1) * g
+            np.multiply(g, 1 - self.beta1, out=num)
+            m += num
+            v *= self.beta2  # v = beta2 * v + (1 - beta2) * g ** 2
+            np.square(g, out=num)
+            num *= 1 - self.beta2
+            v += num
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, b1c, out=num)
+            num *= self.lr
+            num /= den
+            theta -= num
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ def train(dataset, cfg: TrainConfig, n_actions: int = 3,
             model.zero_grads()
             batch_loss = batch_loss_and_grads(
                 model, feats[sel], labels[sel], success[sel], steps[sel],
-                cfg, weights, train=True, dropout_rng=rng)
+                cfg, weights, dropout_rng=rng)
             optimizer.step()
             epoch_loss += batch_loss * len(sel)
         report.epoch_losses.append(epoch_loss / len(labels))

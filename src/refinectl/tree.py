@@ -24,7 +24,7 @@ import numpy as np
 
 from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
 from .controller import Action, Decision
-from .datasets import Problem, as_problem
+from .datasets import Problem, as_problem, is_correct, normalize_math_answer
 from .refine import (
     IterationSummary,
     LoopConfig,
@@ -32,7 +32,6 @@ from .refine import (
     build_initial_prompt,
     build_prompt,
     generate_node,
-    normalize_math_answer,
     score_node,
 )
 
@@ -264,21 +263,24 @@ class TreeMetrics:
     action_distribution: dict[str, float]
 
 
-def tree_metrics(runs: Sequence[TreeRun], ground_truth: Mapping[str, str]) -> TreeMetrics:
+def tree_metrics(runs: Sequence[TreeRun],
+                 ground_truth: Mapping[str, Problem | str]) -> TreeMetrics:
     """Aggregate behaviour statistics over many tree runs.
 
-    A run counts as high-halt when at least half of its decisions were
-    halting; halt precision is the correct fraction among those runs and
-    is None when no run qualifies.
+    ``ground_truth`` maps a problem id to its :class:`Problem` or to a bare
+    ``math_boxed`` truth; answers are scored by :func:`is_correct`, the
+    bench's rule. A run counts as high-halt when at least half of its
+    decisions were halting; halt precision is the correct fraction among
+    those runs and is None when no run qualifies.
     """
     if not runs:
         raise ValueError("no runs to report on")
 
-    def is_correct(run: TreeRun) -> bool:
+    def correct(run: TreeRun) -> bool:
         truth = ground_truth.get(run.problem_id)
-        if truth is None or run.final_answer is None:
-            return False
-        return normalize_math_answer(run.final_answer) == normalize_math_answer(truth)
+        if isinstance(truth, str):
+            truth = Problem(id=run.problem_id, statement="", ground_truth=truth)
+        return truth is not None and is_correct(truth, run.final_answer)
 
     early = [r for r in runs if r.early_stopped]
     high_halt = [r for r in runs if 2 * sum(1 for n in r.nodes if n.halting) >= len(r.nodes)
@@ -293,12 +295,12 @@ def tree_metrics(runs: Sequence[TreeRun], ground_truth: Mapping[str, str]) -> Tr
     return TreeMetrics(
         runs=len(runs),
         early_stop_rate=len(early) / len(runs),
-        early_stop_accuracy=(sum(1 for r in early if is_correct(r)) / len(early))
+        early_stop_accuracy=(sum(1 for r in early if correct(r)) / len(early))
         if early else None,
         nodes_explored_mean=float(np.mean([len(r.nodes) for r in runs])),
         depth_mean=float(np.mean([r.max_depth_explored() for r in runs])),
         high_halt_count=len(high_halt),
-        halt_precision=(sum(1 for r in high_halt if is_correct(r)) / len(high_halt))
+        halt_precision=(sum(1 for r in high_halt if correct(r)) / len(high_halt))
         if high_halt else None,
         action_distribution={k: v / total_decisions for k, v in sorted(action_counts.items())}
         if total_decisions else {},

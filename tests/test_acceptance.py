@@ -271,8 +271,7 @@ def test_criterion_11_voting_equivalence():
 
 def test_criterion_12_serialization():
     model = init(3, 16, seed=77)
-    model.forward_batch(np.random.default_rng(0).normal(12, 3, (8, 16)), train=True,
-                        dropout_rng=None)
+    model.forward_batch(np.random.default_rng(0).normal(12, 3, (8, 16)), dropout_rng=None)
     blob = serialize(model)
     assert serialize(deserialize(blob)) == blob
     tampered = bytearray(blob)

@@ -14,10 +14,14 @@ from hypothesis import strategies as st
 from refinectl import controller as controller_mod
 from refinectl.confidence import FeatureVector
 from refinectl.controller import (
+    CONV_STRIDE,
     Action,
     Decision,
     SerializationError,
+    _batchnorm_backward,
+    _batchnorm_train,
     _conv1d,
+    _conv1d_backward,
     deserialize,
     forward,
     infer,
@@ -127,6 +131,27 @@ def reference_conv1d(x, w, b, stride):
     return out, cols
 
 
+def reference_infer(model, x):
+    """Reference for ``infer``, the eval-mode forward written the textbook
+    way: reference convolution, batch norm (h - running mean) / sqrt(running
+    var + eps) * gamma + beta, ReLU, mean pool, then the two heads."""
+    h = x[:, None, :]
+    for blk in model.blocks:
+        h = reference_conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)[0]
+        h = ((h - blk.running_mean[None, :, None])
+             / np.sqrt(blk.running_var[None, :, None] + 1e-5)
+             * blk.gamma.value[None, :, None] + blk.beta.value[None, :, None])
+        h = np.maximum(h, 0.0)
+    z = h.mean(axis=2)
+
+    def head(fc1, fc2):
+        hidden = np.maximum(z @ fc1.w.value.T + fc1.b.value, 0.0)
+        return hidden @ fc2.w.value.T + fc2.b.value
+
+    return (head(model.action_fc1, model.action_fc2),
+            head(model.success_fc1, model.success_fc2)[:, 0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n_actions=st.sampled_from([3, 4]),
        batch=st.integers(1, 64), length=st.integers(8, 33))
@@ -134,27 +159,27 @@ def test_infer_matches_forward_batch(seed, n_actions, batch, length):
     rng = np.random.default_rng(seed)
     model = init(n_actions, length, seed=seed)
     # a train-mode pass moves the running statistics off their defaults
-    model.forward_batch(rng.normal(10, 3, (16, length)), train=True, dropout_rng=None)
+    model.forward_batch(rng.normal(10, 3, (16, length)), dropout_rng=None)
     x = rng.normal(10, 3, (batch, length))
 
     logits, s_logits = infer(model, x)
-    ref_logits, ref_s = model.forward_batch(x, train=False)
+    ref_logits, ref_s = reference_infer(model, x)
     scale = max(np.abs(ref_logits).max(), np.abs(ref_s).max(), 1.0)
     np.testing.assert_allclose(logits, ref_logits, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_allclose(s_logits, ref_s, rtol=1e-12, atol=1e-12 * scale)
     np.testing.assert_array_equal(logits.argmax(axis=1), ref_logits.argmax(axis=1))
 
     h = x[:, None, :]
-    for conv in model.convs:
-        out, cols = _conv1d(h, conv.w.value, conv.b.value, conv.stride)
-        ref_out, ref_cols = reference_conv1d(h, conv.w.value, conv.b.value, conv.stride)
+    for blk in model.blocks:
+        out, cols = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
+        ref_out, ref_cols = reference_conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
         np.testing.assert_array_equal(cols, ref_cols)
         np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12 * np.abs(ref_out).max())
         h = np.maximum(out, 0.0)
 
 
 def reference_conv1d_backward(grad, cols, w, n, stride):
-    """Reference for ``Conv1d.backward``: two einsum contractions and a loop
+    """Reference for ``_conv1d_backward``: two einsum contractions and a loop
     over output positions. Returns (dW, db, dx)."""
     kernel, n_out = w.shape[2], grad.shape[2]
     pad_total = max((n_out - 1) * stride + kernel - n, 0)
@@ -168,21 +193,16 @@ def reference_conv1d_backward(grad, cols, w, n, stride):
     return dw, db, dxp[:, :, pad_l:pad_l + n]
 
 
-def reference_batchnorm_backward(x, gamma, grad, train, running_mean, running_var):
-    """Reference for ``BatchNorm1d.backward``: the chain rule through the
+def reference_batchnorm_backward(x, gamma, grad):
+    """Reference for ``_batchnorm_backward``: the chain rule through the
     variance and the mean, one term at a time. Returns (dgamma, dbeta, dx)."""
-    if train:
-        mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
-    else:
-        mean, var = running_mean, running_var
+    mean, var = x.mean(axis=(0, 2)), x.var(axis=(0, 2))
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     centered = x - mean[None, :, None]
     xhat = centered * inv_std[None, :, None]
     dgamma = (grad * xhat).sum(axis=(0, 2))
     dbeta = grad.sum(axis=(0, 2))
     dxhat = grad * gamma[None, :, None]
-    if not train:
-        return dgamma, dbeta, dxhat * inv_std[None, :, None]
     m = x.shape[0] * x.shape[2]
     dvar = (dxhat * centered).sum(axis=(0, 2)) * (-0.5) * inv_std ** 3
     dmean = (-dxhat * inv_std[None, :, None]).sum(axis=(0, 2)) \
@@ -198,19 +218,12 @@ def assert_close_to_reference(actual, ref, scale):
     np.testing.assert_allclose(actual, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
-def bind(rng, *params):
-    """Give standalone layer parameters random values and zero gradients."""
-    for p in params:
-        p.value = rng.normal(0.0, 1.0, p.shape)
-        p.grad = np.zeros(p.shape)
-
-
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), batch=st.integers(1, 64), c_in=st.integers(1, 16),
        c_out=st.integers(1, 16), kernel=st.integers(1, 5), stride=st.integers(1, 3),
-       length=st.integers(1, 33), train=st.booleans(), channel_major=st.booleans())
+       length=st.integers(1, 33), channel_major=st.booleans())
 def test_backward_matches_reference(seed, batch, c_in, c_out, kernel, stride, length,
-                                    train, channel_major):
+                                    channel_major):
     rng = np.random.default_rng(seed)
 
     def draw(shape):
@@ -220,44 +233,66 @@ def test_backward_matches_reference(seed, batch, c_in, c_out, kernel, stride, le
             return rng.normal(0.0, 1.0, (shape[1], shape[0], shape[2])).transpose(1, 0, 2)
         return rng.normal(0.0, 1.0, shape)
 
-    conv = controller_mod.Conv1d(c_in, c_out, kernel, stride)
-    bind(rng, conv.w, conv.b)
+    w, b = rng.normal(0.0, 1.0, (c_out, c_in, kernel)), rng.normal(0.0, 1.0, c_out)
     x = draw((batch, c_in, length))
-    out = conv.forward(x)
-    cols = conv._cache[0]
+    out, cols = _conv1d(x, w, b, stride)
     n_out = out.shape[2]
     windows = cols.transpose(1, 3, 0, 2)
     assert windows.shape == (c_in, kernel, batch, n_out)
     assert windows.flags.c_contiguous  # the buffer _conv1d's docstring promises
     grad = draw(out.shape)
-    dx = conv.backward(grad)
+    dw, db, dx = _conv1d_backward(grad, cols, w, length, stride)
     ref_dw, ref_db, ref_dx = reference_conv1d_backward(
-        grad, reference_conv1d(x, conv.w.value, conv.b.value, stride)[1], conv.w.value,
-        length, stride)
+        grad, reference_conv1d(x, w, b, stride)[1], w, length, stride)
     terms = np.abs(grad).max()
-    assert_close_to_reference(conv.w.grad, ref_dw, terms * np.abs(cols).max())
-    assert_close_to_reference(conv.b.grad, ref_db, terms)
-    assert_close_to_reference(dx, ref_dx, terms * np.abs(conv.w.value).max())
-    assert conv.backward(grad, input_grad=False) is None
-    assert_close_to_reference(conv.w.grad, 2 * ref_dw, terms * np.abs(cols).max())
+    assert_close_to_reference(dw, ref_dw, terms * np.abs(cols).max())
+    assert_close_to_reference(db, ref_db, terms)
+    assert_close_to_reference(dx, ref_dx, terms * np.abs(w).max())
+    dw_only, db_only, no_dx = _conv1d_backward(grad, cols, w, length, stride, input_grad=False)
+    assert no_dx is None
+    np.testing.assert_array_equal(dw_only, dw)
+    np.testing.assert_array_equal(db_only, db)
 
-    bn = controller_mod.BatchNorm1d(c_out)
-    bind(rng, bn.gamma, bn.beta)
-    bn.running_mean[...] = rng.normal(0.0, 1.0, c_out)
-    bn.running_var[...] = rng.uniform(0.1, 4.0, c_out)
+    gamma, beta = rng.normal(0.0, 1.0, c_out), rng.normal(0.0, 1.0, c_out)
     x = 3.0 + 2.0 * draw((batch, c_out, length))
-    bn.forward(x, train=train, update_stats=False)
+    _, xhat, inv_std, _, _ = _batchnorm_train(x, gamma, beta)
     grad = draw(x.shape)
-    dx = bn.backward(grad)
-    ref_dgamma, ref_dbeta, ref_dx = reference_batchnorm_backward(
-        x, bn.gamma.value, grad, train, bn.running_mean, bn.running_var)
-    xhat, inv_std = bn._cache[:2]
+    dgamma, dbeta, dx = _batchnorm_backward(grad, xhat, inv_std, gamma)
+    ref_dgamma, ref_dbeta, ref_dx = reference_batchnorm_backward(x, gamma, grad)
     terms = np.abs(grad).max()
-    assert_close_to_reference(bn.gamma.grad, ref_dgamma, terms * np.abs(xhat).max())
-    assert_close_to_reference(bn.beta.grad, ref_dbeta, terms)
+    assert_close_to_reference(dgamma, ref_dgamma, terms * np.abs(xhat).max())
+    assert_close_to_reference(dbeta, ref_dbeta, terms)
     # the x̂ · mean(g · x̂) term scales with x̂ squared
-    dx_terms = terms * np.abs(bn.gamma.value * inv_std).max() * max(np.abs(xhat).max(), 1) ** 2
+    dx_terms = terms * np.abs(gamma * inv_std).max() * max(np.abs(xhat).max(), 1) ** 2
     assert_close_to_reference(dx, ref_dx, dx_terms)
+
+
+def test_tapes_are_independent():
+    """Two forward passes, then their backward passes in the other order,
+    give what forward and backward one batch at a time give: each tape holds
+    its own pass, and nothing of it stays on the model."""
+    rng = np.random.default_rng(8)
+    xa, xb = rng.normal(10, 3, (8, 16)), rng.normal(10, 3, (5, 16))
+    ga = (rng.normal(size=(8, 3)), rng.normal(size=8))
+    gb = (rng.normal(size=(5, 3)), rng.normal(size=5))
+
+    sequential = init(3, 16, seed=12)
+    dropout = np.random.default_rng(0)
+    out_a = sequential.forward_batch(xa, dropout)
+    sequential.backward_batch(out_a[2], *ga)
+    sequential.backward_batch(sequential.forward_batch(xb, dropout)[2], *gb)
+
+    model = init(3, 16, seed=12)
+    dropout = np.random.default_rng(0)
+    logits_a, success_a, tape_a = model.forward_batch(xa, dropout)
+    tape_b = model.forward_batch(xb, dropout)[2]
+    model.backward_batch(tape_b, *gb)
+    model.backward_batch(tape_a, *ga)
+
+    np.testing.assert_array_equal(logits_a, out_a[0])
+    np.testing.assert_array_equal(success_a, out_a[1])
+    np.testing.assert_allclose(model.grad, sequential.grad, rtol=1e-12)
+    assert serialize(model) == serialize(sequential)  # running statistics too
 
 
 def layer_caches(model) -> list:
@@ -271,8 +306,7 @@ def layer_caches(model) -> list:
 
 def test_decide_is_thread_safe():
     model = init(3, 16, seed=13)
-    model.forward_batch(np.random.default_rng(0).normal(10, 3, (8, 16)), train=True,
-                        dropout_rng=None)
+    model.forward_batch(np.random.default_rng(0).normal(10, 3, (8, 16)), dropout_rng=None)
     blob = serialize(model)
     model = deserialize(blob)
     features = [[FeatureVector(np.random.default_rng((t, i)).normal(10, 3, 16))
@@ -356,7 +390,7 @@ def test_focal_gradient_matches_finite_differences(gamma):
 
     def value() -> float:
         return batch_loss_and_grads(model, x, labels, success, steps, cfg, weights,
-                                    train=True, dropout_rng=None, update_stats=False)
+                                    dropout_rng=None)
 
     model.zero_grads()
     value()
@@ -426,7 +460,7 @@ def test_zero_count_class_rejected():
 def test_roundtrip_byte_exact(rng):
     model = init(3, 16, seed=21)
     # give running stats a non-default value so they participate
-    model.forward_batch(rng.normal(10, 3, (8, 16)), train=True, dropout_rng=None)
+    model.forward_batch(rng.normal(10, 3, (8, 16)), dropout_rng=None)
     blob = serialize(model)
     again = serialize(deserialize(blob))
     assert blob == again
@@ -445,7 +479,7 @@ def test_fixture_roundtrips_without_drawing_weights(monkeypatch):
 
 def test_roundtrip_preserves_inference(rng):
     model = init(4, 16, seed=22)
-    model.forward_batch(rng.normal(10, 3, (8, 16)), train=True, dropout_rng=None)
+    model.forward_batch(rng.normal(10, 3, (8, 16)), dropout_rng=None)
     f = FeatureVector(rng.normal(10, 3, 16))
     before = forward(model, f)
     after = forward(deserialize(serialize(model)), f)
@@ -571,19 +605,13 @@ def test_params_stay_views_of_the_flat_buffers(rng):
 # ---------------------------------------------------------------------------
 
 def relu_pattern(model, x: np.ndarray) -> np.ndarray:
-    """Concatenated on/off pattern of every ReLU in the net. Central
-    differences are only valid when the pattern is the same at both
-    evaluation points (the loss is piecewise-smooth in the parameters)."""
-    h = x[:, None, :]
-    masks = []
-    for conv, bn in zip(model.convs, model.bns):
-        h = bn.forward(conv.forward(h), train=True, update_stats=False)
-        masks.append((h > 0).ravel())
-        h = np.maximum(h, 0.0)
-    z = h.mean(axis=2)
-    masks.append((model.action_fc1.forward(z) > 0).ravel())
-    masks.append((model.success_fc1.forward(z) > 0).ravel())
-    return np.concatenate(masks)
+    """Concatenated on/off pattern of every ReLU in the net, read from a
+    training tape. Central differences are only valid when the pattern is
+    the same at both evaluation points (the loss is piecewise-smooth in the
+    parameters)."""
+    _, _, tape = model.forward_batch(x)
+    masks = [blk.relu for blk in tape.blocks] + [tape.action[1], tape.success[1]]
+    return np.concatenate([m.ravel() for m in masks])
 
 
 def run_gradient_check(n_triples: int = 100, coords_per_triple: int = 5,
@@ -606,13 +634,13 @@ def run_gradient_check(n_triples: int = 100, coords_per_triple: int = 5,
 
         def value() -> float:
             out = batch_loss_and_grads(model, x, label, success, steps, cfg, weights,
-                                       train=True, dropout_rng=None, update_stats=False)
+                                       dropout_rng=None)
             model.zero_grads()
             return out
 
         model.zero_grads()
         batch_loss_and_grads(model, x, label, success, steps, cfg, weights,
-                             train=True, dropout_rng=None, update_stats=False)
+                             dropout_rng=None)
         params = model.parameters()
         grads = [p.grad.copy() for p in params]
         model.zero_grads()

@@ -11,6 +11,7 @@ from refinectl.confidence import ConfidenceTrace, downsample
 from refinectl.controller import Action
 from refinectl.labeler import LabeledTrace
 from refinectl.training import (
+    _BLOCK,
     Adam,
     TrainConfig,
     evaluate_accuracy,
@@ -205,3 +206,21 @@ def test_flat_adam_matches_per_array_reference(shapes, steps, lr, seed):
         optimizer.step()
     reference_adam(values, grads, lr)
     assert theta.tobytes() == np.concatenate([p.ravel() for p in values]).tobytes()
+
+
+def test_flat_adam_exact_over_several_blocks():
+    """A buffer that spans several of the step's blocks and ends mid-block
+    steps bitwise like the per-array reference."""
+    rng = np.random.default_rng(4)
+    sizes = (_BLOCK + 3, 2 * _BLOCK - 7, 1000)  # 3 blocks + 996
+    values = [rng.normal(size=n) for n in sizes]
+    grads = [[rng.normal(size=n) * 10.0 ** rng.integers(-8, 2, n) * (rng.random(n) > 0.2)
+              for n in sizes] for _ in range(5)]
+    theta = np.concatenate(values)
+    grad = np.zeros_like(theta)
+    optimizer = Adam(theta, grad, lr=1e-3)
+    for step_grads in grads:
+        grad[...] = np.concatenate(step_grads)
+        optimizer.step()
+    reference_adam(values, grads, lr=1e-3)
+    assert theta.tobytes() == np.concatenate(values).tobytes()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from refinectl.backend import GenerationConfig, MockBackend, MockRecord
 from refinectl.controller import Action
+from refinectl.datasets import Problem
 from refinectl.refine import LoopConfig
 from refinectl.refine import run as run_loop
 from refinectl.tree import (
@@ -408,3 +411,25 @@ def test_action_distribution_sums_to_one():
     runs = [synthetic_run("p0", "1", 2, 5), synthetic_run("p1", "1", 3, 6)]
     report = tree_metrics(runs, truth)
     assert sum(report.action_distribution.values()) == pytest.approx(1.0)
+
+
+def test_mcq_letters_scored_with_the_bench_rule():
+    """An MCQ run answers with a choice's letter; the truth is the choice's text."""
+    problem = Problem(id="m0", statement="pick", ground_truth="beta", mode="mcq",
+                      choices=("alpha", "beta"))
+    right, wrong = synthetic_run("m0", "B", halting=4, total=4), \
+        synthetic_run("m1", "A", halting=4, total=4)
+    report = tree_metrics([right, wrong], {"m0": problem, "m1": replace(problem, id="m1")})
+    assert report.early_stop_accuracy == 0.5
+    assert report.halt_precision == 0.5
+    # the bare-string form stays a math answer: the letter is not the text
+    assert tree_metrics([right], {"m0": "beta"}).early_stop_accuracy == 0.0
+
+
+def test_refusal_is_right_on_an_unanswerable_problem():
+    refused = synthetic_run("u0", None, halting=4, total=4)
+    unanswerable = Problem(id="u0", statement="?", ground_truth="", unanswerable=True)
+    assert tree_metrics([refused], {"u0": unanswerable}).halt_precision == 1.0
+    answerable = replace(unanswerable, unanswerable=False)
+    assert tree_metrics([refused], {"u0": answerable}).halt_precision == 0.0
+    assert tree_metrics([refused], {}).halt_precision == 0.0
