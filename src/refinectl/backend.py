@@ -343,8 +343,10 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         prompt_tokens = int(usage.get("prompt_tokens", 0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    if np.isnan(values).any():
-        raise BackendError("malformed response: non-numeric logprob")
+    # JSON's NaN and -Infinity parse, and 1e400 overflows to inf; no such
+    # value is a log probability, and one would poison every statistic
+    if not np.isfinite(values).all():
+        raise BackendError("malformed response: non-finite logprob")
     if completion_tokens != counts.size:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
                            f"but logprobs cover {counts.size}")
@@ -368,8 +370,8 @@ def parse_chat_response(obj: dict) -> Completion:
 
     Raises ``MissingLogprobsError`` when the response carries no
     per-token logprob content, and ``BackendError`` when the choice or that
-    content is malformed or ``usage.completion_tokens`` disagrees with its
-    length.
+    content is malformed, a logprob is NaN or infinite, or
+    ``usage.completion_tokens`` disagrees with its length.
     """
     choice, text, content = _choice(obj)
     # Some servers omit top_logprobs but keep the sampled token's own.

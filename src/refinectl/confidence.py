@@ -13,9 +13,10 @@ All functions here are pure; concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,6 +103,10 @@ class TraceStats:
     full-trace mean. ``slope`` is the least-squares trend of the pooled
     bins over normalized bin position in [0, 1], so it is comparable
     across trace lengths. ``cv`` is std/|mean|.
+
+    ``bins`` is the pooled trace the slope was fitted to, the bins
+    :func:`downsample` gives at the same length, so a caller that needs
+    that feature does not pool again. It takes no part in equality.
     """
 
     mean: float
@@ -111,6 +116,7 @@ class TraceStats:
     tail_mean: float
     slope: float
     cv: float
+    bins: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def token_confidence(entries: Sequence[float], k: int) -> float:
@@ -150,17 +156,28 @@ def downsample(trace: ConfidenceTrace, length: int = DEFAULT_BINS, iteration: in
     shorter than L are right-padded with their last value first, so the
     terminal confidence level survives pooling.
     """
+    return FeatureVector(bins=_pool(trace.values, length), iteration=iteration, normalized=False)
+
+
+@functools.lru_cache(maxsize=256)
+def _pool_edges(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and width of each of ``length`` bins over ``n`` values."""
+    edges = (np.arange(length + 1) * n) // length
+    widths = np.diff(edges)
+    edges.setflags(write=False)  # shared by every caller
+    widths.setflags(write=False)
+    return edges[:-1], widths
+
+
+def _pool(values: np.ndarray, length: int) -> np.ndarray:
+    """The bins of :func:`downsample`."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    values = trace.values
     if values.size < length:
         pad = np.full(length - values.size, values[-1])
         values = np.concatenate([values, pad])
-    n = values.size
-    edges = (np.arange(length + 1) * n) // length
-    sums = np.add.reduceat(values, edges[:-1])
-    widths = np.diff(edges)
-    return FeatureVector(bins=sums / widths, iteration=iteration, normalized=False)
+    starts, widths = _pool_edges(values.size, length)
+    return np.add.reduceat(values, starts) / widths
 
 
 def normalize(feature: FeatureVector, table: NormalizationTable = DEFAULT_NORMALIZATION) -> FeatureVector:
@@ -187,26 +204,41 @@ def denormalize(feature: FeatureVector, table: NormalizationTable = DEFAULT_NORM
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _slope_basis(length: int) -> tuple[np.ndarray, float]:
+    """Centred bin positions in [0, 1] and their sum of squares."""
+    x = np.linspace(0.0, 1.0, length) if length > 1 else np.zeros(1)
+    xc = x - x.mean()
+    xc.setflags(write=False)  # shared by every caller
+    return xc, float((xc * xc).sum())
+
+
 def stats(trace: ConfidenceTrace, pool_length: int = DEFAULT_BINS) -> TraceStats:
-    """Compute trace statistics used by heuristics and compaction."""
+    """Compute trace statistics used by heuristics and compaction.
+
+    The trace is pooled once; the slope is fitted to those bins, which the
+    result carries. Each mean is ``np.add.reduce(x) / n`` and the std is
+    numpy's own two steps, so every field has the bits the ndarray methods
+    give, without their per-call overhead.
+    """
     values = trace.values
     n = values.size
-    mean = float(values.mean())
+    mean = float(np.add.reduce(values) / n)
     if n < 10:
         head = mid = tail = mean
     else:
         h = max(1, n // 10)
-        head = float(values[:h].mean())
-        tail = float(values[-h:].mean())
-        mid = float(values[h:n - h].mean()) if n > 2 * h else mean
+        head = float(np.add.reduce(values[:h]) / h)
+        tail = float(np.add.reduce(values[-h:]) / h)
+        mid = float(np.add.reduce(values[h:n - h]) / (n - 2 * h)) if n > 2 * h else mean
 
-    bins = downsample(trace, pool_length).bins
-    x = np.linspace(0.0, 1.0, bins.size) if bins.size > 1 else np.zeros(1)
-    xc = x - x.mean()
-    denom = float((xc * xc).sum())
-    slope = float((xc * (bins - bins.mean())).sum() / denom) if denom > 0 else 0.0
+    bins = _pool(values, pool_length)
+    xc, denom = _slope_basis(bins.size)
+    centred = bins - np.add.reduce(bins) / bins.size
+    slope = float(np.add.reduce(xc * centred) / denom) if denom > 0 else 0.0
 
-    std = float(values.std())
+    dev = values - mean
+    std = math.sqrt(np.add.reduce(dev * dev) / n)
     if abs(mean) < 1e-12:
         cv = 0.0 if std < 1e-12 else math.inf
     else:
@@ -214,12 +246,13 @@ def stats(trace: ConfidenceTrace, pool_length: int = DEFAULT_BINS) -> TraceStats
 
     return TraceStats(
         mean=mean,
-        min=float(values.min()),
+        min=float(np.minimum.reduce(values)),
         head_mean=head,
         mid_mean=mid,
         tail_mean=tail,
         slope=slope,
         cv=cv,
+        bins=bins,
     )
 
 

@@ -19,6 +19,7 @@ from typing import Iterable
 from .backend import Backend, BackendError, Completion, GenerationConfig
 from .confidence import (
     DEFAULT_BINS,
+    FeatureVector,
     NormalizationTable,
     TraceStats,
     build_trace,
@@ -375,11 +376,13 @@ def score_node(completion: Completion, tokens: int, index: int, controller,
     one) and normalized, the controller's decision, the executed action, the
     answer extracted in ``mode`` and the compacted summary later prompts
     embed. ``index`` is the zero-based generation index (iteration t - 1, or
-    the tree depth)."""
+    the tree depth). The feature reuses the bins ``stats`` pooled, unless
+    the controller wants another length than ``DEFAULT_BINS``."""
     trace = build_trace(completion, logprob_count)
     trace_stats = stats(trace)
     length = getattr(controller, "input_length", DEFAULT_BINS)
-    feature = downsample(trace, length, iteration=index)
+    feature = (FeatureVector(trace_stats.bins, iteration=index) if length == DEFAULT_BINS
+               else downsample(trace, length, iteration=index))
     if loop_cfg.normalization is not None:
         feature = normalize(feature, loop_cfg.normalization)
     decision = controller.decide(feature)

@@ -200,3 +200,17 @@ def test_scan_memory_stays_below_the_body():
 def test_bad_bodies_raise_backend_errors(raw, error):
     assert outcome(parse_chat_body, raw) is error
     assert outcome(json_path, raw) is error
+
+
+@pytest.mark.parametrize("number", [b"-Infinity", b"Infinity", b"NaN", b"-1e400", b"1e400"])
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+def test_a_non_finite_logprob_is_a_backend_error(monkeypatch, number, window):
+    """JSON's constants and numbers that overflow a float are no log
+    probability: both paths fail the body, whichever row holds the value."""
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    for old in (b"-0.5", b"-3.5"):
+        raw = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=False).replace(old, number)
+        with pytest.raises(BackendError, match="non-finite logprob"):
+            parse_chat_body(raw)
+        assert outcome(json_path, raw) is BackendError

@@ -295,15 +295,6 @@ def test_tapes_are_independent():
     assert serialize(model) == serialize(sequential)  # running statistics too
 
 
-def layer_caches(model) -> list:
-    """Whatever the differentiable path stores on the model and its layers."""
-    layers = [model]
-    for value in vars(model).values():
-        layers.extend(value if isinstance(value, list) else [value])
-    return [getattr(layer, attr) for layer in layers
-            for attr in ("_cache", "_mask", "_gap_length") if hasattr(layer, attr)]
-
-
 def test_decide_is_thread_safe():
     model = init(3, 16, seed=13)
     model.forward_batch(np.random.default_rng(0).normal(10, 3, (8, 16)), dropout_rng=None)
@@ -311,6 +302,7 @@ def test_decide_is_thread_safe():
     model = deserialize(blob)
     features = [[FeatureVector(np.random.default_rng((t, i)).normal(10, 3, 16))
                  for i in range(50)] for t in range(8)]
+    attributes = set(vars(model))
     expected = [[model.decide(f) for f in fs] for fs in features]
     got: list = [None] * len(features)
     start = threading.Barrier(len(features), timeout=60)
@@ -331,8 +323,10 @@ def test_decide_is_thread_safe():
     finally:
         sys.setswitchinterval(old_interval)
     assert got == expected
+    # decide wrote nothing: no weight or statistic, no new attribute, no gradient
     assert serialize(model) == blob
-    assert all(cache is None for cache in layer_caches(model))  # decide wrote nothing
+    assert set(vars(model)) == attributes
+    assert not model.grad.any()
 
 
 def test_length_mismatch_rejected():

@@ -23,7 +23,8 @@ from refinectl.backend import (
     parse_chat_response,
 )
 from refinectl.bench import Problem, RunSpec, run_benchmark
-from refinectl.controller import Action
+from refinectl.controller import Action, init
+from refinectl.refine import LoopConfig
 from refinectl.tree import TreeConfig
 
 from chat_bodies import chat_bodies, compact_body, json_path, mutated_bodies, outcome
@@ -239,3 +240,27 @@ def test_run_benchmark_counts_the_tokens_of_served_bodies(server, spec, scripts,
     assert row.tokens_total == tokens  # a request retried after a 500 counts once
     assert row.accuracy_mean == accuracy
     assert dict(server.requests) == requests
+
+
+# a 2-token body whose second logprob is -Infinity, which json.loads accepts
+NON_FINITE = compact_body([[-0.5], [float("-inf")]], with_bytes=False)
+
+
+@pytest.mark.parametrize("spec, scripts, tokens, accuracy", [
+    # p0's truncation retry is served the bad body; p1 still scores
+    (RunSpec(method="corefine", seeds=(0,), loop_cfg=LoopConfig(max_iterations=1)),
+     {0: [("body", CUT_SHORT), ("body", NON_FINITE), ("body", SEVEN)]}, 3 + 2, 50.0),
+    # both warmup slots fail, one after a truncation retry
+    (RunSpec(method="corefine_tree", seeds=(0,), tree_cfg=TreeConfig(warmup=2, max_depth=0)),
+     {0: [("body", CUT_SHORT), ("body", NON_FINITE)], 1: [("body", NON_FINITE)]}, 3, 0.0),
+], ids=["corefine", "corefine_tree"])
+def test_a_non_finite_logprob_fails_its_problem_not_the_sweep(server, spec, scripts, tokens,
+                                                                accuracy):
+    """A trained controller, unlike a stub, turns an infinite trace into
+    NaN probabilities; the body must fail its slot before that."""
+    server.script(scripts)
+    dataset = TWO_PROBLEMS if spec.method == "corefine" else TWO_PROBLEMS[:1]
+    row = run_benchmark(dataset, spec, server.backend(max_inflight=2),
+                        controller=init(3, 16, seed=0))
+    assert row.tokens_total == tokens
+    assert row.accuracy_mean == accuracy
