@@ -159,16 +159,6 @@ def downsample(trace: ConfidenceTrace, length: int = DEFAULT_BINS, iteration: in
     return FeatureVector(bins=_pool(trace.values, length), iteration=iteration, normalized=False)
 
 
-@functools.lru_cache(maxsize=256)
-def _pool_edges(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start index and width of each of ``length`` bins over ``n`` values."""
-    edges = (np.arange(length + 1) * n) // length
-    widths = np.diff(edges)
-    edges.setflags(write=False)  # shared by every caller
-    widths.setflags(write=False)
-    return edges[:-1], widths
-
-
 def _pool(values: np.ndarray, length: int) -> np.ndarray:
     """The bins of :func:`downsample`."""
     if length < 1:
@@ -176,8 +166,11 @@ def _pool(values: np.ndarray, length: int) -> np.ndarray:
     if values.size < length:
         pad = np.full(length - values.size, values[-1])
         values = np.concatenate([values, pad])
-    starts, widths = _pool_edges(values.size, length)
-    return np.add.reduceat(values, starts) / widths
+    n = values.size
+    edges = (np.arange(length + 1) * n) // length
+    sums = np.add.reduceat(values, edges[:-1])
+    widths = np.diff(edges)
+    return sums / widths
 
 
 def normalize(feature: FeatureVector, table: NormalizationTable = DEFAULT_NORMALIZATION) -> FeatureVector:

@@ -484,10 +484,7 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         h *= scale[:, None]
         h += (blk.beta.value - blk.running_mean * scale)[:, None]
         np.maximum(h, 0.0, out=h)
-    # global average pool -> (B, 256): the steps and bits of h.mean(axis=2),
-    # dividing in place, without the method's per-call overhead
-    z = np.add.reduce(h, axis=2)
-    z /= h.shape[2]
+    z = h.mean(axis=2)  # global average pool -> (B, 256)
     a = _linear(model.action_fc2, np.maximum(_linear(model.action_fc1, z), 0.0))
     s = _linear(model.success_fc2, np.maximum(_linear(model.success_fc1, z), 0.0))
     return a, s[:, 0]

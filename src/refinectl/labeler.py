@@ -141,21 +141,16 @@ def label_math(
             raise ValueError(f"problem {pid!r} has inconsistent ground truths: {sorted(truths)}")
         group.sort(key=lambda tr: tr.iteration)
         for tr in group:
-            trace_stats = stats(tr.trace)
             if tr.correct:
                 label = Action.HALT
             elif tr.source == "sequential":
                 later = [other for other in group
                          if other.source == "sequential" and other.iteration > tr.iteration]
-                label = _causal_label(tr, later) or heuristic_label(trace_stats, th)
+                label = _causal_label(tr, later) or heuristic_label(stats(tr.trace), th)
             else:
-                label = heuristic_label(trace_stats, th)
-            # stats pooled to DEFAULT_BINS already; pool again only for another length
-            feature = (FeatureVector(trace_stats.bins, iteration=tr.iteration)
-                       if feature_length == DEFAULT_BINS
-                       else downsample(tr.trace, feature_length, iteration=tr.iteration))
+                label = heuristic_label(stats(tr.trace), th)
             out.append(LabeledTrace(
-                feature=feature,
+                feature=downsample(tr.trace, feature_length, iteration=tr.iteration),
                 label=label,
                 t=tr.iteration,
                 problem_id=pid,

@@ -1,11 +1,10 @@
-"""The one-pass scoring path gives the bits of the plain numpy formulation.
+"""The one-pass statistics give the bits of the plain numpy formulation.
 
 ``reference_stats`` / ``reference_downsample`` are statistics and pooling
 written with ndarray methods (``mean``, ``std``, ``min``) and a second
-pooling for the slope; ``reference_infer`` pools the trunk with
-``h.mean(axis=2)``. ``stats``, ``downsample`` and ``infer`` compute the same
-sums in the same order with less per-call overhead, so every field must
-match byte for byte, not just to a tolerance.
+pooling for the slope. ``stats`` and ``downsample`` compute the same sums in
+the same order with less per-call overhead, so every field must match byte
+for byte, not just to a tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from refinectl import controller as ctl
 from refinectl.confidence import DEFAULT_BINS, ConfidenceTrace, downsample, stats
 
 FIELDS = ("mean", "min", "head_mean", "mid_mean", "tail_mean", "slope", "cv")
@@ -62,20 +60,6 @@ def reference_stats(trace: ConfidenceTrace, pool_length: int = DEFAULT_BINS) -> 
                 tail_mean=tail, slope=slope, cv=cv)
 
 
-def reference_infer(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    h = x[:, None, :]
-    for blk in model.blocks:
-        h, _ = ctl._conv1d(h, blk.w.value, blk.b.value, ctl.CONV_STRIDE)
-        scale = blk.gamma.value / np.sqrt(blk.running_var + ctl._EPS_BN)
-        h *= scale[:, None]
-        h += (blk.beta.value - blk.running_mean * scale)[:, None]
-        np.maximum(h, 0.0, out=h)
-    z = h.mean(axis=2)
-    a = ctl._linear(model.action_fc2, np.maximum(ctl._linear(model.action_fc1, z), 0.0))
-    s = ctl._linear(model.success_fc2, np.maximum(ctl._linear(model.success_fc1, z), 0.0))
-    return a, s[:, 0]
-
-
 def bits(value) -> bytes:
     return np.asarray(value, dtype=np.float64).tobytes()
 
@@ -114,19 +98,3 @@ def test_stats_and_bins_are_bitwise_the_reference(values, length):
     assert feature.bins.tobytes() == expected_bins.tobytes()
     assert feature.iteration == 2 and not feature.normalized
 
-
-MODELS = {(3, 16): ctl.init(3, 16, seed=21), (4, 24): ctl.init(4, 24, seed=22)}
-# running statistics away from the fresh (0, 1), as after training
-for _model in MODELS.values():
-    _model.forward_batch(np.random.default_rng(23).normal(9, 3, (32, _model.input_length)))
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(MODELS)), st.sampled_from([1, 2, 7, 64]),
-       st.integers(0, 2**32 - 1), st.floats(0.01, 100.0))
-def test_infer_is_bitwise_the_reference(key, batch, seed, scale):
-    model = MODELS[key]
-    x = np.random.default_rng(seed).normal(0.0, scale, (batch, model.input_length))
-    got, want = ctl.infer(model, x), reference_infer(model, x)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
