@@ -41,9 +41,9 @@ print(f"final answer:   {result.final_answer}")
 print(f"iterations:     {result.iterations_used}")
 print(f"terminated by:  {result.terminated_by}")
 print(f"tokens used:    {result.total_generation_tokens}")
-for record in result.records:
-    print(f"  t={record.t} action={record.action.name:11s} "
-          f"answer={record.answer} conf={record.confidence_mean:.1f}")
+for node in result.nodes:
+    print(f"  t={node.depth + 1} action={node.action.name:11s} "
+          f"answer={node.answer} conf={node.confidence_mean:.1f}")
 
 # --- the consistency override ---------------------------------------------------
 # Three shaky attempts, same answer every time: the loop accepts it rather

@@ -58,7 +58,7 @@ for node in run_hard.nodes:
     indent = "  " * node.depth
     mark = "*" if node.halting else " "
     print(f"{mark} {indent}node {node.id:2d} (parent {node.parent}) "
-          f"answer={node.answer} conf={node.trace_mean_conf:.1f} {node.action.name}")
+          f"answer={node.answer} conf={node.confidence_mean:.1f} {node.action.name}")
 print(f"halted nodes: {run_hard.halted_node_ids} -> final {run_hard.final_answer}")
 
 # --- behaviour metrics over both runs ----------------------------------------------

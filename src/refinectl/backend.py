@@ -121,9 +121,18 @@ class Completion:
 
 
 def _padded_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-major logprobs, ``counts[i]`` of them for row i, -> (N, w) padded with -inf."""
-    out = np.full((counts.size, counts.max(initial=1)), -np.inf)
-    out[np.arange(out.shape[1]) < counts[:, None]] = values
+    """Row-major logprobs, ``counts[i]`` of them for row i, -> (N, w) padded with -inf.
+
+    Raises ``BackendError`` on a non-finite value: JSON's NaN and -Infinity
+    parse, and 1e400 overflows to inf; no such value is a log probability,
+    and one would poison every statistic of the trace."""
+    if not np.isfinite(values).all():
+        raise BackendError("malformed response: non-finite logprob")
+    width = counts.max(initial=1)
+    if width == 1:  # one logprob a row, as a mock's ``confidences`` give
+        return values.reshape(-1, 1)
+    out = np.full((counts.size, width), -np.inf)
+    out[np.arange(width) < counts[:, None]] = values
     return out
 
 
@@ -213,7 +222,8 @@ class MockRecord:
     stored as a single alternative with logprob -c, which the confidence
     math maps back to exactly c. Alternatively full ``logprobs`` rows
     (one list of floats per token) may be given. ``error`` makes the
-    request fail with that message instead of returning.
+    request fail with that message instead of returning; so does a
+    non-finite value, with the ``BackendError`` the HTTP path raises.
     """
 
     text: str = ""
@@ -227,8 +237,8 @@ class MockRecord:
         if self.confidences is not None and self.logprobs is not None:
             raise ScriptError("record may set confidences or logprobs, not both")
         if self.confidences is not None:
-            logprobs = -np.asarray(self.confidences, dtype=np.float64).reshape(-1, 1)
-            counts = np.ones(logprobs.shape[0], dtype=np.intp)
+            values = -np.asarray(self.confidences, dtype=np.float64)
+            counts = np.ones(values.size, dtype=np.intp)
         else:
             rows = self.logprobs or ()
             counts = np.fromiter(map(len, rows), dtype=np.intp)
@@ -236,10 +246,9 @@ class MockRecord:
                 raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
             values = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
                                  count=int(counts.sum()))
-            logprobs = _padded_rows(values, counts)
         return Completion(
             text=self.text,
-            logprobs=logprobs,
+            logprobs=_padded_rows(values, counts),
             counts=counts,
             completion_tokens=counts.size,
             prompt_tokens=self.prompt_tokens,
@@ -343,10 +352,7 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         prompt_tokens = int(usage.get("prompt_tokens", 0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    # JSON's NaN and -Infinity parse, and 1e400 overflows to inf; no such
-    # value is a log probability, and one would poison every statistic
-    if not np.isfinite(values).all():
-        raise BackendError("malformed response: non-finite logprob")
+    logprobs = _padded_rows(values, counts)
     if completion_tokens != counts.size:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
                            f"but logprobs cover {counts.size}")
@@ -357,7 +363,7 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         finish = "other"
     return Completion(
         text=text,
-        logprobs=_padded_rows(values, counts),
+        logprobs=logprobs,
         counts=counts,
         completion_tokens=completion_tokens,
         prompt_tokens=prompt_tokens,

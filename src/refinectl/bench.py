@@ -159,7 +159,7 @@ def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
     """K samples of the same prompt -> ((answer, mean confidence, tokens) of
     every served sample, the first failure or None). Sequential sampling
     stops at the first failure; parallel sampling serves every other slot."""
-    messages = build_initial_prompt(problem, problem.mode)
+    messages = build_initial_prompt(problem)
     base = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if sequential:
         results: list = []

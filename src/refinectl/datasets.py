@@ -62,12 +62,12 @@ class Problem:
         return None
 
 
-def as_problem(problem: Problem | str, mode: str = "math_boxed") -> Problem:
-    """A bare statement becomes an ad-hoc problem in ``mode`` (``math_boxed``
-    unless given) with no ground truth."""
+def as_problem(problem: Problem | str) -> Problem:
+    """A bare statement becomes an ad-hoc ``math_boxed`` problem with no
+    ground truth."""
     if isinstance(problem, Problem):
         return problem
-    return Problem(id="adhoc", statement=str(problem), ground_truth="", mode=mode)
+    return Problem(id="adhoc", statement=str(problem), ground_truth="")
 
 
 def choice_letter(index: int) -> str:

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .backend import Backend, BackendError, Completion, GenerationConfig
 from .confidence import (
@@ -57,54 +57,49 @@ class LoopConfig:
 
 
 @dataclass(frozen=True)
-class IterationSummary:
-    iteration: int
+class Node:
+    """One scored generation, as the loop and the tree both keep it.
+    ``parent`` is the id of the node it refines (None for a first
+    generation); ``action`` is the executed action, which differs from
+    ``decision.action`` only on truncation."""
+
+    id: int
+    parent: int | None
+    depth: int
+    decision: Decision
+    action: Action
     answer: str | None
-    action_taken: Action
     confidence_mean: float
     confidence_min: float
-    compacted_text: str
-    tokens_used: int
-
-
-@dataclass
-class IterationRecord:
-    """One run-log row: what happened at step t."""
-
-    problem_id: str
-    t: int
-    action: Action
-    probs: tuple[float, ...]
-    answer: str | None
-    confidence_mean: float
     tokens: int
+    compacted_text: str = field(repr=False)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "problem_id": self.problem_id,
-            "t": self.t,
-            "action": self.action.name,
-            "probs": list(self.probs),
-            "answer": self.answer,
-            "confidence_mean": self.confidence_mean,
-            "tokens": self.tokens,
-        })
+    @property
+    def halting(self) -> bool:
+        return self.action in (Action.HALT, Action.REFUSE)
 
 
 @dataclass
 class RunResult:
+    """One loop run; ``nodes`` is its chain of generations, oldest first."""
+
     problem_id: str
     final_answer: str | None
-    iterations_used: int
-    decisions: list[Decision]
     total_generation_tokens: int
     terminated_by: str
-    history: list[IterationSummary] = field(default_factory=list)
-    records: list[IterationRecord] = field(default_factory=list)
+    nodes: list[Node] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.terminated_by not in TERMINATIONS:
             raise ValueError(f"terminated_by must be one of {TERMINATIONS}")
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def decisions(self) -> list[Decision]:
+        return [n.decision for n in self.nodes]
 
 
 class RefinementError(Exception):
@@ -260,10 +255,10 @@ def _format_choices(choices: Iterable[tuple[int, str]]) -> str:
     return "\n".join(f"{choice_letter(i)}. {c}" for i, c in choices)
 
 
-def _history_text(history: list[IterationSummary]) -> str:
+def _history_text(history: Sequence[Node]) -> str:
     if not history:
         return "(none)"
-    return "\n\n".join(f"[Attempt {s.iteration}]\n{s.compacted_text}" for s in history)
+    return "\n\n".join(f"[Attempt {n.depth + 1}]\n{n.compacted_text}" for n in history)
 
 
 def _mcq_choices_for_phase(problem: Problem, phase: int,
@@ -278,9 +273,9 @@ def _mcq_choices_for_phase(problem: Problem, phase: int,
     return shown, removed
 
 
-def build_initial_prompt(problem: Problem | str, mode: str) -> list[dict]:
-    problem = as_problem(problem, mode)
-    if mode == "math_boxed":
+def build_initial_prompt(problem: Problem | str) -> list[dict]:
+    problem = as_problem(problem)
+    if problem.mode == "math_boxed":
         content = MATH_INITIAL.format(problem=problem.statement)
     else:
         content = (f"Answer the following multiple-choice question.\n\n"
@@ -292,13 +287,14 @@ def build_initial_prompt(problem: Problem | str, mode: str) -> list[dict]:
 
 def build_prompt(
     problem: Problem | str,
-    history: list[IterationSummary],
+    history: Sequence[Node],
     action: Action,
-    mode: str = "math_boxed",
     phase: int = 0,
     two_phase: bool = False,
 ) -> list[dict]:
-    """Synthesis prompt for a refinement step.
+    """Synthesis prompt for a refinement step. ``history`` is the refined
+    node's chain of ancestors, oldest first, ending with the node itself;
+    the answer mode is the problem's.
 
     RETHINK embeds the previous answer and a verification instruction;
     ALTERNATIVE embeds the compacted history and a switch-method
@@ -308,10 +304,10 @@ def build_prompt(
     """
     if action not in (Action.RETHINK, Action.ALTERNATIVE):
         raise ValueError(f"no synthesis prompt exists for {action.name}")
-    problem = as_problem(problem, mode)
+    problem = as_problem(problem)
     history_text = _history_text(history)
 
-    if mode == "math_boxed":
+    if problem.mode == "math_boxed":
         if action is Action.RETHINK:
             last = history[-1] if history else None
             content = MATH_RETHINK.format(
@@ -326,8 +322,8 @@ def build_prompt(
                                               history=history_text)
         return [{"role": "user", "content": content}]
 
-    if mode != "mcq":
-        raise ValueError(f"unknown mode {mode!r}")
+    if problem.mode != "mcq":
+        raise ValueError(f"unknown mode {problem.mode!r}")
     choices, removed = _mcq_choices_for_phase(problem, phase, two_phase)
     task = MCQ_RETHINK_TASK if action is Action.RETHINK else MCQ_ALTERNATIVE_TASK
     parts = [
@@ -368,21 +364,21 @@ def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
     return completion, tokens
 
 
-def score_node(completion: Completion, tokens: int, index: int, controller,
-               logprob_count: int, loop_cfg: LoopConfig,
-               mode: str) -> tuple[Decision, IterationSummary]:
-    """Score one served node: trace, statistics, feature pooled to the
-    controller's ``input_length`` (``DEFAULT_BINS`` for a controller without
-    one) and normalized, the controller's decision, the executed action, the
-    answer extracted in ``mode`` and the compacted summary later prompts
-    embed. ``index`` is the zero-based generation index (iteration t - 1, or
-    the tree depth). The feature reuses the bins ``stats`` pooled, unless
-    the controller wants another length than ``DEFAULT_BINS``."""
+def score_node(completion: Completion, tokens: int, node_id: int, parent: Node | None,
+               controller, logprob_count: int, loop_cfg: LoopConfig, mode: str) -> Node:
+    """Score one served generation into node ``node_id``, a child of
+    ``parent``: trace, statistics, feature pooled to the controller's
+    ``input_length`` (``DEFAULT_BINS`` for a controller without one) and
+    normalized, the controller's decision, the executed action, the answer
+    extracted in ``mode`` and the compacted summary later prompts embed.
+    The node's depth is the feature's iteration. The feature reuses the
+    bins ``stats`` pooled, unless the controller wants another length."""
+    depth = parent.depth + 1 if parent is not None else 0
     trace = build_trace(completion, logprob_count)
     trace_stats = stats(trace)
     length = getattr(controller, "input_length", DEFAULT_BINS)
-    feature = (FeatureVector(trace_stats.bins, iteration=index) if length == DEFAULT_BINS
-               else downsample(trace, length, iteration=index))
+    feature = (FeatureVector(trace_stats.bins, iteration=depth) if length == DEFAULT_BINS
+               else downsample(trace, length, iteration=depth))
     if loop_cfg.normalization is not None:
         feature = normalize(feature, loop_cfg.normalization)
     decision = controller.decide(feature)
@@ -390,17 +386,13 @@ def score_node(completion: Completion, tokens: int, index: int, controller,
     # approach instead of trusting its decision
     action = Action.ALTERNATIVE if completion.finish_reason == "length" else decision.action
     answer = extract_answer(completion.text, mode)
-    return decision, IterationSummary(
-        iteration=index + 1,
-        answer=answer,
-        action_taken=action,
-        confidence_mean=trace_stats.mean,
-        confidence_min=trace_stats.min,
-        compacted_text=compact(completion.text, answer, trace_stats,
-                               loop_cfg.compaction_budget_chars,
-                               loop_cfg.rethink_window_chars),
-        tokens_used=tokens,
-    )
+    return Node(id=node_id, parent=parent.id if parent is not None else None, depth=depth,
+                decision=decision, action=action, answer=answer,
+                confidence_mean=trace_stats.mean, confidence_min=trace_stats.min,
+                tokens=tokens,
+                compacted_text=compact(completion.text, answer, trace_stats,
+                                       loop_cfg.compaction_budget_chars,
+                                       loop_cfg.rethink_window_chars))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +416,10 @@ def run(
     tokens already served, the failed node's included.
     """
     problem = as_problem(problem)
-    result = RunResult(problem_id=problem.id, final_answer=None, iterations_used=0,
-                       decisions=[], total_generation_tokens=0, terminated_by="halt")
+    result = RunResult(problem_id=problem.id, final_answer=None, total_generation_tokens=0,
+                       terminated_by="halt")
     answer_counts: Counter[str] = Counter()
-    messages = build_initial_prompt(problem, problem.mode)
+    messages = build_initial_prompt(problem)
 
     for t in range(1, loop_cfg.max_iterations + 1):
         completion, tokens = generate_node(backend, messages, gen_cfg,
@@ -435,48 +427,48 @@ def run(
         result.total_generation_tokens += tokens
         if isinstance(completion, BackendError):
             raise RefinementError(str(completion), partial=result) from completion
-        result.iterations_used = t
-        decision, summary = score_node(completion, tokens, t - 1, controller,
-                                       gen_cfg.logprob_count, loop_cfg, problem.mode)
-        result.decisions.append(decision)
-        answer, action = summary.answer, summary.action_taken
-        key = normalize_math_answer(answer)
+        node = score_node(completion, tokens, t - 1, result.nodes[-1] if result.nodes else None,
+                          controller, gen_cfg.logprob_count, loop_cfg, problem.mode)
+        result.nodes.append(node)
+        key = normalize_math_answer(node.answer)
         if key is not None:
             answer_counts[key] += 1
-        result.records.append(IterationRecord(
-            problem_id=problem.id, t=t, action=action, probs=decision.probs,
-            answer=answer, confidence_mean=summary.confidence_mean, tokens=tokens))
 
         if key is not None and answer_counts[key] >= loop_cfg.consistency_override_count:
             result.terminated_by = "consistency_override"
-        elif action is Action.HALT:
+        elif node.action is Action.HALT:
             result.terminated_by = "halt"
-        elif action is Action.REFUSE:
+        elif node.action is Action.REFUSE:
             result.terminated_by = "refuse"
         elif t == loop_cfg.max_iterations:
             result.terminated_by = "max_iterations"
         else:
-            result.history.append(summary)
-            messages = build_prompt(problem, result.history, action, problem.mode,
-                                    phase=t, two_phase=loop_cfg.two_phase_refusal)
+            messages = build_prompt(problem, result.nodes, node.action, phase=t,
+                                    two_phase=loop_cfg.two_phase_refusal)
             continue
-        result.final_answer = None if result.terminated_by == "refuse" else answer
+        result.final_answer = None if result.terminated_by == "refuse" else node.answer
         return result
 
     raise AssertionError("unreachable: loop always terminates inside")
 
 
 def write_run_log(path: str | Path, results: Iterable[RunResult]) -> None:
+    """One JSON line per node: problem_id, t, action, probs, answer,
+    confidence_mean, tokens."""
     with open(path, "w", encoding="utf-8") as fh:
         for result in results:
-            for record in result.records:
-                fh.write(record.to_json() + "\n")
+            for n in result.nodes:
+                fh.write(json.dumps({
+                    "problem_id": result.problem_id, "t": n.depth + 1,
+                    "action": n.action.name, "probs": list(n.decision.probs),
+                    "answer": n.answer, "confidence_mean": n.confidence_mean,
+                    "tokens": n.tokens,
+                }) + "\n")
 
 
 __all__ = [
-    "IterationRecord",
-    "IterationSummary",
     "LoopConfig",
+    "Node",
     "RefinementError",
     "RunResult",
     "build_initial_prompt",

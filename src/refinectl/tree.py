@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
 from .controller import Action, Decision
 from .datasets import Problem, as_problem, is_correct, normalize_math_answer
 from .refine import (
-    IterationSummary,
     LoopConfig,
+    Node,
     RefinementError,
     build_initial_prompt,
     build_prompt,
@@ -63,27 +63,12 @@ class TreeConfig:
 
 
 @dataclass
-class TreeNode:
-    id: int
-    parent: int | None
-    depth: int
-    answer: str | None
-    decision: Decision
-    action: Action  # executed action; differs from decision.action only on truncation
-    trace_mean_conf: float
-    tokens: int
-    spawned_by: Action | None = None
-    history: tuple[IterationSummary, ...] = field(default=(), repr=False)
-
-    @property
-    def halting(self) -> bool:
-        return self.action in (Action.HALT, Action.REFUSE)
-
-
-@dataclass
 class TreeRun:
+    """One tree; ``nodes[i].id == i``, so a child's spawning action is
+    ``nodes[child.parent].action``."""
+
     problem_id: str
-    nodes: list[TreeNode]
+    nodes: list[Node]
     early_stopped: bool
     final_answer: str | None
     halted_node_ids: list[int]
@@ -92,13 +77,20 @@ class TreeRun:
     def max_depth_explored(self) -> int:
         return max((n.depth for n in self.nodes), default=0)
 
+    def ancestry(self, node: Node) -> list[Node]:
+        """``node`` and its ancestors, root first: its children's history."""
+        chain = [node]
+        while chain[-1].parent is not None:
+            chain.append(self.nodes[chain[-1].parent])
+        return chain[::-1]
+
     def to_json(self) -> str:
         return json.dumps({
             "problem_id": self.problem_id,
             "nodes": [{
                 "id": n.id, "parent": n.parent, "depth": n.depth,
                 "answer": n.answer, "action": n.action.name,
-                "probs": list(n.decision.probs), "conf": n.trace_mean_conf,
+                "probs": list(n.decision.probs), "conf": n.confidence_mean,
                 "tokens": n.tokens,
             } for n in self.nodes],
             "early_stopped": self.early_stopped,
@@ -125,9 +117,9 @@ def early_stop_check(decisions: Sequence, answers_of_halted: Sequence[str | None
 
 
 def aggregate(
-    halted: Sequence[TreeNode],
+    halted: Sequence[Node],
     method: str = "majority",
-    fallback_all: Sequence[TreeNode] = (),
+    fallback_all: Sequence[Node] = (),
     high_conf_quantile: float = 0.5,
 ) -> str | None:
     """Vote a final answer, keyed by ``normalize_math_answer``. An empty
@@ -141,8 +133,8 @@ def aggregate(
         return None
 
     if method == "high_confidence_majority":
-        cut = float(np.quantile([n.trace_mean_conf for n in candidates], high_conf_quantile))
-        kept = [n for n in candidates if n.trace_mean_conf >= cut]
+        cut = float(np.quantile([n.confidence_mean for n in candidates], high_conf_quantile))
+        kept = [n for n in candidates if n.confidence_mean >= cut]
         candidates = kept or candidates
         method = "majority"
 
@@ -151,7 +143,7 @@ def aggregate(
     for n in candidates:
         key = normalize_math_answer(n.answer)
         counts[key] = counts.get(key, 0.0) + 1.0
-        conf_sums[key] = conf_sums.get(key, 0.0) + n.trace_mean_conf
+        conf_sums[key] = conf_sums.get(key, 0.0) + n.confidence_mean
 
     if method == "majority":
         score = counts
@@ -185,59 +177,49 @@ def run_tree(
     run = TreeRun(problem_id=problem.id, nodes=[], early_stopped=False,
                   final_answer=None, halted_node_ids=[], total_tokens=0)
 
-    sent = 0  # slots sent so far: slot i of the run samples with seed + i
-
     def serve(messages, cfg):
         return generate_node(backend, messages, cfg, loop_cfg.max_truncation_retries)
 
-    def evaluate_level(level: list[tuple[TreeNode | None, list]], depth: int) -> list[TreeNode]:
-        """Generate one level of (parent, prompt) slots concurrently,
-        truncation retries inside each slot, then score and decide serially
-        in id order. A failed slot is logged and skipped (sibling
-        isolation); its served tokens still count."""
-        nonlocal sent
-        first = len(run.nodes)
+    # warmup, then branching refinement, level-synchronous: one level's
+    # (parent, prompt) slots are generated concurrently, truncation retries
+    # inside each slot, then scored serially in id order. A failed slot is
+    # logged and skipped (sibling isolation); its served tokens still count.
+    depth = 0
+    sent = 0  # slots sent so far: slot i of the run samples with seed + i
+    level = [(None, build_initial_prompt(problem))] * tree_cfg.warmup
+    while True:
         requests = [(prompt, gen_cfg if gen_cfg.seed is None
                      else gen_cfg.with_seed(gen_cfg.seed + sent + i))
                     for i, (_, prompt) in enumerate(level)]
         sent += len(level)
-        served = drain_concurrent(backend, requests, serve)
-        for (parent, _), (completion, tokens) in zip(level, served):
+        frontier = []
+        for (parent, _), (completion, tokens) in zip(
+                level, drain_concurrent(backend, requests, serve)):
             run.total_tokens += tokens
             if isinstance(completion, BackendError):
                 logger.warning("tree node generation failed: %s", completion)
                 continue
-            decision, summary = score_node(completion, tokens, depth, controller,
-                                           gen_cfg.logprob_count, loop_cfg, problem.mode)
-            run.nodes.append(TreeNode(
-                id=len(run.nodes), parent=parent.id if parent else None,
-                depth=depth, answer=summary.answer, decision=decision,
-                action=summary.action_taken, trace_mean_conf=summary.confidence_mean,
-                tokens=tokens, spawned_by=parent.action if parent else None,
-                history=(parent.history if parent else ()) + (summary,)))
-        return run.nodes[first:]
-
-    # warmup, then branching refinement, level-synchronous
-    depth = 0
-    level = [(None, build_initial_prompt(problem, problem.mode))] * tree_cfg.warmup
-    while True:
-        frontier = evaluate_level(level, depth)
+            frontier.append(score_node(completion, tokens, len(run.nodes), parent, controller,
+                                       gen_cfg.logprob_count, loop_cfg, problem.mode))
+            run.nodes.append(frontier[-1])
+        # free the level's requests and last response (up to N x 20 logprobs)
+        # now, not once the next level has been generated over them
+        del requests, completion
         if not run.nodes:
             raise RefinementError("all warmup generations failed", partial=run)
-        stopped = bool(frontier) and early_stop_check(
+        run.early_stopped = bool(frontier) and early_stop_check(
             [n.action for n in run.nodes],
             [n.answer for n in run.nodes if n.action is Action.HALT])  # refusals cast no vote
-        if stopped or depth == tree_cfg.max_depth:
+        if run.early_stopped or depth == tree_cfg.max_depth:
             break
         depth += 1
-        level = [(n, build_prompt(problem, list(n.history), n.action, problem.mode,
-                                  phase=depth, two_phase=loop_cfg.two_phase_refusal))
+        level = [(n, build_prompt(problem, run.ancestry(n), n.action, phase=depth,
+                                  two_phase=loop_cfg.two_phase_refusal))
                  for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
         if not level:
             break
         level = [slot for slot in level for _ in range(tree_cfg.branch_factor)]
 
-    run.early_stopped = stopped
     halted = [n for n in run.nodes if n.halting]
     run.halted_node_ids = [n.id for n in halted]
     parent_ids = {n.parent for n in run.nodes if n.parent is not None}
@@ -316,7 +298,6 @@ def write_tree_dump(path, runs: Iterable[TreeRun]) -> None:
 __all__ = [
     "TreeConfig",
     "TreeMetrics",
-    "TreeNode",
     "TreeRun",
     "aggregate",
     "early_stop_check",

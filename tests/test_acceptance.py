@@ -158,7 +158,7 @@ def test_criterion_07_sequential_loop_end_to_end():
         outcomes.append((result.final_answer, result.iterations_used,
                          result.terminated_by, result.total_generation_tokens,
                          tuple(tuple(d.probs) for d in result.decisions),
-                         tuple(r.to_json() for r in result.records)))
+                         tuple(result.nodes)))
     assert len(set(outcomes)) == 1
     result = _two_iteration_run()
     assert result.terminated_by == "halt"
@@ -240,11 +240,11 @@ def test_criterion_10_refusal_labels_and_two_phase_prompts():
     assert label_refusal("A", "D", "A", 11.5, th, s) is Action.RETHINK
     assert label_refusal("A", "D", "A", np.nextafter(11.5, 12), th, s) is Action.REFUSE
 
-    neutral = build_initial_prompt(MCQ_PROBLEM, "mcq")[0]["content"]
+    neutral = build_initial_prompt(MCQ_PROBLEM)[0]["content"]
     assert all(f"{letter}." in neutral for letter in "ABCDE")
     from test_refine import summary_for_tests
     aggressive = build_prompt(MCQ_PROBLEM, [summary_for_tests("E")], Action.RETHINK,
-                              mode="mcq", phase=1, two_phase=True)[0]["content"]
+                              phase=1, two_phase=True)[0]["content"]
     assert "REMOVED" in aggressive
     assert "D." in aggressive and "E." not in aggressive
     report(10, "refusal thresholds partition exactly at 10.5/11.5; neutral prompt "

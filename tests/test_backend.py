@@ -63,6 +63,29 @@ def test_mock_determinism_byte_equality():
     assert first == second
 
 
+NON_FINITE_RECORDS = [
+    MockRecord(text="\\boxed{7}", confidences=[1.0, float("inf")]),
+    MockRecord(text="\\boxed{7}", logprobs=[[-0.5], [float("nan"), -1.0]]),
+]
+
+
+@pytest.mark.parametrize("record", NON_FINITE_RECORDS, ids=["inf_confidence", "nan_logprob"])
+def test_mock_non_finite_value_fails_the_request(record):
+    """The mock rejects what the HTTP path rejects: no served trace carries
+    a non-finite logprob."""
+    backend = mock_backend(record, MockRecord(text="next", confidences=[1.0]))
+    with pytest.raises(BackendError, match="non-finite logprob"):
+        backend.generate(MSG, CFG)
+    assert backend.generate(MSG, CFG).text == "next"
+
+
+def test_script_file_with_infinity_fails_the_request(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text('{"responses": [{"text": "\\\\boxed{7}", "confidences": [1.0, Infinity]}]}')
+    with pytest.raises(BackendError, match="non-finite logprob"):
+        mock_backend(*load_mock_script(path)).generate(MSG, CFG)
+
+
 def test_empty_messages_rejected():
     backend = mock_backend(MockRecord(text="a", confidences=[1]))
     with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from refinectl.bench import (
     presented_choices,
     run_benchmark,
 )
-from refinectl.controller import Action
+from refinectl.controller import Action, init
 from refinectl.datasets import is_unsure_choice
 from refinectl.refine import LoopConfig, run
 from refinectl.tree import TreeConfig, run_tree
@@ -381,6 +381,29 @@ def test_corefine_tree_failed_warmup_retry_scored_incorrect_with_served_tokens()
     assert row.tokens_total == 7     # but its truncated first attempt was served
 
 
+@pytest.mark.parametrize("method", ["corefine", "corefine_tree"])
+@pytest.mark.parametrize("bad", [
+    MockRecord(text="\\boxed{7}", confidences=[1.0, float("inf")]),
+    MockRecord(text="\\boxed{7}", logprobs=[[-0.5], [float("nan"), -1.0]]),
+], ids=["inf_confidence", "nan_logprob"])
+def test_non_finite_sample_fails_its_problem_not_the_sweep(method, bad):
+    """A trained controller turns a non-finite trace into NaN probabilities;
+    the sample must fail its node before that, so the sweep goes on."""
+    def factory(seed):
+        return MockBackend([bad, boxed_record("7", [12.0] * 4)])
+
+    dataset = [Problem(id="p0", statement="q0", ground_truth="7"),
+               Problem(id="p1", statement="q1", ground_truth="7")]
+    spec = RunSpec(method=method, seeds=(0,),
+                   loop_cfg=LoopConfig(consistency_override_count=1),
+                   tree_cfg=TreeConfig(warmup=1, max_depth=0))
+    row = run_benchmark(dataset, spec, backend=None, controller=init(3, seed=0),
+                        backend_factory=factory)
+    assert row.accuracy_mean == 50.0  # p0 failed on its only sample, p1 scored
+    assert row.tokens_total == 4  # a rejected sample is never served
+    assert row.iterations_mean == 0.5
+
+
 def test_std_over_seeds():
     flip = {"n": 0}
 
@@ -493,7 +516,7 @@ def test_two_phase_refusal_keeps_every_letter(problem, refusal, truth):
     the two letters never count as one answer, in the loop or the tree."""
     backend = PromptReadingBackend([problem], refuse_while_shown=True)
     done = run(problem, backend, rethink_then_halt(), GenerationConfig(), TWO_PHASE)
-    assert [r.answer for r in done.records] == [refusal, truth]
+    assert [n.answer for n in done.nodes] == [refusal, truth]
     assert done.terminated_by == "halt"
     assert is_correct(problem, done.final_answer)
 

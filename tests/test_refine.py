@@ -15,6 +15,7 @@ from refinectl.controller import Action
 from refinectl.datasets import Problem, choice_letter
 from refinectl.refine import (
     LoopConfig,
+    Node,
     RefinementError,
     build_initial_prompt,
     build_prompt,
@@ -24,7 +25,7 @@ from refinectl.refine import (
     run,
 )
 
-from conftest import StubController, boxed_record, mock_backend
+from conftest import StubController, boxed_record, make_decision, mock_backend
 
 CFG = GenerationConfig()
 
@@ -142,10 +143,9 @@ def test_compact_never_exceeds_budget(rng):
 # ---------------------------------------------------------------------------
 
 def summary_for_tests(answer="41"):
-    from refinectl.refine import IterationSummary
-    return IterationSummary(iteration=1, answer=answer, action_taken=Action.RETHINK,
-                            confidence_mean=14.2, confidence_min=9.1,
-                            compacted_text="Answer: 41\nsketch", tokens_used=100)
+    return Node(id=0, parent=None, depth=0, decision=make_decision(Action.RETHINK),
+                action=Action.RETHINK, answer=answer, confidence_mean=14.2,
+                confidence_min=9.1, tokens=100, compacted_text="Answer: 41\nsketch")
 
 
 def test_rethink_prompt_contents():
@@ -173,10 +173,10 @@ def test_prompt_size_bounded():
     problem = "p" * 500
     budget = 1000
     history = []
-    from refinectl.refine import IterationSummary
     for t in range(1, 8):
-        history.append(IterationSummary(t, "1", Action.RETHINK, 10.0, 9.0,
-                                        "x" * budget, 10))
+        history.append(Node(t - 1, t - 2 if t > 1 else None, t - 1,
+                            make_decision(Action.RETHINK), Action.RETHINK, "1", 10.0, 9.0,
+                            10, "x" * budget))
         messages = build_prompt(problem, history, Action.ALTERNATIVE)
         size = len(messages[0]["content"])
         assert size <= len(problem) + len(history) * (budget + 40) + 800
@@ -188,7 +188,7 @@ MCQ_PROBLEM = Problem(
 
 
 def test_mcq_neutral_prompt_lists_all_choices():
-    messages = build_initial_prompt(MCQ_PROBLEM, "mcq")
+    messages = build_initial_prompt(MCQ_PROBLEM)
     text = messages[0]["content"]
     assert text.count("\n") >= 5
     for letter in ("A.", "B.", "C.", "D.", "E."):
@@ -197,9 +197,18 @@ def test_mcq_neutral_prompt_lists_all_choices():
     assert "single letter" in text
 
 
+def test_prompts_take_the_answer_mode_from_the_problem():
+    for action in (Action.RETHINK, Action.ALTERNATIVE):
+        text = build_prompt(MCQ_PROBLEM, [], action)[0]["content"]
+        assert "\\boxed" not in text and "single letter" in text
+        assert all(f"{letter}. " in text for letter in "ABCDE")
+    assert "\\boxed{}" in build_prompt("p?", [], Action.RETHINK)[0]["content"]
+    assert "\\boxed{}" in build_initial_prompt("p?")[0]["content"]
+
+
 def test_mcq_aggressive_prompt_removes_unsure():
     messages = build_prompt(MCQ_PROBLEM, [summary_for_tests("E")], Action.RETHINK,
-                            mode="mcq", phase=1, two_phase=True)
+                            phase=1, two_phase=True)
     text = messages[0]["content"]
     assert "REMOVED" in text
     assert "E." not in text  # only 4 letters remain
@@ -209,13 +218,13 @@ def test_mcq_aggressive_prompt_removes_unsure():
 
 
 def test_mcq_phase0_refinement_keeps_choices():
-    messages = build_prompt(MCQ_PROBLEM, [], Action.RETHINK, mode="mcq", phase=0,
+    messages = build_prompt(MCQ_PROBLEM, [], Action.RETHINK, phase=0,
                             two_phase=True)
     assert "E." in messages[0]["content"]
 
 
 def test_mcq_without_two_phase_keeps_unsure():
-    messages = build_prompt(MCQ_PROBLEM, [], Action.RETHINK, mode="mcq", phase=2,
+    messages = build_prompt(MCQ_PROBLEM, [], Action.RETHINK, phase=2,
                             two_phase=False)
     text = messages[0]["content"]
     assert "E." in text
@@ -246,11 +255,11 @@ def test_mcq_choice_lines_keep_their_letters(texts, unsure, phase, two_phase, ac
     removed = bool(two_phase) and phase >= 1 and unsure is not None
     expected = [(choice_letter(i), c) for i, c in enumerate(choices)
                 if not (removed and c == "Insufficient information")]
-    refined = build_prompt(problem, [summary_for_tests("B")], action, mode="mcq",
+    refined = build_prompt(problem, [summary_for_tests("B")], action,
                            phase=phase, **kwargs)[0]["content"]
     assert CHOICE_LINE.findall(refined) == expected
     assert ("REMOVED" in refined) == removed
-    initial = build_initial_prompt(problem, "mcq")[0]["content"]
+    initial = build_initial_prompt(problem)[0]["content"]
     assert CHOICE_LINE.findall(initial) == list(zip(map(choice_letter, range(len(choices))),
                                                     choices))
 
@@ -282,7 +291,7 @@ def test_two_iteration_scenario():
     assert result.terminated_by == "halt"
     assert result.final_answer == "7"
     assert result.total_generation_tokens == 70
-    assert len(result.history) == 1
+    assert len(result.nodes[:-1]) == 1
     assert len(result.decisions) == 2
 
 
@@ -291,7 +300,7 @@ def test_always_halt_single_iteration():
     result = run("p", backend, StubController(actions=[Action.HALT]), CFG, LoopConfig())
     assert result.iterations_used == 1
     assert result.final_answer == "9"
-    assert result.history == []
+    assert result.nodes[:-1] == []
 
 
 def test_consistency_override_at_third_identical_answer():
@@ -390,7 +399,7 @@ def test_run_deterministic_byte_identical():
         outcomes.append((result.final_answer, result.iterations_used,
                          result.total_generation_tokens,
                          tuple(tuple(d.probs) for d in result.decisions),
-                         tuple(r.to_json() for r in result.records)))
+                         tuple(result.nodes)))
     assert len(set(outcomes)) == 1
 
 
@@ -431,7 +440,7 @@ def test_history_length_tracks_iterations(rng):
                                     [Action.HALT])
         result = run("p", backend, controller, CFG, LoopConfig())
         assert result.iterations_used == n_iters
-        assert len(result.history) == n_iters - 1
+        assert len(result.nodes[:-1]) == n_iters - 1
 
 
 def test_mcq_two_phase_end_to_end():

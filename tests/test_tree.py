@@ -10,16 +10,16 @@ import pytest
 from refinectl.backend import GenerationConfig, MockBackend, MockRecord
 from refinectl.controller import Action
 from refinectl.datasets import Problem
-from refinectl.refine import LoopConfig
+from refinectl.refine import LoopConfig, Node, write_run_log
 from refinectl.refine import run as run_loop
 from refinectl.tree import (
     TreeConfig,
-    TreeNode,
     TreeRun,
     aggregate,
     early_stop_check,
     run_tree,
     tree_metrics,
+    write_tree_dump,
 )
 
 from conftest import StubController, boxed_record, make_decision, mock_backend
@@ -28,11 +28,11 @@ CFG = GenerationConfig()
 LOOP = LoopConfig()
 
 
-def node(nid, answer, action, conf=10.0, depth=0, parent=None) -> TreeNode:
-    return TreeNode(id=nid, parent=parent, depth=depth, answer=answer,
-                    decision=make_decision(action, 4 if action is Action.REFUSE else 3),
-                    action=action, trace_mean_conf=conf, tokens=10,
-                    spawned_by=None if parent is None else Action.RETHINK)
+def node(nid, answer, action, conf=10.0, depth=0, parent=None) -> Node:
+    return Node(id=nid, parent=parent, depth=depth,
+                decision=make_decision(action, 4 if action is Action.REFUSE else 3),
+                action=action, answer=answer, confidence_mean=conf, confidence_min=conf,
+                tokens=10, compacted_text="")
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +181,8 @@ def test_node_ids_and_parents_level_ordered():
                    TreeConfig(warmup=2, branch_factor=2, max_depth=1), LOOP)
     assert [n.id for n in run.nodes] == list(range(6))
     assert [n.parent for n in run.nodes] == [None, None, 0, 0, 1, 1]
-    assert [n.spawned_by for n in run.nodes[2:]] == [Action.RETHINK, Action.RETHINK,
-                                                     Action.ALTERNATIVE, Action.ALTERNATIVE]
+    assert [run.nodes[n.parent].action for n in run.nodes[2:]] == [
+        Action.RETHINK, Action.RETHINK, Action.ALTERNATIVE, Action.ALTERNATIVE]
 
 
 def test_children_only_from_refining_nodes(rng):
@@ -433,3 +433,51 @@ def test_refusal_is_right_on_an_unanswerable_problem():
     answerable = replace(unanswerable, unanswerable=False)
     assert tree_metrics([refused], {"u0": answerable}).halt_precision == 0.0
     assert tree_metrics([refused], {}).halt_precision == 0.0
+
+
+# ---------------------------------------------------------------------------
+# file formats
+# ---------------------------------------------------------------------------
+
+RUN_LOG = [
+    '{"problem_id": "p0", "t": 1, "action": "ALTERNATIVE", "probs": [0.05, 0.9, 0.05], '
+    '"answer": null, "confidence_mean": 8.0, "tokens": 4}',
+    '{"problem_id": "p0", "t": 2, "action": "HALT", "probs": [0.9, 0.05, 0.05], '
+    '"answer": "7", "confidence_mean": 9.0, "tokens": 6}',
+]
+TREE_DUMP = [
+    '{"problem_id": "p1", "nodes": ['
+    '{"id": 0, "parent": null, "depth": 0, "answer": "3", "action": "HALT", '
+    '"probs": [0.9, 0.05, 0.05], "conf": 9.0, "tokens": 2}, '
+    '{"id": 1, "parent": null, "depth": 0, "answer": "4", "action": "ALTERNATIVE", '
+    '"probs": [0.05, 0.05, 0.9], "conf": 5.0, "tokens": 3}, '
+    '{"id": 2, "parent": null, "depth": 0, "answer": "5", "action": "RETHINK", '
+    '"probs": [0.05, 0.9, 0.05], "conf": 6.0, "tokens": 1}, '
+    '{"id": 3, "parent": 1, "depth": 1, "answer": "3", "action": "HALT", '
+    '"probs": [0.9, 0.05, 0.05], "conf": 11.0, "tokens": 5}, '
+    '{"id": 4, "parent": 2, "depth": 1, "answer": "3", "action": "HALT", '
+    '"probs": [0.9, 0.05, 0.05], "conf": 10.0, "tokens": 4}], '
+    '"early_stopped": true, "final_answer": "3"}',
+]
+
+
+def test_run_log_and_tree_dump_bytes(tmp_path):
+    """Both formats, key order included. The stub's probs and the constant
+    confidences are exact binary fractions of no BLAS or numpy version."""
+    loop = run_loop(Problem(id="p0", statement="q", ground_truth="7"),
+                    mock_backend(MockRecord(text="no box", confidences=[8.0] * 4,
+                                            finish_reason="length"),
+                                 boxed_record("7", [9.0] * 6)),
+                    StubController(actions=[Action.RETHINK, Action.HALT]), CFG,
+                    LoopConfig(max_truncation_retries=0))
+    tree = run_tree(Problem(id="p1", statement="q", ground_truth="3"),
+                    mock_backend(boxed_record("3", [9.0] * 2), boxed_record("4", [5.0] * 3),
+                                 boxed_record("5", [6.0] * 1), boxed_record("3", [11.0] * 5),
+                                 boxed_record("3", [10.0] * 4)),
+                    StubController(actions=[Action.HALT, Action.ALTERNATIVE, Action.RETHINK,
+                                            Action.HALT, Action.HALT]),
+                    CFG, TreeConfig(warmup=3, branch_factor=1, max_depth=1), LOOP)
+    write_run_log(tmp_path / "run.jsonl", [loop])
+    write_tree_dump(tmp_path / "tree.jsonl", [tree])
+    assert (tmp_path / "run.jsonl").read_bytes() == ("\n".join(RUN_LOG) + "\n").encode()
+    assert (tmp_path / "tree.jsonl").read_bytes() == ("\n".join(TREE_DUMP) + "\n").encode()
