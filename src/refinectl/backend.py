@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import mmap
 import os
 import re
 import threading
@@ -18,6 +19,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from operator import itemgetter
@@ -129,8 +131,8 @@ def _padded_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise BackendError("malformed response: non-finite logprob")
     width = counts.max(initial=1)
-    if width == 1:  # one logprob a row, as a mock's ``confidences`` give
-        return values.reshape(-1, 1)
+    if values.size == counts.size * width:  # every row full: nothing to pad
+        return values.reshape(-1, width)
     out = np.full((counts.size, width), -np.inf)
     out[np.arange(width) < counts[:, None]] = values
     return out
@@ -421,10 +423,10 @@ _CONTENT_END = b"}]}]"
 _WINDOW = 1 << 18
 
 
-def _scan_body(raw: bytes) -> Completion | None:
+def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
     """``parse_chat_body`` for a body whose logprob content has the compact
     form, or None when it may not."""
-    key = raw.find(_CONTENT)
+    key = raw.find(_CONTENT, 0)  # a mapping's find starts at its file position
     if key < 0:
         return None
     start = key + len(_CONTENT) - 1
@@ -438,41 +440,41 @@ def _scan_body(raw: bytes) -> Completion | None:
     if first_row < len(_TOP_LOGPROBS):
         return None
     end = raw.find(_CONTENT_END, first_row)
-    array = memoryview(raw)[start:]  # \A matches only at the array's "["
     chunks: list[np.ndarray] = []
     counts: list[int] = []
     lo = start
     spare = len(raw)  # bytes that failed end candidates may rescan: keeps the scan linear
-    while True:
-        if end < 0:
-            return None
-        cut = raw.find(_TOP_LOGPROBS, max(lo + _WINDOW, first_row), end)
-        if cut < 0:  # stop short of the row that the candidate end is in
-            cut = raw.rfind(_TOP_LOGPROBS, max(lo, first_row), end)
-        hi = end + len(_CONTENT_END) if cut < 0 else cut + len(_TOP_LOGPROBS)
-        logprobs = _TOP_ENTRY.findall(array, lo - start, hi - start)
-        if not logprobs[-1]:
-            spare -= hi - lo
-            if cut >= 0 or spare < 0:
+    # The view is released on every exit: a mapping cannot close while one lives.
+    with memoryview(raw)[start:] as array:  # \A matches only at the array's "["
+        while True:
+            if end < 0:
                 return None
-            end = raw.find(_CONTENT_END, end + 1)
-            continue
-        chunk = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
-        # JSON reads the integer -0 as 0, and float() reads it as -0.0
-        for i in np.flatnonzero((chunk == 0) & np.signbit(chunk)):
-            if logprobs[i] == b"-0":
-                chunk[i] = 0.0
-        chunks.append(chunk)
-        # The segment between two top_logprobs keys holds one row's entries
-        # plus the next token's own logprob.
-        pos = max(lo, first_row)
-        while (k := raw.find(_TOP_LOGPROBS, pos, hi)) >= 0:
-            counts.append(raw.count(_LOGPROB, pos, k) - 1)
-            pos = k + len(_TOP_LOGPROBS)
-        if cut < 0:
-            counts.append(raw.count(_LOGPROB, pos, hi))
-            break
-        lo = hi
+            cut = raw.find(_TOP_LOGPROBS, max(lo + _WINDOW, first_row), end)
+            if cut < 0:  # stop short of the row that the candidate end is in
+                cut = raw.rfind(_TOP_LOGPROBS, max(lo, first_row), end)
+            hi = end + len(_CONTENT_END) if cut < 0 else cut + len(_TOP_LOGPROBS)
+            logprobs = _TOP_ENTRY.findall(array, lo - start, hi - start)
+            if not logprobs[-1]:
+                spare -= hi - lo
+                if cut >= 0 or spare < 0:
+                    return None
+                end = raw.find(_CONTENT_END, end + 1)
+                continue
+            chunk = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
+            # JSON reads the integer -0 as 0, and float() reads it as -0.0
+            for i in np.flatnonzero((chunk == 0) & np.signbit(chunk)):
+                if logprobs[i] == b"-0":
+                    chunk[i] = 0.0
+            chunks.append(chunk)
+            # The segment between two top_logprobs keys holds one row's entries
+            # plus the next token's own logprob. A mapping has no count, so
+            # the segments come from one copy of the window.
+            rows = raw[max(lo, first_row):hi].split(_TOP_LOGPROBS)
+            counts.extend(row.count(_LOGPROB) - 1 for row in rows[:-1])
+            if cut < 0:
+                counts.append(rows[-1].count(_LOGPROB))
+                break
+            lo = hi
     values = np.concatenate(chunks)
     del chunks  # one copy of the values at a time, before they are padded
     # Parse the rest of the body with a NaN in place of the array, and have
@@ -496,8 +498,9 @@ def _scan_body(raw: bytes) -> Completion | None:
     return _completion(obj, choice, text, values, np.array(counts, dtype=np.intp))
 
 
-def parse_chat_body(raw: bytes) -> Completion:
-    """Parse an undecoded chat-completions body into a ``Completion``.
+def parse_chat_body(raw: bytes | mmap.mmap) -> Completion:
+    """Parse an undecoded chat-completions body, ``bytes`` or a mapping
+    holding them, into a ``Completion``.
 
     Returns what ``parse_chat_response(json.loads(raw.decode("utf-8",
     errors="replace")))`` returns and raises the same ``BackendError``
@@ -512,11 +515,37 @@ def parse_chat_body(raw: bytes) -> Completion:
     if completion is not None:
         return completion
     try:
-        obj = json.loads(raw.decode("utf-8", errors="replace"))
+        obj = json.loads(str(raw, "utf-8", "replace"))  # decodes a mapping without a copy
     except (ValueError, RecursionError) as exc:
         raise BackendError(
             f"non-JSON response: {raw[:200].decode('utf-8', errors='replace')}") from exc
     return parse_chat_response(obj)
+
+
+def _read_body(resp: http.client.HTTPResponse) -> nullcontext[bytes] | mmap.mmap:
+    """The body of ``resp``, as a context that yields it and frees it on exit.
+
+    A body of known, nonzero length is read into an anonymous mapping, whose
+    pages go back to the OS when it closes: a multi-megabyte ``bytes`` would
+    pass through malloc and leave its pages in a thread's arena. Any other
+    body is read as ``bytes``."""
+    length = resp.length
+    if not length:  # no size to map, or nothing to map
+        return nullcontext(resp.read())
+    body = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)  # faults in faster than shared
+    try:
+        with memoryview(body) as view:
+            filled = 0
+            while filled < length:
+                with view[filled:] as rest:
+                    n = resp.readinto(rest)
+                if not n:  # readinto reads 0 bytes from a closed connection
+                    raise http.client.IncompleteRead(view[:filled].tobytes(), length - filled)
+                filled += n
+    except BaseException:
+        body.close()
+        raise
+    return body
 
 
 class HttpBackend(Backend):
@@ -549,7 +578,7 @@ class HttpBackend(Backend):
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                raw = resp.read()
+                reply = _read_body(resp)
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:
                 raise TransportError(f"HTTP {exc.code}: {exc.reason}") from exc
@@ -558,7 +587,8 @@ class HttpBackend(Backend):
         # connection raises http.client.IncompleteRead, an HTTPException.
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
-        return parse_chat_body(raw)
+        with reply as raw:
+            return parse_chat_body(raw)
 
 
 __all__ = [

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refinectl.backend import (
     Backend,
@@ -124,6 +126,32 @@ def test_mock_ragged_rows_padded_with_neg_inf():
                                   [[-0.1, -0.2, -0.3], [-0.4, -np.inf, -np.inf]])
     with pytest.raises(ScriptError):
         MockRecord(logprobs=[[-0.1], []]).to_completion()
+
+
+@st.composite
+def logprob_rows(draw) -> list[list[float]]:
+    """Rows of logprobs: ragged, all full, all of width one, or none."""
+    shape = draw(st.sampled_from(["ragged", "full", "width one"]))
+    width = 1 if shape == "width one" else draw(st.integers(1, 5))
+    lengths = [draw(st.integers(1, width)) if shape == "ragged" else width
+               for _ in range(draw(st.integers(0, 6)))]
+    value = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    return [draw(st.lists(value, min_size=k, max_size=k)) for k in lengths]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=logprob_rows())
+def test_padded_rows_equal_the_masked_fill(rows):
+    completion = MockRecord(logprobs=rows).to_completion()
+    counts = np.array([len(row) for row in rows], dtype=np.intp)
+    values = np.array([v for row in rows for v in row], dtype=np.float64)
+    want = np.full((counts.size, counts.max(initial=1)), -np.inf)
+    want[np.arange(want.shape[1]) < counts[:, None]] = values
+    np.testing.assert_array_equal(completion.logprobs, want)
+    np.testing.assert_array_equal(np.signbit(completion.logprobs), np.signbit(want))
+    assert completion.logprobs.dtype == want.dtype
+    with pytest.raises(ValueError, match="read-only"):
+        completion.logprobs[...] = 0.0
 
 
 def test_completion_equality_and_immutability():

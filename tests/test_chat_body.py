@@ -4,6 +4,7 @@ JSON path on every body, valid or not."""
 from __future__ import annotations
 
 import json
+import mmap
 import tracemalloc
 from types import SimpleNamespace
 
@@ -35,14 +36,17 @@ from chat_bodies import (
 )
 
 
+def assert_same_outcome(got, want) -> None:
+    """Equal outcomes, down to the sign of every zero logprob, which
+    ``Completion.__eq__`` does not compare."""
+    assert got == want
+    if not isinstance(want, type):
+        np.testing.assert_array_equal(np.signbit(got.logprobs), np.signbit(want.logprobs))
+
+
 def assert_paths_agree(raw: bytes) -> None:
-    """The scan and the JSON path give the same outcome, down to the sign of
-    every zero logprob, which ``Completion.__eq__`` does not compare."""
-    scanned, reference = outcome(parse_chat_body, raw), outcome(json_path, raw)
-    assert scanned == reference
-    if not isinstance(reference, type):
-        np.testing.assert_array_equal(np.signbit(scanned.logprobs),
-                                      np.signbit(reference.logprobs))
+    """The scan and the JSON path give the same outcome."""
+    assert_same_outcome(outcome(parse_chat_body, raw), outcome(json_path, raw))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -63,6 +67,22 @@ def test_scan_agrees_with_json_path_in_tiny_windows(raw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
         assert_paths_agree(raw)
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=st.one_of(chat_bodies(), mutated_bodies()).filter(bool))
+def test_a_mapping_parses_like_its_bytes(raw, window):
+    """An anonymous mapping holding a body, its file position left at the
+    end as a write leaves it, takes the same path as the body's bytes, parses
+    as they do, and can be closed afterwards: the parse keeps no view of it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if window is not None:
+            mp.setattr(backend_mod, "_WINDOW", window)
+        with mmap.mmap(-1, len(raw)) as body:
+            body.write(raw)
+            assert outcome(backend_mod._scan_body, body) == outcome(backend_mod._scan_body, raw)
+            assert_same_outcome(outcome(parse_chat_body, body), outcome(parse_chat_body, raw))
 
 
 TEMPLATE = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=True)

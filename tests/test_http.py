@@ -4,6 +4,7 @@ timeouts, bodies cut short, and one bad response failing one slot."""
 from __future__ import annotations
 
 import json
+import mmap
 import threading
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import refinectl.backend as backend_mod
 from refinectl.backend import (
     BackendError,
     Completion,
@@ -20,6 +22,7 @@ from refinectl.backend import (
     HttpBackend,
     TransportError,
     drain_concurrent,
+    parse_chat_body,
     parse_chat_response,
 )
 from refinectl.bench import Problem, RunSpec, run_benchmark
@@ -32,6 +35,9 @@ from conftest import StubController
 
 MSG = [{"role": "user", "content": "hi"}]
 BODY = compact_body([[-0.5, -1.5], [-0.25]], with_bytes=False)
+# a 2-token body whose second logprob is -Infinity, which json.loads accepts
+NON_FINITE = compact_body([[-0.5], [float("-inf")]], with_bytes=False)
+USAGE_MISMATCH = compact_body([[-0.5]], with_bytes=True, usage_tokens=4)
 
 
 class ScriptedServer:
@@ -39,7 +45,8 @@ class ScriptedServer:
     of the script kept under its sampling seed, so answers do not depend on
     arrival order:
 
-    - ``("body", raw)``: 200 with ``raw``;
+    - ``("body", raw)``: 200 with ``raw`` (``b""`` sends Content-Length: 0);
+    - ``("unsized", raw)``: 200 with ``raw``, no Content-Length, then close;
     - ``("status", code)``: that status with a small JSON error body;
     - ``("sleep", seconds)``: answer 200 after sleeping;
     - ``("cut",)``: announce 1000 bytes, send 12, close the connection.
@@ -80,7 +87,8 @@ class ScriptedServer:
                     code, raw = 200, step[1]
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(1000 if kind == "cut" else len(raw)))
+                if kind != "unsized":
+                    self.send_header("Content-Length", str(1000 if kind == "cut" else len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
                 self.close_connection = True
@@ -156,7 +164,8 @@ def test_connection_closed_mid_body_is_a_retried_transport_error(server):
 
 @pytest.mark.parametrize("raw, match", [
     (BODY[:-10], "non-JSON"),
-    (compact_body([[-0.5]], with_bytes=True, usage_tokens=4), "4 completion tokens.*cover 1"),
+    (b"", "non-JSON"),
+    (USAGE_MISMATCH, "4 completion tokens.*cover 1"),
 ])
 def test_bad_200_body_fails_once_without_retry(server, raw, match):
     with pytest.raises(BackendError, match=match) as info:
@@ -165,11 +174,47 @@ def test_bad_200_body_fails_once_without_retry(server, raw, match):
     assert server.requests[0] == 1
 
 
+@pytest.fixture
+def mappings(monkeypatch):
+    """Every mapping the backend opens, recorded."""
+    opened, real = [], mmap.mmap
+
+    def recording(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(backend_mod.mmap, "mmap", recording)
+    return opened
+
+
+@pytest.mark.parametrize("steps, want", [
+    ([("body", BODY)], parse_chat_response(json.loads(BODY))),
+    ([("body", BODY[:-10])], BackendError),
+    ([("body", USAGE_MISMATCH)], BackendError),
+    ([("body", NON_FINITE)], BackendError),
+    ([("cut",)] * 3, TransportError),
+    ([("status", 500), ("body", BODY)], parse_chat_response(json.loads(BODY))),
+], ids=["good", "non-JSON", "usage mismatch", "non-finite", "cut thrice", "500 then good"])
+def test_every_mapping_is_closed(server, mappings, steps, want):
+    """A body read into a mapping gives its pages back once parsed, whether
+    parsing succeeds or raises, and when the read itself fails."""
+    assert outcome(lambda steps: generate(server, steps), steps) == want
+    assert mappings and all(body.closed for body in mappings)
+    assert len(mappings) == sum(step[0] != "status" for step in steps)
+
+
+@pytest.mark.parametrize("raw", [BODY, NON_FINITE, BODY[:-10]])
+def test_a_body_without_length_parses_like_its_bytes(server, mappings, raw):
+    assert outcome(lambda raw: generate(server, [("unsized", raw)]), raw) == \
+        outcome(parse_chat_body, raw)
+    assert server.requests[0] == 1 and not mappings
+
+
 RETRYABLE = [("status", 429), ("status", 500), ("cut",)]
 final_steps = st.one_of(
     st.just(("status", 400)),
-    st.one_of(chat_bodies(max_tokens=3), mutated_bodies(max_tokens=3)).map(
-        lambda raw: ("body", raw)),
+    st.tuples(st.sampled_from(["body", "unsized"]),
+              st.one_of(chat_bodies(max_tokens=3), mutated_bodies(max_tokens=3))),
 )
 scripts = st.lists(
     st.tuples(st.lists(st.sampled_from(RETRYABLE), max_size=3), final_steps)
@@ -240,10 +285,6 @@ def test_run_benchmark_counts_the_tokens_of_served_bodies(server, spec, scripts,
     assert row.tokens_total == tokens  # a request retried after a 500 counts once
     assert row.accuracy_mean == accuracy
     assert dict(server.requests) == requests
-
-
-# a 2-token body whose second logprob is -Infinity, which json.loads accepts
-NON_FINITE = compact_body([[-0.5], [float("-inf")]], with_bytes=False)
 
 
 @pytest.mark.parametrize("spec, scripts, tokens, accuracy", [
