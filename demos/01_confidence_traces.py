@@ -1,7 +1,7 @@
 """From logprobs to controller features.
 
-Walks the signal path: a completion with top-k logprobs becomes a per-token
-confidence trace, the trace is average-pooled to 16 bins, optionally
+Walks the signal path: the top-k logprobs of a response become a per-token
+confidence trace where the response is parsed, the trace is average-pooled to 16 bins, optionally
 z-scored against per-iteration baselines, and summarized into statistics.
 
 Run: python demos/01_confidence_traces.py
@@ -27,9 +27,12 @@ rng = np.random.default_rng(0)
 peaked_row = [-0.05] + [-9.0] * 19
 spread_row = [np.log(0.05)] * 20
 
-record = MockRecord(text="...reasoning... \\boxed{42}",
-                    logprobs=[peaked_row] * 30 + [spread_row] * 10)
-trace = build_trace(record.to_completion(), k=20)
+rows = [peaked_row] * 30 + [spread_row] * 10
+# row-major values and row lengths, as a server body gives them
+trace = build_trace(np.concatenate(rows), np.full(len(rows), 20), k=20)
+# a backend serving a request for 20 top logprobs applies the same reduction
+record = MockRecord(text="...reasoning... \\boxed{42}", logprobs=rows)
+print(f"the mock serves that trace: {record.to_completion(20).trace == trace}")
 print(f"trace length: {trace.n} tokens")
 print(f"confidence on peaked rows:  {trace.values[0]:.3f}")
 print(f"confidence on spread rows:  {trace.values[-1]:.3f}")
@@ -45,8 +48,7 @@ long_values = np.concatenate([
     rng.normal(14.0, 2.5, 800),           # a shaky middle stretch
     rng.normal(17.0, 0.5, 200),           # confident wrap-up
 ])
-long_trace = build_trace(
-    MockRecord(text="long", confidences=list(long_values)).to_completion(), k=20)
+long_trace = MockRecord(text="long", confidences=list(long_values)).to_completion(20).trace
 print("long trace bins:", np.round(downsample(long_trace, 16).bins, 1))
 
 # --- per-iteration normalization ---------------------------------------------

@@ -3,7 +3,7 @@
 Two interchangeable backends: an OpenAI-compatible chat-completions HTTP
 client, and a scripted mock that replays canned completions for offline,
 deterministic tests. Both return the same ``Completion`` structure carrying
-per-token top-k logprobs and token usage counts.
+the confidence trace of the served top-k logprobs and token usage counts.
 """
 
 from __future__ import annotations
@@ -14,19 +14,23 @@ import logging
 import mmap
 import os
 import re
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .confidence import ConfidenceTrace, build_trace
 
 logger = logging.getLogger(__name__)
 
@@ -90,18 +94,17 @@ class GenerationConfig:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Completion:
-    """One model response with logprobs and usage accounting.
+    """One model response: its text, usage accounting and confidence trace.
 
-    ``logprobs`` (N, w) float64: row i holds the top-k logprobs served at
-    output position i, in served order, padded with ``-inf`` after its
-    ``counts[i]`` entries (1 <= counts[i] <= w). N is 0 without logprobs.
+    ``trace`` holds one confidence per output position, reduced from the
+    top-k logprobs served there with the request's ``logprob_count`` as k
+    when the response was parsed; its values are read-only.
     """
 
     text: str
-    logprobs: np.ndarray
-    counts: np.ndarray
+    trace: ConfidenceTrace
     completion_tokens: int
     prompt_tokens: int
     finish_reason: str = "stop"
@@ -111,31 +114,18 @@ class Completion:
             raise ValueError(f"finish_reason must be one of {FINISH_REASONS}")
         if self.completion_tokens < 0 or self.prompt_tokens < 0:
             raise ValueError("token counts must be >= 0")
-        if self.counts.size and self.counts.size != self.completion_tokens:
-            raise ValueError("logprob rows must equal completion_tokens")
-        # a frozen completion keeps its arrays read-only too
-        self.logprobs.flags.writeable = self.counts.flags.writeable = False
-
-    def __eq__(self, other: object) -> bool:
-        # field by field; np.array_equal also compares the str and int fields
-        return isinstance(other, Completion) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        if self.trace.n != self.completion_tokens:
+            raise ValueError("trace length must equal completion_tokens")
+        self.trace.values.flags.writeable = False
 
 
-def _padded_rows(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Row-major logprobs, ``counts[i]`` of them for row i, -> (N, w) padded with -inf.
-
-    Raises ``BackendError`` on a non-finite value: JSON's NaN and -Infinity
-    parse, and 1e400 overflows to inf; no such value is a log probability,
-    and one would poison every statistic of the trace."""
+def _check_finite(values: np.ndarray) -> None:
+    """Raise ``BackendError`` on a non-finite served logprob or confidence:
+    JSON's NaN and -Infinity parse, and 1e400 overflows to inf; no such
+    value is a log probability, and one would poison every statistic of the
+    trace."""
     if not np.isfinite(values).all():
         raise BackendError("malformed response: non-finite logprob")
-    width = counts.max(initial=1)
-    if values.size == counts.size * width:  # every row full: nothing to pad
-        return values.reshape(-1, width)
-    out = np.full((counts.size, width), -np.inf)
-    out[np.arange(width) < counts[:, None]] = values
-    return out
 
 
 Message = dict  # {"role": ..., "content": ...}
@@ -220,12 +210,12 @@ class MockRecord:
     """One scripted response.
 
     Confidence values may be given directly (``confidences``) so tests can
-    author trace shapes without synthesizing logprob rows; each value c is
-    stored as a single alternative with logprob -c, which the confidence
-    math maps back to exactly c. Alternatively full ``logprobs`` rows
-    (one list of floats per token) may be given. ``error`` makes the
-    request fail with that message instead of returning; so does a
-    non-finite value, with the ``BackendError`` the HTTP path raises.
+    author trace shapes without synthesizing logprob rows; they become the
+    trace as given. Alternatively full ``logprobs`` rows (one list of floats
+    per token, in served order) may be given, which are reduced with the
+    request's ``logprob_count`` as k. ``error`` makes the request fail with
+    that message instead of returning; so does a non-finite value, with the
+    ``BackendError`` the HTTP path raises, and a record with no values.
     """
 
     text: str = ""
@@ -235,12 +225,12 @@ class MockRecord:
     prompt_tokens: int = 0
     error: str | None = None
 
-    def to_completion(self) -> Completion:
+    def to_completion(self, k: int) -> Completion:
+        """This record served to a request for ``k`` top logprobs per token."""
         if self.confidences is not None and self.logprobs is not None:
             raise ScriptError("record may set confidences or logprobs, not both")
         if self.confidences is not None:
-            values = -np.asarray(self.confidences, dtype=np.float64)
-            counts = np.ones(values.size, dtype=np.intp)
+            values, counts = np.array(self.confidences, dtype=np.float64), None
         else:
             rows = self.logprobs or ()
             counts = np.fromiter(map(len, rows), dtype=np.intp)
@@ -248,11 +238,14 @@ class MockRecord:
                 raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
             values = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
                                  count=int(counts.sum()))
+        if not values.size:
+            raise ScriptError("record has neither confidences nor logprobs")
+        _check_finite(values)
+        trace = ConfidenceTrace(values) if counts is None else build_trace(values, counts, k)
         return Completion(
             text=self.text,
-            logprobs=_padded_rows(values, counts),
-            counts=counts,
-            completion_tokens=counts.size,
+            trace=trace,
+            completion_tokens=trace.n,
             prompt_tokens=self.prompt_tokens,
             finish_reason=self.finish_reason,
         )
@@ -285,7 +278,7 @@ class MockBackend(Backend):
             self._cursor += 1
         if record.error is not None:
             raise BackendError(record.error)
-        return record.to_completion()
+        return record.to_completion(cfg.logprob_count)
 
 
 def load_mock_script(path: str | Path) -> list[MockRecord]:
@@ -345,16 +338,17 @@ def _choice(obj: dict) -> tuple[dict, str, object]:
 
 
 def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
-                counts: np.ndarray) -> Completion:
+                counts: np.ndarray, k: int) -> Completion:
     """Check row-major logprob ``values`` (``counts[i]`` for row i) against
-    the body's usage and wrap them with its text and finish reason."""
+    the body's usage, reduce them to the trace with top-``k`` means, and wrap
+    it with the body's text and finish reason."""
     usage = obj.get("usage") or {}
     try:
         completion_tokens = int(usage.get("completion_tokens", counts.size))
         prompt_tokens = int(usage.get("prompt_tokens", 0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    logprobs = _padded_rows(values, counts)
+    _check_finite(values)
     if completion_tokens != counts.size:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
                            f"but logprobs cover {counts.size}")
@@ -365,16 +359,16 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         finish = "other"
     return Completion(
         text=text,
-        logprobs=logprobs,
-        counts=counts,
+        trace=build_trace(values, counts, k),
         completion_tokens=completion_tokens,
         prompt_tokens=prompt_tokens,
         finish_reason=finish,
     )
 
 
-def parse_chat_response(obj: dict) -> Completion:
-    """Parse a chat-completions JSON body into a ``Completion``.
+def parse_chat_response(obj: dict, k: int) -> Completion:
+    """Parse a chat-completions JSON body into a ``Completion`` whose trace
+    takes the mean of the ``k`` largest logprobs at each position.
 
     Raises ``MissingLogprobsError`` when the response carries no
     per-token logprob content, and ``BackendError`` when the choice or that
@@ -390,7 +384,7 @@ def parse_chat_response(obj: dict) -> Completion:
                              dtype=np.float64, count=int(counts.sum()))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    return _completion(obj, choice, text, values, counts)
+    return _completion(obj, choice, text, values, counts, k)
 
 
 # The compact form in which OpenAI-compatible servers render
@@ -423,7 +417,7 @@ _CONTENT_END = b"}]}]"
 _WINDOW = 1 << 18
 
 
-def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
+def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
     """``parse_chat_body`` for a body whose logprob content has the compact
     form, or None when it may not."""
     key = raw.find(_CONTENT, 0)  # a mapping's find starts at its file position
@@ -440,12 +434,12 @@ def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
     if first_row < len(_TOP_LOGPROBS):
         return None
     end = raw.find(_CONTENT_END, first_row)
-    chunks: list[np.ndarray] = []
+    captured = array("d")  # grown in place, so the values are held once
     counts: list[int] = []
     lo = start
     spare = len(raw)  # bytes that failed end candidates may rescan: keeps the scan linear
     # The view is released on every exit: a mapping cannot close while one lives.
-    with memoryview(raw)[start:] as array:  # \A matches only at the array's "["
+    with memoryview(raw)[start:] as view:  # \A matches only at the array's "["
         while True:
             if end < 0:
                 return None
@@ -453,19 +447,16 @@ def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
             if cut < 0:  # stop short of the row that the candidate end is in
                 cut = raw.rfind(_TOP_LOGPROBS, max(lo, first_row), end)
             hi = end + len(_CONTENT_END) if cut < 0 else cut + len(_TOP_LOGPROBS)
-            logprobs = _TOP_ENTRY.findall(array, lo - start, hi - start)
+            logprobs = _TOP_ENTRY.findall(view, lo - start, hi - start)
             if not logprobs[-1]:
                 spare -= hi - lo
                 if cut >= 0 or spare < 0:
                     return None
                 end = raw.find(_CONTENT_END, end + 1)
                 continue
-            chunk = np.fromiter(map(float, logprobs), dtype=np.float64, count=len(logprobs))
-            # JSON reads the integer -0 as 0, and float() reads it as -0.0
-            for i in np.flatnonzero((chunk == 0) & np.signbit(chunk)):
-                if logprobs[i] == b"-0":
-                    chunk[i] = 0.0
-            chunks.append(chunk)
+            # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
+            # no confidence depends on
+            captured.extend(map(float, logprobs))
             # The segment between two top_logprobs keys holds one row's entries
             # plus the next token's own logprob. A mapping has no count, so
             # the segments come from one copy of the window.
@@ -475,8 +466,7 @@ def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
                 counts.append(rows[-1].count(_LOGPROB))
                 break
             lo = hi
-    values = np.concatenate(chunks)
-    del chunks  # one copy of the values at a time, before they are padded
+    values = np.frombuffer(captured)
     # Parse the rest of the body with a NaN in place of the array, and have
     # the parser hand back a marker for it: the body is that JSON with the
     # array at choices[0].logprobs.content only if the marker lands there
@@ -495,15 +485,15 @@ def _scan_body(raw: bytes | mmap.mmap) -> Completion | None:
         return None
     if content is not constants or len(constants) != 1:
         return None
-    return _completion(obj, choice, text, values, np.array(counts, dtype=np.intp))
+    return _completion(obj, choice, text, values, np.array(counts, dtype=np.intp), k)
 
 
-def parse_chat_body(raw: bytes | mmap.mmap) -> Completion:
+def parse_chat_body(raw: bytes | mmap.mmap, k: int) -> Completion:
     """Parse an undecoded chat-completions body, ``bytes`` or a mapping
     holding them, into a ``Completion``.
 
     Returns what ``parse_chat_response(json.loads(raw.decode("utf-8",
-    errors="replace")))`` returns and raises the same ``BackendError``
+    errors="replace")), k)`` returns and raises the same ``BackendError``
     subclasses, plus ``BackendError`` for a body that is not JSON. A body
     whose ``choices[0].logprobs.content`` is in the compact form servers
     send is read by a validating byte scan of that array, one bounded
@@ -511,7 +501,7 @@ def parse_chat_body(raw: bytes | mmap.mmap) -> Completion:
     per top-k entry or copying the array; any other body takes the JSON
     path.
     """
-    completion = _scan_body(raw)
+    completion = _scan_body(raw, k)
     if completion is not None:
         return completion
     try:
@@ -519,7 +509,7 @@ def parse_chat_body(raw: bytes | mmap.mmap) -> Completion:
     except (ValueError, RecursionError) as exc:
         raise BackendError(
             f"non-JSON response: {raw[:200].decode('utf-8', errors='replace')}") from exc
-    return parse_chat_response(obj)
+    return parse_chat_response(obj, k)
 
 
 def _read_body(resp: http.client.HTTPResponse) -> nullcontext[bytes] | mmap.mmap:
@@ -528,10 +518,13 @@ def _read_body(resp: http.client.HTTPResponse) -> nullcontext[bytes] | mmap.mmap
     A body of known, nonzero length is read into an anonymous mapping, whose
     pages go back to the OS when it closes: a multi-megabyte ``bytes`` would
     pass through malloc and leave its pages in a thread's arena. Any other
-    body is read as ``bytes``."""
+    body is read as ``bytes``. A length no mapping can have is a malformed
+    reply: ``BackendError``, not retried."""
     length = resp.length
     if not length:  # no size to map, or nothing to map
         return nullcontext(resp.read())
+    if length > sys.maxsize:
+        raise BackendError(f"malformed response: Content-Length {length}")
     body = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)  # faults in faster than shared
     try:
         with memoryview(body) as view:
@@ -588,7 +581,7 @@ class HttpBackend(Backend):
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
         with reply as raw:
-            return parse_chat_body(raw)
+            return parse_chat_body(raw, cfg.logprob_count)
 
 
 __all__ = [

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
-from .confidence import build_trace
 from .datasets import (  # re-exported: the dataset surface lives with the harness
     DatasetError,
     Problem,
@@ -179,8 +178,7 @@ def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
             failure = failure if failure is not None else completion
             continue
         answer = extract_answer(completion.text, problem.mode)
-        trace = build_trace(completion, base.logprob_count)
-        samples.append((answer, trace.mean, completion.completion_tokens))
+        samples.append((answer, completion.trace.mean, completion.completion_tokens))
     return samples, failure
 
 

@@ -22,12 +22,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backend import Completion
-
 DEFAULT_BINS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfidenceTrace:
     """Per-token confidence values for one completion."""
 
@@ -38,6 +36,9 @@ class ConfidenceTrace:
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("trace must be a non-empty 1-D array")
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConfidenceTrace) and np.array_equal(self.values, other.values)
 
     @property
     def n(self) -> int:
@@ -133,19 +134,28 @@ def token_confidence(entries: Sequence[float], k: int) -> float:
     return float(-use.mean())
 
 
-def build_trace(completion: Completion, k: int) -> ConfidenceTrace:
-    """Score every output position: ``token_confidence`` of each row, sorted
-    descending, as one masked row mean (rows are sorted only when k < w)."""
-    counts = completion.counts
+def build_trace(values: np.ndarray, counts: np.ndarray, k: int) -> ConfidenceTrace:
+    """Score every output position from row-major logprobs, ``counts[i]`` of
+    them in row i in served order: ``token_confidence`` of each row sorted
+    descending, as one masked row mean.
+
+    Rows are padded with -inf only when they are ragged, and sorted only when
+    k < w. They are summed as given and only the sums negated, so no negated
+    copy of them is made; ``0.0 - total`` keeps a zero confidence +0.0, the
+    sign a sum of negated rows gets from its +0.0 start."""
     if k < 1 or counts.size == 0:
-        raise ValueError(f"need k >= 1 (got {k}) and a completion with logprobs")
-    # negated, so the -inf padding becomes +inf and sorts after every entry
-    neg = -completion.logprobs
-    if k < neg.shape[1]:
-        neg = np.sort(neg, axis=1)[:, :k]
+        raise ValueError(f"need k >= 1 (got {k}) and at least one logprob row")
+    width = int(counts.max())
+    if values.size == counts.size * width:  # every row full: nothing to pad
+        rows = values.reshape(-1, width)
+    else:
+        rows = np.full((counts.size, width), -np.inf)
+        rows[np.arange(width) < counts[:, None]] = values
+    if k < width:  # each row's k largest, largest first; the padding sorts last
+        rows = np.sort(rows, axis=1)[:, ::-1][:, :k]
     take = np.minimum(counts, k)
-    total = neg.sum(axis=1, where=np.arange(neg.shape[1]) < take[:, None])
-    return ConfidenceTrace(total / take)
+    total = rows.sum(axis=1, where=np.arange(rows.shape[1]) < take[:, None])
+    return ConfidenceTrace((0.0 - total) / take)
 
 
 def downsample(trace: ConfidenceTrace, length: int = DEFAULT_BINS, iteration: int = 0) -> FeatureVector:
@@ -182,18 +192,6 @@ def normalize(feature: FeatureVector, table: NormalizationTable = DEFAULT_NORMAL
         bins=(feature.bins - mu) / sigma,
         iteration=feature.iteration,
         normalized=True,
-    )
-
-
-def denormalize(feature: FeatureVector, table: NormalizationTable = DEFAULT_NORMALIZATION) -> FeatureVector:
-    """Inverse of :func:`normalize`."""
-    if not feature.normalized:
-        raise ValueError("feature is not normalized")
-    mu, sigma = table.row(feature.iteration)
-    return FeatureVector(
-        bins=feature.bins * sigma + mu,
-        iteration=feature.iteration,
-        normalized=False,
     )
 
 
@@ -302,7 +300,6 @@ __all__ = [
     "NormalizationTable",
     "TraceStats",
     "build_trace",
-    "denormalize",
     "downsample",
     "dump_trace_record",
     "normalize",

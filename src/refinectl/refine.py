@@ -22,7 +22,6 @@ from .confidence import (
     FeatureVector,
     NormalizationTable,
     TraceStats,
-    build_trace,
     downsample,
     normalize,
     stats,
@@ -365,16 +364,16 @@ def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
 
 
 def score_node(completion: Completion, tokens: int, node_id: int, parent: Node | None,
-               controller, logprob_count: int, loop_cfg: LoopConfig, mode: str) -> Node:
+               controller, loop_cfg: LoopConfig, mode: str) -> Node:
     """Score one served generation into node ``node_id``, a child of
-    ``parent``: trace, statistics, feature pooled to the controller's
+    ``parent``: statistics of its trace, feature pooled to the controller's
     ``input_length`` (``DEFAULT_BINS`` for a controller without one) and
     normalized, the controller's decision, the executed action, the answer
     extracted in ``mode`` and the compacted summary later prompts embed.
     The node's depth is the feature's iteration. The feature reuses the
     bins ``stats`` pooled, unless the controller wants another length."""
     depth = parent.depth + 1 if parent is not None else 0
-    trace = build_trace(completion, logprob_count)
+    trace = completion.trace
     trace_stats = stats(trace)
     length = getattr(controller, "input_length", DEFAULT_BINS)
     feature = (FeatureVector(trace_stats.bins, iteration=depth) if length == DEFAULT_BINS
@@ -428,7 +427,7 @@ def run(
         if isinstance(completion, BackendError):
             raise RefinementError(str(completion), partial=result) from completion
         node = score_node(completion, tokens, t - 1, result.nodes[-1] if result.nodes else None,
-                          controller, gen_cfg.logprob_count, loop_cfg, problem.mode)
+                          controller, loop_cfg, problem.mode)
         result.nodes.append(node)
         key = normalize_math_answer(node.answer)
         if key is not None:

@@ -200,9 +200,9 @@ def run_tree(
                 logger.warning("tree node generation failed: %s", completion)
                 continue
             frontier.append(score_node(completion, tokens, len(run.nodes), parent, controller,
-                                       gen_cfg.logprob_count, loop_cfg, problem.mode))
+                                       loop_cfg, problem.mode))
             run.nodes.append(frontier[-1])
-        # free the level's requests and last response (up to N x 20 logprobs)
+        # free the level's requests and last response (its text and trace)
         # now, not once the next level has been generated over them
         del requests, completion
         if not run.nodes:

@@ -186,18 +186,18 @@ def compact_body(rows: list[list[float]], with_bytes: bool, text: str = "so \\bo
     return json.dumps(body, separators=(",", ":")).encode("utf-8")
 
 
-def json_path(raw: bytes):
+def json_path(raw: bytes, k: int):
     """The reference parse: decode, build the JSON tree, parse it."""
     try:
         obj = json.loads(raw.decode("utf-8", errors="replace"))
     except ValueError as exc:
         raise BackendError("non-JSON response") from exc
-    return parse_chat_response(obj)
+    return parse_chat_response(obj, k)
 
 
-def outcome(parse, raw: bytes):
-    """What ``parse(raw)`` returns, or the class of the ``BackendError`` it raises."""
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the class of the ``BackendError`` it raises."""
     try:
-        return parse(raw)
+        return parse(*args)
     except BackendError as exc:
         return type(exc)

@@ -26,7 +26,7 @@ from refinectl.backend import (
     parse_chat_response,
 )
 
-from refinectl.confidence import build_trace
+from refinectl.confidence import ConfidenceTrace, build_trace
 from refinectl.controller import Action
 from refinectl.refine import LoopConfig
 from refinectl.tree import TreeConfig, run_tree
@@ -43,9 +43,8 @@ def test_mock_scripted_passthrough():
     assert completion.text == "x \\boxed{7}"
     assert completion.completion_tokens == 3
     assert completion.finish_reason == "stop"
-    # direct confidence values come back as single-entry logprob rows
-    np.testing.assert_array_equal(completion.logprobs, [[-1.0], [-2.0], [-3.0]])
-    np.testing.assert_array_equal(completion.counts, [1, 1, 1])
+    # direct confidence values come back as the trace
+    np.testing.assert_array_equal(completion.trace.values, [1.0, 2.0, 3.0])
 
 
 def test_mock_fifo_and_exhaustion():
@@ -107,60 +106,62 @@ def test_generation_config_invariants():
 
 def test_token_logprobs_sorted_descending():
     # rows keep the served order; scoring takes the top-k in descending order
-    completion = MockRecord(logprobs=[[-3.0, -0.5, -1.0]]).to_completion()
-    np.testing.assert_array_equal(completion.logprobs, [[-3.0, -0.5, -1.0]])
-    assert build_trace(completion, k=2).values.tolist() == [0.75]
-    assert build_trace(completion, k=1).values.tolist() == [0.5]
+    record = MockRecord(logprobs=[[-3.0, -0.5, -1.0]])
+    assert record.to_completion(2).trace.values.tolist() == [0.75]
+    assert record.to_completion(1).trace.values.tolist() == [0.5]
 
 
 def test_completion_token_count_consistency():
     with pytest.raises(ValueError):
-        Completion(text="x", logprobs=np.array([[-1.0]]), counts=np.array([1]),
+        Completion(text="x", trace=ConfidenceTrace(np.array([1.0])),
                    completion_tokens=2, prompt_tokens=0)
 
 
 def test_mock_ragged_rows_padded_with_neg_inf():
-    completion = MockRecord(logprobs=[[-0.1, -0.2, -0.3], [-0.4]]).to_completion()
-    np.testing.assert_array_equal(completion.counts, [3, 1])
-    np.testing.assert_array_equal(completion.logprobs,
-                                  [[-0.1, -0.2, -0.3], [-0.4, -np.inf, -np.inf]])
+    """A short row is scored over its own entries: the padding that lines
+    it up with the longest row takes no part in its mean."""
+    record = MockRecord(logprobs=[[-0.25, -0.5, -0.75], [-0.5]])
+    np.testing.assert_array_equal(record.to_completion(20).trace.values, [0.5, 0.5])
+    np.testing.assert_array_equal(record.to_completion(2).trace.values, [0.375, 0.5])
     with pytest.raises(ScriptError):
-        MockRecord(logprobs=[[-0.1], []]).to_completion()
+        MockRecord(logprobs=[[-0.1], []]).to_completion(20)
 
 
 @st.composite
 def logprob_rows(draw) -> list[list[float]]:
-    """Rows of logprobs: ragged, all full, all of width one, or none."""
+    """Rows of logprobs: ragged, all full or all of width one."""
     shape = draw(st.sampled_from(["ragged", "full", "width one"]))
     width = 1 if shape == "width one" else draw(st.integers(1, 5))
     lengths = [draw(st.integers(1, width)) if shape == "ragged" else width
-               for _ in range(draw(st.integers(0, 6)))]
+               for _ in range(draw(st.integers(1, 6)))]
     value = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
     return [draw(st.lists(value, min_size=k, max_size=k)) for k in lengths]
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=logprob_rows())
-def test_padded_rows_equal_the_masked_fill(rows):
-    completion = MockRecord(logprobs=rows).to_completion()
+@given(rows=logprob_rows(), k=st.integers(1, 6))
+def test_padded_rows_equal_the_masked_fill(rows, k):
+    """Script rows reach the one reduction as the flat values and row
+    lengths a server body gives, whatever their shape; the trace served is
+    its result, read-only."""
+    completion = MockRecord(logprobs=rows).to_completion(k)
     counts = np.array([len(row) for row in rows], dtype=np.intp)
     values = np.array([v for row in rows for v in row], dtype=np.float64)
-    want = np.full((counts.size, counts.max(initial=1)), -np.inf)
-    want[np.arange(want.shape[1]) < counts[:, None]] = values
-    np.testing.assert_array_equal(completion.logprobs, want)
-    np.testing.assert_array_equal(np.signbit(completion.logprobs), np.signbit(want))
-    assert completion.logprobs.dtype == want.dtype
+    want = build_trace(values, counts, k).values
+    np.testing.assert_array_equal(completion.trace.values, want)
+    np.testing.assert_array_equal(np.signbit(completion.trace.values), np.signbit(want))
+    assert completion.completion_tokens == len(rows)
     with pytest.raises(ValueError, match="read-only"):
-        completion.logprobs[...] = 0.0
+        completion.trace.values[...] = 0.0
 
 
 def test_completion_equality_and_immutability():
-    a = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion()
-    b = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion()
-    c = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.4]]).to_completion()
+    a = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion(20)
+    b = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.3]]).to_completion(20)
+    c = MockRecord(text="a", logprobs=[[-0.1, -0.2], [-0.4]]).to_completion(20)
     assert a == b and a != c and a != "a"
     with pytest.raises(ValueError):
-        a.logprobs[0, 0] = 0.0
+        a.trace.values[0] = 0.0
 
 
 def test_drain_concurrent_order_and_isolation():
@@ -260,18 +261,20 @@ def _chat_response(top_counts, finish="stop"):
 
 
 def test_http_response_parsing_caps_topk():
-    completion = parse_chat_response(_chat_response([20, 20, 20]))
+    obj = _chat_response([20, 20, 20])  # row i: -0.1, -0.2, ..., -2.0
+    completion = parse_chat_response(obj, 20)
     assert completion.completion_tokens == 3
-    assert completion.logprobs.shape == (3, 20)
-    assert completion.counts.tolist() == [20, 20, 20]
+    np.testing.assert_allclose(completion.trace.values, [1.05] * 3, rtol=1e-12)
     assert completion.prompt_tokens == 5
+    np.testing.assert_allclose(parse_chat_response(obj, 5).trace.values, [0.3] * 3,
+                               rtol=1e-12)
 
 
 def test_http_response_without_logprobs_is_fatal():
     obj = {"choices": [{"message": {"content": "x"}, "finish_reason": "stop"}],
            "usage": {}}
     with pytest.raises(MissingLogprobsError):
-        parse_chat_response(obj)
+        parse_chat_response(obj, 20)
 
 
 def test_token_accounting_sums_over_run():
@@ -284,15 +287,15 @@ def test_token_accounting_sums_over_run():
 
 def test_http_response_falls_back_to_sampled_token_logprob():
     obj = _chat_response([3, 0, 2])
-    completion = parse_chat_response(obj)
-    assert completion.counts.tolist() == [3, 1, 2]
-    np.testing.assert_array_equal(completion.logprobs[1], [-0.1, -np.inf, -np.inf])
+    obj["choices"][0]["logprobs"]["content"][1]["logprob"] = -0.25
+    completion = parse_chat_response(obj, 20)
+    np.testing.assert_allclose(completion.trace.values, [0.2, 0.25, 0.15], rtol=1e-12)
 
 
 def test_http_response_unknown_finish_reason_maps_to_other():
-    assert parse_chat_response(_chat_response([2], finish="content_filter")).finish_reason \
+    assert parse_chat_response(_chat_response([2], finish="content_filter"), 20).finish_reason \
         == "other"
-    assert parse_chat_response(_chat_response([2], finish="length")).finish_reason == "length"
+    assert parse_chat_response(_chat_response([2], finish="length"), 20).finish_reason == "length"
 
 
 @pytest.mark.parametrize("bad_token", [
@@ -305,17 +308,17 @@ def test_http_response_malformed_logprobs_is_backend_error(bad_token):
     obj = _chat_response([2, 2])
     obj["choices"][0]["logprobs"]["content"][1] = bad_token
     with pytest.raises(BackendError, match="malformed"):
-        parse_chat_response(obj)
+        parse_chat_response(obj, 20)
 
 
 def test_http_response_usage_mismatch_names_both_counts():
     obj = _chat_response([2, 2, 2])
     obj["usage"]["completion_tokens"] = 5
     with pytest.raises(BackendError, match="5 completion tokens.*cover 3"):
-        parse_chat_response(obj)
+        parse_chat_response(obj, 20)
     obj["usage"]["completion_tokens"] = "many"
     with pytest.raises(BackendError, match="malformed"):
-        parse_chat_response(obj)
+        parse_chat_response(obj, 20)
 
 
 class _BodyBackend(Backend):
@@ -333,7 +336,7 @@ class _BodyBackend(Backend):
     def _generate_once(self, messages, cfg):
         with self.lock:
             self.calls += 1
-        return parse_chat_response(self.bodies[cfg.seed % len(self.bodies)])
+        return parse_chat_response(self.bodies[cfg.seed % len(self.bodies)], cfg.logprob_count)
 
 
 def _boxed_body(answer, n, usage_tokens=None):

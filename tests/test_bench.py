@@ -491,7 +491,7 @@ class PromptReadingBackend(Backend):
             target = next((c for _, c in lines if self.refuse_while_shown
                            and is_unsure_choice(c)), problem.ground_truth)
             text = "weighing the choices...\n" + next(k for k, c in lines if c == target)
-        return MockRecord(text=text, confidences=[12.0] * 4).to_completion()
+        return MockRecord(text=text, confidences=[12.0] * 4).to_completion(cfg.logprob_count)
 
 
 REFUSAL_FIRST = Problem(id="r0", statement="Which one, first?", ground_truth="beta",

@@ -1,10 +1,13 @@
-"""The one-pass statistics give the bits of the plain numpy formulation.
+"""The one-pass statistics and the trace reduction give the bits of the
+plain numpy formulations.
 
 ``reference_stats`` / ``reference_downsample`` are statistics and pooling
 written with ndarray methods (``mean``, ``std``, ``min``) and a second
 pooling for the slope. ``stats`` and ``downsample`` compute the same sums in
 the same order with less per-call overhead, so every field must match byte
-for byte, not just to a tolerance.
+for byte, not just to a tolerance. ``reference_trace`` scores logprob rows
+padded with -inf and negated; ``build_trace`` sums the rows as given and
+negates the sums, and must match it byte for byte, sign of zero included.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from refinectl.confidence import DEFAULT_BINS, ConfidenceTrace, downsample, stats
+from refinectl.confidence import DEFAULT_BINS, ConfidenceTrace, build_trace, downsample, stats
 
 FIELDS = ("mean", "min", "head_mean", "mid_mean", "tail_mean", "slope", "cv")
 
@@ -98,3 +101,44 @@ def test_stats_and_bins_are_bitwise_the_reference(values, length):
     assert feature.bins.tobytes() == expected_bins.tobytes()
     assert feature.iteration == 2 and not feature.normalized
 
+
+
+def reference_trace(values: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    width = counts.max()
+    padded = np.full((counts.size, width), -np.inf)
+    padded[np.arange(width) < counts[:, None]] = values
+    neg = -padded  # the padding becomes +inf and sorts after every entry
+    if k < width:
+        neg = np.sort(neg, axis=1)[:, :k]
+    take = np.minimum(counts, k)
+    return neg.sum(axis=1, where=np.arange(neg.shape[1]) < take[:, None]) / take
+
+
+logprobs = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -0.5]),
+                     st.floats(-60.0, 0.0),
+                     st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def logprob_rows(draw) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row-major logprobs, row lengths and k: ragged or full rows of 1-24
+    entries (past the 8 where numpy's pairwise sums start), some rows all
+    zeros of either sign, and k below, at and above the widest row."""
+    width = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        counts = np.full(n, width, dtype=np.intp)
+    else:
+        counts = draw(arrays(np.intp, n, elements=st.integers(1, width)))
+    values = draw(arrays(np.float64, int(counts.sum()), elements=logprobs))
+    return values, counts, draw(st.integers(1, width + 3))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(logprob_rows())
+def test_build_trace_is_bitwise_the_reference(rows):
+    values, counts, k = rows
+    got = build_trace(values, counts, k).values
+    want = reference_trace(values, counts, k)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # zeros keep the reference's sign

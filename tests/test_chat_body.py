@@ -36,23 +36,31 @@ from chat_bodies import (
 )
 
 
+# Top logprobs scored per token where a test fixes it: more than any row
+# holds, so every entry counts. The properties draw k below and above the
+# widths of the drawn rows (1-4).
+K = 20
+ks = st.integers(1, 5)
+
+
 def assert_same_outcome(got, want) -> None:
-    """Equal outcomes, down to the sign of every zero logprob, which
-    ``Completion.__eq__`` does not compare."""
+    """Equal outcomes, down to the sign of every zero confidence, which
+    ``ConfidenceTrace.__eq__`` does not compare."""
     assert got == want
     if not isinstance(want, type):
-        np.testing.assert_array_equal(np.signbit(got.logprobs), np.signbit(want.logprobs))
+        np.testing.assert_array_equal(np.signbit(got.trace.values),
+                                      np.signbit(want.trace.values))
 
 
-def assert_paths_agree(raw: bytes) -> None:
+def assert_paths_agree(raw: bytes, k: int = K) -> None:
     """The scan and the JSON path give the same outcome."""
-    assert_same_outcome(outcome(parse_chat_body, raw), outcome(json_path, raw))
+    assert_same_outcome(outcome(parse_chat_body, raw, k), outcome(json_path, raw, k))
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(chat_bodies(), chat_bodies(), mutated_bodies()))
-def test_scan_agrees_with_json_path(raw):
-    assert_paths_agree(raw)
+@given(st.one_of(chat_bodies(), chat_bodies(), mutated_bodies()), ks)
+def test_scan_agrees_with_json_path(raw, k):
+    assert_paths_agree(raw, k)
 
 
 # Shorter than any row (at least 50 bytes from one top_logprobs key to the
@@ -62,17 +70,17 @@ TINY_WINDOW = 40
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(chat_bodies(), chat_bodies(), mutated_bodies()))
-def test_scan_agrees_with_json_path_in_tiny_windows(raw):
+@given(st.one_of(chat_bodies(), chat_bodies(), mutated_bodies()), ks)
+def test_scan_agrees_with_json_path_in_tiny_windows(raw, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
-        assert_paths_agree(raw)
+        assert_paths_agree(raw, k)
 
 
 @pytest.mark.parametrize("window", [None, TINY_WINDOW])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(raw=st.one_of(chat_bodies(), mutated_bodies()).filter(bool))
-def test_a_mapping_parses_like_its_bytes(raw, window):
+@given(raw=st.one_of(chat_bodies(), mutated_bodies()).filter(bool), k=ks)
+def test_a_mapping_parses_like_its_bytes(raw, window, k):
     """An anonymous mapping holding a body, its file position left at the
     end as a write leaves it, takes the same path as the body's bytes, parses
     as they do, and can be closed afterwards: the parse keeps no view of it."""
@@ -81,8 +89,10 @@ def test_a_mapping_parses_like_its_bytes(raw, window):
             mp.setattr(backend_mod, "_WINDOW", window)
         with mmap.mmap(-1, len(raw)) as body:
             body.write(raw)
-            assert outcome(backend_mod._scan_body, body) == outcome(backend_mod._scan_body, raw)
-            assert_same_outcome(outcome(parse_chat_body, body), outcome(parse_chat_body, raw))
+            assert outcome(backend_mod._scan_body, body, k) == \
+                outcome(backend_mod._scan_body, raw, k)
+            assert_same_outcome(outcome(parse_chat_body, body, k),
+                                outcome(parse_chat_body, raw, k))
 
 
 TEMPLATE = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=True)
@@ -121,24 +131,24 @@ def test_a_window_starting_at_a_nested_array_does_not_tile(monkeypatch):
         b'"top_logprobs":[{"token":"t10"',
         b'"top_logprobs":[[{"token":"x","logprob":-1,"top_logprobs":[{"token":"t10"')
     monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
-    assert backend_mod._scan_body(raw) is None
-    assert outcome(parse_chat_body, raw) is outcome(json_path, raw) is BackendError
+    assert backend_mod._scan_body(raw, K) is None
+    assert outcome(parse_chat_body, raw, K) is outcome(json_path, raw, K) is BackendError
 
 
 @pytest.mark.parametrize("with_bytes", [False, True])
 def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
     rows = [[-0.5, -1.25, -3e-05], [-0.0, -2.0], [-7.5]]
     raw = compact_body(rows, with_bytes=with_bytes, text='say "NaN" \\boxed{7}')
-    expected = parse_chat_response(json.loads(raw))
+    expected = parse_chat_response(json.loads(raw), K)
 
-    def json_path_taken(obj):
+    def json_path_taken(*args):
         raise AssertionError("the JSON path parsed a compact body")
 
     monkeypatch.setattr(backend_mod, "parse_chat_response", json_path_taken)
-    completion = parse_chat_body(raw)
+    completion = parse_chat_body(raw, K)
     assert completion == expected
-    assert completion.counts.tolist() == [3, 2, 1]
-    np.testing.assert_array_equal(completion.logprobs[0], rows[0])
+    np.testing.assert_allclose(completion.trace.values, [(0.5 + 1.25 + 3e-05) / 3, 1.0, 7.5],
+                               rtol=1e-12)
     assert completion.text == 'say "NaN" \\boxed{7}'
 
 
@@ -152,7 +162,7 @@ def test_tokens_holding_the_array_end_take_the_scan_path(monkeypatch, tokens, wi
     raw = compact_body([[-0.5, -1.5], [-2.5, -3.5], [-4.5, -5.5]], with_bytes=True)
     for token in tokens:
         raw = raw.replace(f'"{token}"'.encode(), b'"x}]}]"')
-    expected = parse_chat_response(json.loads(raw))
+    expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
     parsed = []
@@ -161,12 +171,12 @@ def test_tokens_holding_the_array_end_take_the_scan_path(monkeypatch, tokens, wi
         parsed.append(text)
         return json.loads(text, **kwargs)
 
-    def json_path_taken(obj):
+    def json_path_taken(*args):
         raise AssertionError("the JSON path parsed a compact body")
 
     monkeypatch.setattr(backend_mod, "parse_chat_response", json_path_taken)
     monkeypatch.setattr(backend_mod, "json", SimpleNamespace(loads=loads))
-    assert parse_chat_body(raw) == expected
+    assert parse_chat_body(raw, K) == expected
     assert len(parsed) == 1 and "top_logprobs" not in parsed[0]
 
 
@@ -184,7 +194,7 @@ def test_end_candidates_keep_the_scan_linear(monkeypatch):
 
     pattern = backend_mod._TOP_ENTRY
     monkeypatch.setattr(backend_mod, "_TOP_ENTRY", Counting())
-    assert outcome(parse_chat_body, raw) is BackendError
+    assert outcome(parse_chat_body, raw, K) is BackendError
     assert len(scans) < 100
 
 
@@ -194,10 +204,10 @@ def test_scan_memory_stays_below_the_body():
     rng = np.random.default_rng(0)
     rows = np.sort(-rng.exponential(2.0, size=(3000, 20)))[:, ::-1].tolist()
     raw = compact_body(rows, with_bytes=True)
-    expected = parse_chat_body(raw)
+    expected = parse_chat_body(raw, K)
     tracemalloc.start()
     try:
-        completion = parse_chat_body(raw)
+        completion = parse_chat_body(raw, K)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -218,8 +228,8 @@ def test_scan_memory_stays_below_the_body():
     (compact_body([[-1.0]], with_bytes=True)[:-3], BackendError),
 ])
 def test_bad_bodies_raise_backend_errors(raw, error):
-    assert outcome(parse_chat_body, raw) is error
-    assert outcome(json_path, raw) is error
+    assert outcome(parse_chat_body, raw, K) is error
+    assert outcome(json_path, raw, K) is error
 
 
 @pytest.mark.parametrize("number", [b"-Infinity", b"Infinity", b"NaN", b"-1e400", b"1e400"])
@@ -232,5 +242,5 @@ def test_a_non_finite_logprob_is_a_backend_error(monkeypatch, number, window):
     for old in (b"-0.5", b"-3.5"):
         raw = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=False).replace(old, number)
         with pytest.raises(BackendError, match="non-finite logprob"):
-            parse_chat_body(raw)
-        assert outcome(json_path, raw) is BackendError
+            parse_chat_body(raw, K)
+        assert outcome(json_path, raw, K) is BackendError

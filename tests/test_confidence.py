@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refinectl.backend import MockRecord, parse_chat_response
+from refinectl.backend import MockRecord, ScriptError, parse_chat_body, parse_chat_response
 from refinectl.confidence import (
     ConfidenceTrace,
     FeatureVector,
     NormalizationTable,
     build_trace,
-    denormalize,
     downsample,
     normalize,
     stats,
@@ -70,21 +70,22 @@ def test_nonnegative_when_logprobs_nonpositive(rng):
 
 def test_trace_from_uniform_completion():
     record = MockRecord(text="abc", logprobs=[[math.log(0.05)] * 20] * 3)
-    trace = build_trace(record.to_completion(), k=20)
+    trace = record.to_completion(20).trace
     assert trace.n == 3
     np.testing.assert_allclose(trace.values, [-math.log(0.05)] * 3)
 
 
 def test_trace_passthrough_from_scripted_confidences():
     record = MockRecord(text="abc", confidences=[4.0, 5.5, 1.25])
-    trace = build_trace(record.to_completion(), k=20)
+    trace = record.to_completion(20).trace
     np.testing.assert_array_equal(trace.values, [4.0, 5.5, 1.25])
 
 
 def test_empty_completion_errors():
-    record = MockRecord(text="", confidences=[])
+    with pytest.raises(ScriptError):
+        MockRecord(text="", confidences=[]).to_completion(20)
     with pytest.raises(ValueError):
-        build_trace(record.to_completion(), k=20)
+        build_trace(np.empty(0), np.empty(0, dtype=np.intp), k=20)
 
 
 # Columnar scoring against the scalar reference: ragged, unsorted rows of
@@ -97,13 +98,14 @@ _row = st.one_of(
 )
 
 
-def _served_body(rows) -> dict:
+def _served_body(rows) -> bytes:
     content = [{"token": "t", "logprob": lps[0],
                 "top_logprobs": [] if fallback else [{"token": "u", "logprob": lp} for lp in lps]}
                for lps, fallback in rows]
-    return {"choices": [{"message": {"content": "x"}, "logprobs": {"content": content},
+    body = {"choices": [{"message": {"content": "x"}, "logprobs": {"content": content},
                          "finish_reason": "stop"}],
             "usage": {"completion_tokens": len(rows), "prompt_tokens": 1}}
+    return json.dumps(body, separators=(",", ":")).encode()
 
 
 def _reference(rows, k):
@@ -113,20 +115,22 @@ def _reference(rows, k):
 @settings(max_examples=300, deadline=None)
 @given(rows=st.lists(_row, min_size=1, max_size=30), k=st.integers(1, 25))
 def test_columnar_trace_matches_scalar_reference(rows, k):
+    """The JSON path, the byte scan (which takes bodies without fallback
+    rows) and the mock give one trace, close to the scalar reference."""
     expected = _reference(rows, k)
-    parsed = parse_chat_response(_served_body(rows))
-    mocked = MockRecord(logprobs=[lps for lps, _ in rows]).to_completion()
-    np.testing.assert_array_equal(parsed.logprobs, mocked.logprobs)
-    np.testing.assert_array_equal(parsed.counts, [len(lps) for lps, _ in rows])
-    for completion in (parsed, mocked):
-        trace = build_trace(completion, k)
-        assert trace.n == len(rows)
-        np.testing.assert_allclose(trace.values, expected, rtol=1e-12, atol=0)
+    body = _served_body(rows)
+    parsed = parse_chat_response(json.loads(body), k).trace
+    mocked = MockRecord(logprobs=[lps for lps, _ in rows]).to_completion(k).trace
+    for trace in (parse_chat_body(body, k).trace, mocked):
+        np.testing.assert_array_equal(trace.values, parsed.values)
+        np.testing.assert_array_equal(np.signbit(trace.values), np.signbit(parsed.values))
+    assert parsed.n == len(rows)
+    np.testing.assert_allclose(parsed.values, expected, rtol=1e-12, atol=0)
 
 
 def test_build_trace_rejects_k_below_one():
     with pytest.raises(ValueError):
-        build_trace(MockRecord(confidences=[1.0]).to_completion(), k=0)
+        build_trace(np.array([-1.0]), np.array([1]), k=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +241,13 @@ def test_double_normalization_rejected():
         normalize(f)
 
 
-def test_normalize_roundtrip(rng):
+def test_normalize_uses_the_row_of_each_iteration(rng):
     table = NormalizationTable(mu=(15.65, 12.94, 8.5), sigma=(2.0, 1.5, 3.0))
     for t in range(4):
         f = FeatureVector(rng.normal(12, 4, 16), iteration=t)
-        back = denormalize(normalize(f, table), table)
-        np.testing.assert_allclose(back.bins, f.bins, atol=1e-9)
+        row = min(t, 2)
+        np.testing.assert_array_equal(normalize(f, table).bins,
+                                      (f.bins - table.mu[row]) / table.sigma[row])
 
 
 def test_sigma_must_be_positive():

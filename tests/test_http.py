@@ -34,6 +34,7 @@ from chat_bodies import chat_bodies, compact_body, json_path, mutated_bodies, ou
 from conftest import StubController
 
 MSG = [{"role": "user", "content": "hi"}]
+K = GenerationConfig().logprob_count  # the k every request here asks for
 BODY = compact_body([[-0.5, -1.5], [-0.25]], with_bytes=False)
 # a 2-token body whose second logprob is -Infinity, which json.loads accepts
 NON_FINITE = compact_body([[-0.5], [float("-inf")]], with_bytes=False)
@@ -49,7 +50,8 @@ class ScriptedServer:
     - ``("unsized", raw)``: 200 with ``raw``, no Content-Length, then close;
     - ``("status", code)``: that status with a small JSON error body;
     - ``("sleep", seconds)``: answer 200 after sleeping;
-    - ``("cut",)``: announce 1000 bytes, send 12, close the connection.
+    - ``("cut", length)``: announce ``length`` bytes, send 12, close the
+      connection.
     """
 
     def __init__(self):
@@ -88,7 +90,7 @@ class ScriptedServer:
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 if kind != "unsized":
-                    self.send_header("Content-Length", str(1000 if kind == "cut" else len(raw)))
+                    self.send_header("Content-Length", str(step[1] if kind == "cut" else len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
                 self.close_connection = True
@@ -130,7 +132,7 @@ def generate(server, steps, **kwargs):
 
 
 def test_200_body_parses(server):
-    assert generate(server, [("body", BODY)]) == parse_chat_response(json.loads(BODY))
+    assert generate(server, [("body", BODY)]) == parse_chat_response(json.loads(BODY), K)
     assert server.requests[0] == 1
 
 
@@ -157,9 +159,21 @@ def test_sleep_past_timeout_is_a_retried_transport_error(server):
 
 def test_connection_closed_mid_body_is_a_retried_transport_error(server):
     with pytest.raises(TransportError, match="IncompleteRead") as info:
-        generate(server, [("cut",)] * 3)
+        generate(server, [("cut", 1000)] * 3)
     assert info.value.attempts == 3 and server.requests[0] == 3
-    assert generate(server, [("cut",), ("body", BODY)]).completion_tokens == 2
+    assert generate(server, [("cut", 1000), ("body", BODY)]).completion_tokens == 2
+
+
+def test_a_length_beyond_any_mapping_fails_its_slot_not_the_drain(server, mappings):
+    """A Content-Length no mapping can hold (past ``sys.maxsize``) is a
+    malformed reply: one request, no retry, no mapping; its sibling parses."""
+    server.script({0: [("cut", 10**20), ("body", BODY)], 1: [("body", BODY)]})
+    results = drain_concurrent(server.backend(max_inflight=2),
+                               [(MSG, GenerationConfig(seed=i)) for i in range(2)])
+    assert type(results[0]) is BackendError and "Content-Length" in str(results[0])
+    assert results[1] == parse_chat_response(json.loads(BODY), K)
+    assert dict(server.requests) == {0: 1, 1: 1}
+    assert all(body.closed for body in mappings) and len(mappings) == 1
 
 
 @pytest.mark.parametrize("raw, match", [
@@ -188,12 +202,12 @@ def mappings(monkeypatch):
 
 
 @pytest.mark.parametrize("steps, want", [
-    ([("body", BODY)], parse_chat_response(json.loads(BODY))),
+    ([("body", BODY)], parse_chat_response(json.loads(BODY), K)),
     ([("body", BODY[:-10])], BackendError),
     ([("body", USAGE_MISMATCH)], BackendError),
     ([("body", NON_FINITE)], BackendError),
-    ([("cut",)] * 3, TransportError),
-    ([("status", 500), ("body", BODY)], parse_chat_response(json.loads(BODY))),
+    ([("cut", 1000)] * 3, TransportError),
+    ([("status", 500), ("body", BODY)], parse_chat_response(json.loads(BODY), K)),
 ], ids=["good", "non-JSON", "usage mismatch", "non-finite", "cut thrice", "500 then good"])
 def test_every_mapping_is_closed(server, mappings, steps, want):
     """A body read into a mapping gives its pages back once parsed, whether
@@ -206,11 +220,11 @@ def test_every_mapping_is_closed(server, mappings, steps, want):
 @pytest.mark.parametrize("raw", [BODY, NON_FINITE, BODY[:-10]])
 def test_a_body_without_length_parses_like_its_bytes(server, mappings, raw):
     assert outcome(lambda raw: generate(server, [("unsized", raw)]), raw) == \
-        outcome(parse_chat_body, raw)
+        outcome(parse_chat_body, raw, K)
     assert server.requests[0] == 1 and not mappings
 
 
-RETRYABLE = [("status", 429), ("status", 500), ("cut",)]
+RETRYABLE = [("status", 429), ("status", 500), ("cut", 1000)]
 final_steps = st.one_of(
     st.just(("status", 400)),
     st.tuples(st.sampled_from(["body", "unsized"]),
@@ -229,7 +243,7 @@ def expected(steps: list[tuple]):
             continue
         if step[0] == "status":
             return BackendError, attempt
-        return outcome(json_path, step[1]), attempt
+        return outcome(json_path, step[1], K), attempt
     return TransportError, 3
 
 
