@@ -119,13 +119,25 @@ class Completion:
         self.trace.values.flags.writeable = False
 
 
-def _check_finite(values: np.ndarray) -> None:
-    """Raise ``BackendError`` on a non-finite served logprob or confidence:
-    JSON's NaN and -Infinity parse, and 1e400 overflows to inf; no such
-    value is a log probability, and one would poison every statistic of the
-    trace."""
+def _finite_trace(values: np.ndarray, counts: np.ndarray | None, k: int) -> ConfidenceTrace:
+    """The trace of served ``values``: row-major logprobs with ``counts[i]``
+    in row i reduced with top-``k`` means, or the confidences themselves
+    when ``counts`` is None.
+
+    Raises ``BackendError`` on a non-finite served value (JSON's NaN and
+    -Infinity parse, and 1e400 overflows to inf) and on a non-finite
+    confidence (finite logprobs such as two of -1e308 whose sum overflows):
+    neither is a log probability or a confidence, and one would poison every
+    statistic of the trace."""
     if not np.isfinite(values).all():
         raise BackendError("malformed response: non-finite logprob")
+    if counts is None:
+        return ConfidenceTrace(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        trace = build_trace(values, counts, k)
+    if not np.isfinite(trace.values).all():
+        raise BackendError("malformed response: a token's logprobs sum past the float range")
+    return trace
 
 
 Message = dict  # {"role": ..., "content": ...}
@@ -143,7 +155,12 @@ class Backend:
     """Common retry/ordering behaviour shared by all backends.
 
     Subclasses implement ``_generate_once``; retries apply to
-    ``TransportError`` only (3 attempts, exponential backoff).
+    ``TransportError`` only (3 attempts, exponential backoff), and the
+    backoff sleeps hold no request slot. ``max_inflight`` bounds the
+    requests a backend has outstanding at its server. A backend with
+    ``max_inflight`` above 1 enforces that bound itself, however many
+    threads call ``generate``; ``drain_concurrent`` runs one thread more
+    than that, so a reply can be parsed while the next request is out.
     """
 
     max_inflight: int = 8
@@ -184,8 +201,9 @@ def drain_concurrent(
     raised; one failure never aborts its siblings. Ordering is a pure
     function of the request list, never of completion timing. Backends with
     ``max_inflight`` 1 (the mock, whose FIFO script order is its determinism
-    contract) are drained in order; others fan out over a thread pool
-    bounded by ``max_inflight``.
+    contract) are drained in order; others fan out over ``max_inflight + 1``
+    threads. The backend bounds its own outstanding requests, so the spare
+    thread sends the next request while another parses its reply.
     """
     serve = serve or backend.generate
 
@@ -197,7 +215,7 @@ def drain_concurrent(
 
     if backend.max_inflight <= 1:
         return [one(r) for r in requests]
-    with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
+    with ThreadPoolExecutor(max_workers=backend.max_inflight + 1) as pool:
         return list(pool.map(one, requests))
 
 
@@ -240,8 +258,7 @@ class MockRecord:
                                  count=int(counts.sum()))
         if not values.size:
             raise ScriptError("record has neither confidences nor logprobs")
-        _check_finite(values)
-        trace = ConfidenceTrace(values) if counts is None else build_trace(values, counts, k)
+        trace = _finite_trace(values, counts, k)
         return Completion(
             text=self.text,
             trace=trace,
@@ -348,7 +365,7 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         prompt_tokens = int(usage.get("prompt_tokens", 0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    _check_finite(values)
+    trace = _finite_trace(values, counts, k)
     if completion_tokens != counts.size:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
                            f"but logprobs cover {counts.size}")
@@ -359,7 +376,7 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
         finish = "other"
     return Completion(
         text=text,
-        trace=build_trace(values, counts, k),
+        trace=trace,
         completion_tokens=completion_tokens,
         prompt_tokens=prompt_tokens,
         finish_reason=finish,
@@ -546,6 +563,9 @@ class HttpBackend(Backend):
 
     Credentials come from an environment variable (``api_key_env``); the
     endpoint URL is passed explicitly (config file or ``--endpoint`` flag).
+    At most ``max_inflight`` requests are outstanding at once, from any
+    number of threads: a request holds its slot from sending until its body
+    is read, and is parsed after releasing it.
     """
 
     def __init__(
@@ -560,7 +580,16 @@ class HttpBackend(Backend):
         self.model = model
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout = timeout
-        self.max_inflight = max_inflight
+        if max_inflight < 1:  # no slot would ever be free
+            raise ValueError(f"max_inflight must be >= 1 (got {max_inflight})")
+        self._max_inflight = max_inflight
+        self._slots = threading.BoundedSemaphore(max_inflight)
+
+    @property
+    def max_inflight(self) -> int:
+        """Fixed at construction: the request slots and the drain's pool size
+        both follow it."""
+        return self._max_inflight
 
     def _generate_once(self, messages: list[Message], cfg: GenerationConfig) -> Completion:
         url = f"{self.endpoint}/chat/completions"
@@ -569,8 +598,8 @@ class HttpBackend(Backend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+        try:  # the slot is released however the request or the read ends
+            with self._slots, urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 reply = _read_body(resp)
         except urllib.error.HTTPError as exc:
             if exc.code == 429 or exc.code >= 500:

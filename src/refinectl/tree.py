@@ -9,8 +9,9 @@ stops when the HALT traces agree on an answer. The final answer is voted
 over halted nodes (majority, confidence-weighted, or high-confidence
 majority), falling back to the leaves when nothing halted; refusing nodes
 halt but cast no vote and take no part in the agreement. Each node runs
-the sequential loop's own step: ``generate_node`` inside its
-``drain_concurrent`` slot, then ``score_node``.
+the sequential loop's own step: ``generate_node`` on a ``drain_concurrent``
+worker, which holds one of the backend's request slots only while the
+request is out, then ``score_node``.
 """
 
 from __future__ import annotations

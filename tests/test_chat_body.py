@@ -17,9 +17,13 @@ import refinectl.backend as backend_mod
 from refinectl.backend import (
     BackendError,
     MissingLogprobsError,
+    MockRecord,
     parse_chat_body,
     parse_chat_response,
 )
+from refinectl.bench import Problem, RunSpec, run_benchmark
+from refinectl.controller import init
+from refinectl.refine import LoopConfig
 
 from chat_bodies import (
     INVALID_BYTES,
@@ -34,6 +38,7 @@ from chat_bodies import (
     mutated_bodies,
     outcome,
 )
+from conftest import boxed_record, mock_backend
 
 
 # Top logprobs scored per token where a test fixes it: more than any row
@@ -244,3 +249,49 @@ def test_a_non_finite_logprob_is_a_backend_error(monkeypatch, number, window):
         with pytest.raises(BackendError, match="non-finite logprob"):
             parse_chat_body(raw, K)
         assert outcome(json_path, raw, K) is BackendError
+
+
+# Any two of these sum past -DBL_MAX, so a row of them overflows at every k >= 2.
+huge_logprobs = st.floats(-1.7976931348623157e308, -9e307)
+
+
+@st.composite
+def overflowing_rows(draw) -> list[list[float]]:
+    """Finite logprob rows, one of which sums past the float range."""
+    rows = draw(st.lists(st.lists(st.floats(-20.0, 0.0), min_size=1, max_size=4), max_size=3))
+    rows.insert(draw(st.integers(0, len(rows))),
+                draw(st.lists(huge_logprobs, min_size=2, max_size=4)))
+    return rows
+
+
+CONTROLLER = init(3, 16, seed=0)  # a trained controller's probabilities go NaN on an inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(overflowing_rows(), st.integers(2, 5), st.sampled_from([None, TINY_WINDOW]))
+def test_logprobs_whose_sum_overflows_fail_their_slot(rows, k, window):
+    """Finite logprobs whose top-k sum is infinite give no confidence: the
+    scan, the JSON path and the mock raise the same ``BackendError``, and a
+    sweep scores that problem failed with the tokens served before it."""
+    raw = compact_body(rows, with_bytes=False)
+    errors = []
+    with pytest.MonkeyPatch.context() as mp:
+        if window is not None:
+            mp.setattr(backend_mod, "_WINDOW", window)
+        mock = lambda _, k: MockRecord(logprobs=rows).to_completion(k)  # noqa: E731
+        for parse in (parse_chat_body, json_path, mock):
+            with pytest.raises(BackendError, match="float range") as info:
+                parse(raw, k)
+            errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == errors[2]
+
+    backend = mock_backend(boxed_record("7", [0.5] * 3, finish="length"),
+                           MockRecord(text="\\boxed{7}", logprobs=rows),
+                           boxed_record("7", [0.5] * 2))
+    problems = [Problem(id=f"p{i}", statement=f"question {i}", ground_truth="7")
+                for i in range(2)]
+    row = run_benchmark(problems, RunSpec(method="corefine", seeds=(0,),
+                                          loop_cfg=LoopConfig(max_iterations=1)),
+                        backend, controller=CONTROLLER)
+    assert (row.tokens_total, row.accuracy_mean) == (3 + 2, 50.0)
+    assert backend.remaining == 0

@@ -8,6 +8,7 @@ import mmap
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -52,12 +53,19 @@ class ScriptedServer:
     - ``("sleep", seconds)``: answer 200 after sleeping;
     - ``("cut", length)``: announce ``length`` bytes, send 12, close the
       connection.
+
+    ``active`` counts the requests received and not yet answered, and
+    ``peak`` its highest value since ``script``. A ``hook(seed)`` given to
+    ``script`` runs on each request's handler thread once it is counted; a
+    step it returns is answered in place of the scripted one.
     """
 
     def __init__(self):
-        self.lock = threading.Lock()
+        self.lock = threading.Condition()
         self.scripts: dict[int, list[tuple]] = {}
         self.requests: Counter = Counter()
+        self.active = self.peak = 0
+        self.hook = None
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -69,8 +77,13 @@ class ScriptedServer:
                 seed = request["seed"]
                 with server.lock:
                     server.requests[seed] += 1
+                    server.active += 1
+                    server.peak = max(server.peak, server.active)
+                    server.lock.notify_all()
                     script = server.scripts.get(seed) or [("status", 418)]
-                    step = script.pop(0)
+                    step, hook = script.pop(0), server.hook
+                if hook is not None:
+                    step = hook(seed) or step
                 try:
                     self.answer(step)
                 except OSError:  # the client gave up first
@@ -87,6 +100,9 @@ class ScriptedServer:
                     code, raw = 200, BODY
                 else:
                     code, raw = 200, step[1]
+                with server.lock:  # before its client can read the reply
+                    server.active -= 1
+                    server.lock.notify_all()
                 self.send_response(code)
                 self.send_header("Content-Type", "application/json")
                 if kind != "unsized":
@@ -101,10 +117,13 @@ class ScriptedServer:
                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self.thread.start()
 
-    def script(self, scripts: dict[int, list[tuple]]) -> None:
-        with self.lock:
+    def script(self, scripts: dict[int, list[tuple]], hook=None) -> None:
+        with self.lock:  # once the requests of earlier scripts are answered
+            assert self.lock.wait_for(lambda: not self.active, timeout=5)
             self.scripts = {seed: list(steps) for seed, steps in scripts.items()}
             self.requests = Counter()
+            self.peak = 0
+            self.hook = hook
 
     def backend(self, timeout: float = 5.0, max_inflight: int = 1) -> HttpBackend:
         backend = HttpBackend(f"http://127.0.0.1:{self.httpd.server_address[1]}/v1", "m",
@@ -263,6 +282,98 @@ def test_drain_fails_bad_slots_and_keeps_siblings(server, max_inflight, scripts)
 
 
 # ---------------------------------------------------------------------------
+# Request slots: max_inflight bounds the requests out at the server
+# ---------------------------------------------------------------------------
+
+def test_max_inflight_is_at_least_one_and_fixed():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_inflight"):
+            HttpBackend("http://127.0.0.1:1/v1", "m", max_inflight=bad)
+    backend = HttpBackend("http://127.0.0.1:1/v1", "m", max_inflight=3)
+    with pytest.raises(AttributeError):
+        backend.max_inflight = 5
+    assert backend.max_inflight == 3
+
+
+@pytest.mark.parametrize("max_inflight", [2, 4])
+def test_the_server_never_sees_more_than_max_inflight_requests(server, max_inflight):
+    """Each request waits at the server until one more than ``max_inflight``
+    are in, or 0.1 s pass: the drain's spare worker must wait for a slot."""
+    n = 3 * max_inflight
+
+    def crowd(seed):
+        with server.lock:
+            server.lock.wait_for(lambda: server.active > max_inflight, timeout=0.1)
+
+    server.script({i: [("body", BODY)] for i in range(n)}, hook=crowd)
+    results = drain_concurrent(server.backend(max_inflight=max_inflight),
+                               [(MSG, GenerationConfig(seed=i)) for i in range(n)])
+    assert results == [parse_chat_response(json.loads(BODY), K)] * n
+    assert dict(server.requests) == dict.fromkeys(range(n), 1)
+    assert server.peak <= max_inflight
+
+
+def test_the_next_request_goes_out_while_a_reply_is_parsed(server, monkeypatch):
+    """Both slots' replies are held in parsing until the server receives the
+    third request, which only the spare worker can send, and only if a slot
+    is released once its body is read."""
+    third = threading.Event()
+    server.script({i: [("body", BODY)] for i in range(3)},
+                  hook=lambda seed: third.set() if seed == 2 else None)
+    waits, parse = [], backend_mod.parse_chat_body
+
+    def held(raw, k):
+        waits.append(third.wait(timeout=5))
+        return parse(raw, k)
+
+    monkeypatch.setattr(backend_mod, "parse_chat_body", held)
+    results = drain_concurrent(server.backend(max_inflight=2),
+                               [(MSG, GenerationConfig(seed=i)) for i in range(3)])
+    assert results == [parse_chat_response(json.loads(BODY), K)] * 3
+    assert waits == [True] * 3
+
+
+FAILURES = {
+    "400": [("status", 400)],
+    "429 thrice": [("status", 429)] * 3,
+    "500 thrice": [("status", 500)] * 3,
+    "cut thrice": [("cut", 1000)] * 3,
+    "timeout thrice": [("sleep", 0.15)] * 3,  # past the 0.05 s the failures get
+    "huge length": [("cut", 10**20)],
+    "non-JSON": [("body", BODY[:-10])],
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(kinds=st.lists(st.sampled_from(sorted(FAILURES)), min_size=1, max_size=4),
+       max_inflight=st.integers(4, 5))
+def test_a_failed_request_releases_its_slot(server, kinds, max_inflight):
+    """After each failed request, all ``max_inflight`` slots can be out at
+    once: a drain whose server holds each request until that many are in
+    still completes. A lost slot fails the test rather than hanging it: a
+    request the barrier gave up on is answered with a body that fails once
+    read, and there are more slots than one request's three attempts."""
+    backend = server.backend(max_inflight=max_inflight)
+    requests = [(MSG, GenerationConfig(seed=i)) for i in range(max_inflight)]
+    for kind in kinds:
+        server.script({0: FAILURES[kind]})
+        backend.timeout = 0.05
+        assert isinstance(drain_concurrent(backend, requests[:1])[0], BackendError)
+        backend.timeout = 5.0
+        barrier = threading.Barrier(max_inflight, timeout=2.0)
+
+        def together(seed):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return ("body", USAGE_MISMATCH)
+
+        server.script({i: [("body", BODY)] for i in range(max_inflight)}, hook=together)
+        assert drain_concurrent(backend, requests) == \
+            [parse_chat_response(json.loads(BODY), K)] * max_inflight, kind
+
+
+# ---------------------------------------------------------------------------
 # run_benchmark over HTTP: token accounting
 # ---------------------------------------------------------------------------
 
@@ -319,3 +430,30 @@ def test_a_non_finite_logprob_fails_its_problem_not_the_sweep(server, spec, scri
                         controller=init(3, 16, seed=0))
     assert row.tokens_total == tokens
     assert row.accuracy_mean == accuracy
+
+
+def tree_body(seed: int) -> bytes:
+    """2-5 tokens by seed, answer 7 or 8; seed 4 truncated."""
+    body = compact_body([[-0.5]] * (2 + seed % 4), with_bytes=False,
+                        text=f"so \\boxed{{{7 + seed % 2}}}")
+    return body.replace(b'"stop"', b'"length"') if seed == 4 else body
+
+
+def test_tree_reports_do_not_depend_on_max_inflight(server):
+    """The same sweep at 1, 2 and 4 slots: the same row, tokens included, and
+    the same requests per seed, though the server holds each request by its
+    seed so that replies arrive out of request order."""
+    spec = RunSpec(method="corefine_tree", seeds=(0,),
+                   tree_cfg=TreeConfig(warmup=3, branch_factor=2, max_depth=2))
+    seen = []
+    for max_inflight in (1, 2, 4):
+        server.script({seed: [("body", tree_body(seed))] * 8 for seed in range(32)},
+                      hook=lambda seed: time.sleep(0.005 * (3 - seed % 4)))
+        # actions by node order, so which reply a node holds decides the vote
+        controller = StubController(actions=[Action.HALT, Action.RETHINK, Action.ALTERNATIVE,
+                                             Action.RETHINK] * 12)
+        row = run_benchmark(TWO_PROBLEMS, spec, server.backend(max_inflight=max_inflight),
+                            controller=controller)
+        seen.append((replace(row, wall_time=0.0), dict(server.requests)))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0].iterations_mean > spec.tree_cfg.warmup  # the trees branch
