@@ -68,12 +68,12 @@ class GenerationConfig:
     """Sampling settings attached to every generation request.
 
     Defaults follow the common reasoning-eval setup: temperature 0.7,
-    top-p 0.95, and 20 logprobs per emitted token.
+    top-p 0.95, and 20 logprobs per emitted token. Every request also
+    samples from the top 20 tokens.
     """
 
     temperature: float = 0.7
     top_p: float = 0.95
-    top_k_sampling: int = 20
     max_tokens: int = 32_000
     logprob_count: int = 20
     seed: int | None = None
@@ -83,8 +83,6 @@ class GenerationConfig:
             raise ValueError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):
             raise ValueError("top_p must be in (0, 1]")
-        if self.top_k_sampling < 1:
-            raise ValueError("top_k_sampling must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.logprob_count < 1:
@@ -333,9 +331,8 @@ def build_chat_payload(messages: list[Message], cfg: GenerationConfig, model: st
         "max_tokens": cfg.max_tokens,
         "logprobs": True,
         "top_logprobs": cfg.logprob_count,
+        "top_k": 20,  # honored by vLLM-style servers
     }
-    if cfg.top_k_sampling:
-        payload["top_k"] = cfg.top_k_sampling  # honored by vLLM-style servers
     if cfg.seed is not None:
         payload["seed"] = cfg.seed
     return payload
@@ -602,6 +599,7 @@ class HttpBackend(Backend):
             with self._slots, urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 reply = _read_body(resp)
         except urllib.error.HTTPError as exc:
+            exc.close()  # its socket, which the error would hold until collected
             if exc.code == 429 or exc.code >= 500:
                 raise TransportError(f"HTTP {exc.code}: {exc.reason}") from exc
             raise BackendError(f"HTTP {exc.code}: {exc.reason}") from exc

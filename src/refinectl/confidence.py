@@ -14,11 +14,9 @@ All functions here are pure; concurrent use needs no coordination.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -247,51 +245,6 @@ def stats(trace: ConfidenceTrace, pool_length: int = DEFAULT_BINS) -> TraceStats
     )
 
 
-# ---------------------------------------------------------------------------
-# Trace dump (JSONL): one record per completion, consumed by labeler/trainer
-# ---------------------------------------------------------------------------
-
-def dump_trace_record(
-    problem_id: str,
-    iteration: int,
-    trace: ConfidenceTrace,
-    answer: str | None,
-    correct: bool | None,
-    **extra,
-) -> str:
-    """Render one JSONL trace record. Extra keys (source, ground_truth,
-    produced_by) ride along for the labeler."""
-    rec = {
-        "problem_id": problem_id,
-        "iteration": iteration,
-        "values": [float(v) for v in trace.values],
-        "answer": answer,
-        "correct": correct,
-    }
-    rec.update(extra)
-    return json.dumps(rec)
-
-
-def write_trace_dump(path: str | Path, records: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in records:
-            fh.write(line + "\n")
-
-
-def read_trace_dump(path: str | Path) -> list[dict]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{i + 1}: bad JSON: {exc}") from exc
-    return out
-
-
 __all__ = [
     "ConfidenceTrace",
     "DEFAULT_BINS",
@@ -301,10 +254,7 @@ __all__ = [
     "TraceStats",
     "build_trace",
     "downsample",
-    "dump_trace_record",
     "normalize",
-    "read_trace_dump",
     "stats",
     "token_confidence",
-    "write_trace_dump",
 ]

@@ -68,16 +68,6 @@ class Decision:
         if int(self.action) != _argmax(self.probs):
             raise ValueError("action must be the argmax of probs (ties -> lowest code)")
 
-    @staticmethod
-    def from_probs(probs, success_prob: float = 0.5) -> "Decision":
-        probs = tuple(float(p) for p in probs)
-        return Decision(action=Action(_argmax(probs)), probs=probs,
-                        success_prob=float(success_prob))
-
-    @property
-    def halting(self) -> bool:
-        return self.action in (Action.HALT, Action.REFUSE)
-
 
 def _argmax(values: tuple[float, ...]) -> int:
     """Index of the first maximum, the tie rule of ``np.argmax``."""

@@ -50,10 +50,6 @@ class Problem:
             if len(set(self.choices)) != len(self.choices):
                 raise ValueError("mcq choices must be distinct")
 
-    @property
-    def unsure_choice_present(self) -> bool:
-        return self.unsure_index() is not None
-
     def unsure_index(self) -> int | None:
         """Index of the refusal choice in ``choices``."""
         for i, c in enumerate(self.choices or ()):
@@ -136,7 +132,7 @@ def load_dataset(path: str | Path) -> list[Problem]:
                     choices=choices,
                     unanswerable=bool(rec.get("unanswerable", False)),
                 )
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
             problems.append(problem)
     return problems

@@ -15,10 +15,8 @@ confidence.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -255,62 +253,6 @@ def _apportion(n: int, ratios, allocated, seen) -> list[int]:
     return counts
 
 
-# ---------------------------------------------------------------------------
-# JSONL interchange
-# ---------------------------------------------------------------------------
-
-def raw_traces_from_dump(records: Iterable[dict]) -> list[RawTrace]:
-    """Build RawTraces from trace-dump records (confidence module format,
-    plus the optional source/ground_truth/produced_by keys)."""
-    out = []
-    for rec in records:
-        produced = rec.get("produced_by")
-        out.append(RawTrace(
-            problem_id=str(rec["problem_id"]),
-            iteration=int(rec["iteration"]),
-            source=rec.get("source", "parallel"),
-            trace=ConfidenceTrace(np.asarray(rec["values"], dtype=np.float64)),
-            answer=rec.get("answer"),
-            correct=bool(rec.get("correct")),
-            ground_truth=str(rec.get("ground_truth", "")),
-            produced_by=Action(produced) if produced is not None else None,
-        ))
-    return out
-
-
-def write_labeled_dataset(path: str | Path, labeled: Iterable[LabeledTrace]) -> None:
-    """Emit labeled-dataset JSONL: {feature, label, t, problem_id}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in labeled:
-            fh.write(json.dumps({
-                "feature": [float(v) for v in item.feature.bins],
-                "label": int(item.label),
-                "t": item.t,
-                "problem_id": item.problem_id,
-            }) + "\n")
-
-
-def read_labeled_dataset(path: str | Path) -> list[LabeledTrace]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(LabeledTrace(
-                    feature=FeatureVector(np.asarray(rec["feature"], dtype=np.float64),
-                                          iteration=int(rec["t"])),
-                    label=Action(int(rec["label"])),
-                    t=int(rec["t"]),
-                    problem_id=str(rec["problem_id"]),
-                ))
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{i + 1}: bad labeled record: {exc}") from exc
-    return out
-
-
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "HeuristicThresholds",
@@ -319,8 +261,5 @@ __all__ = [
     "heuristic_label",
     "label_math",
     "label_refusal",
-    "raw_traces_from_dump",
-    "read_labeled_dataset",
     "split",
-    "write_labeled_dataset",
 ]

@@ -36,8 +36,6 @@ TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override")
 class LoopConfig:
     max_iterations: int = 20
     consistency_override_count: int = 3
-    rethink_window_tokens: int = 800
-    compaction_budget_chars: int = 4000
     normalization: NormalizationTable | None = None
     two_phase_refusal: bool = False
     max_truncation_retries: int = 1
@@ -47,12 +45,6 @@ class LoopConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.consistency_override_count < 1:
             raise ValueError("consistency_override_count must be >= 1")
-
-    @property
-    def rethink_window_chars(self) -> int:
-        # token budgets are approximated as 4 chars/token so the artifact
-        # never needs a tokenizer
-        return 4 * self.rethink_window_tokens
 
 
 @dataclass(frozen=True)
@@ -182,15 +174,16 @@ def format_confidence_stats(s: TraceStats) -> str:
             f"slope={s.slope:+.2f}")
 
 
-def compact(response: str, answer: str | None, s: TraceStats, budget: int,
-            window_chars: int = 3200) -> str:
+def compact(response: str, answer: str | None, s: TraceStats, budget: int) -> str:
     """Lossy summary of one attempt: answer, confidence statistics, and a
-    trailing window of the reasoning, capped at ``budget`` characters."""
+    trailing window of the reasoning, capped at ``budget`` characters. The
+    window is 800 tokens at 4 characters per token, so no tokenizer is
+    needed."""
     header = (f"Answer: {answer if answer is not None else '(none)'}\n"
               f"Confidence: {format_confidence_stats(s)}\n"
               f"Reasoning tail:\n")
     room = budget - len(header)
-    tail = response[-min(window_chars, max(room, 0)):] if room > 0 else ""
+    tail = response[-min(3200, max(room, 0)):] if room > 0 else ""
     return (header + tail)[:budget]
 
 
@@ -389,9 +382,7 @@ def score_node(completion: Completion, tokens: int, node_id: int, parent: Node |
                 decision=decision, action=action, answer=answer,
                 confidence_mean=trace_stats.mean, confidence_min=trace_stats.min,
                 tokens=tokens,
-                compacted_text=compact(completion.text, answer, trace_stats,
-                                       loop_cfg.compaction_budget_chars,
-                                       loop_cfg.rethink_window_chars))
+                compacted_text=compact(completion.text, answer, trace_stats, budget=4000))
 
 
 # ---------------------------------------------------------------------------

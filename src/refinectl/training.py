@@ -32,7 +32,6 @@ class TrainConfig:
     step_penalty: float = 0.1
     loss_kind: str = "cross_entropy"
     focal_gamma: float = 2.0
-    weight_smoothing: float = 0.5
     halt_undersample_ratio: float | None = None
     rng_seed: int = 0
     val_fraction: float = 0.2
@@ -42,8 +41,6 @@ class TrainConfig:
             raise ValueError("step_penalty must be >= 0")
         if self.focal_gamma < 0:
             raise ValueError("focal_gamma must be >= 0")
-        if not (0.0 <= self.weight_smoothing <= 1.0):
-            raise ValueError("weight_smoothing must be in [0, 1]")
         if self.loss_kind not in LOSS_KINDS:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if self.halt_undersample_ratio is not None and not (0 < self.halt_undersample_ratio < 1):
@@ -288,7 +285,7 @@ def train(dataset, cfg: TrainConfig, n_actions: int = 3,
 
     counts = np.bincount(labels, minlength=n_actions)
     if cfg.loss_kind in ("focal", "weighted_ce"):
-        weights = class_weights(np.maximum(counts, 1), cfg.weight_smoothing)
+        weights = class_weights(np.maximum(counts, 1), smoothing=0.5)
     else:
         weights = None
 
@@ -335,12 +332,6 @@ def evaluate_accuracy(model: ControllerModel, feats: np.ndarray, labels: np.ndar
     return float((pred == labels).mean())
 
 
-def predicted_action_counts(model: ControllerModel, feats: np.ndarray) -> dict[Action, int]:
-    logits, _ = infer(model, feats)
-    pred = logits.argmax(axis=1)
-    return {Action(a): int((pred == a).sum()) for a in range(model.n_actions)}
-
-
 __all__ = [
     "Adam",
     "TrainConfig",
@@ -349,7 +340,6 @@ __all__ = [
     "class_weights",
     "evaluate_accuracy",
     "loss",
-    "predicted_action_counts",
     "train",
     "undersample_halt",
 ]

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
-from .controller import Action, Decision
+from .controller import Action
 from .datasets import Problem, as_problem, is_correct, normalize_math_answer
 from .refine import (
     LoopConfig,
@@ -47,7 +47,6 @@ class TreeConfig:
     branch_factor: int = 2
     max_depth: int = 3
     vote: str = "majority"
-    high_conf_quantile: float = 0.5
 
     def __post_init__(self) -> None:
         if self.warmup < 1:
@@ -99,15 +98,14 @@ class TreeRun:
         })
 
 
-def early_stop_check(decisions: Sequence, answers_of_halted: Sequence[str | None]) -> bool:
-    """Stop when halting decisions exceed half of all decisions so far, or
-    hit exactly half while every answer in ``answers_of_halted`` is the same
-    (compared by ``normalize_math_answer``). Accepts Decision objects or raw
-    Actions; REFUSE counts as halting, but ``run_tree`` passes only the
-    answers of HALT nodes, since refusing nodes cast no vote."""
-    if not decisions:
-        raise ValueError("decisions must be non-empty")
-    actions = [d.action if isinstance(d, Decision) else Action(d) for d in decisions]
+def early_stop_check(actions: Sequence[Action], answers_of_halted: Sequence[str | None]) -> bool:
+    """Stop when halting actions exceed half of all actions so far, or hit
+    exactly half while every answer in ``answers_of_halted`` is the same
+    (compared by ``normalize_math_answer``). REFUSE counts as halting, but
+    ``run_tree`` passes only the answers of HALT nodes, since refusing nodes
+    cast no vote."""
+    if not actions:
+        raise ValueError("actions must be non-empty")
     halting = sum(1 for a in actions if a in (Action.HALT, Action.REFUSE))
     if 2 * halting > len(actions):
         return True
@@ -121,20 +119,20 @@ def aggregate(
     halted: Sequence[Node],
     method: str = "majority",
     fallback_all: Sequence[Node] = (),
-    high_conf_quantile: float = 0.5,
 ) -> str | None:
     """Vote a final answer, keyed by ``normalize_math_answer``. An empty
     halted set falls back to the given nodes (normally the leaves); refusing
     nodes cast no vote, so a halted set whose members all refused or
     abstained yields None. Ties break toward the higher summed trace
-    confidence, then lexicographically smallest answer."""
+    confidence, then lexicographically smallest answer. The high-confidence
+    vote keeps the candidates at or above their median confidence."""
     pool = list(halted) if halted else list(fallback_all)
     candidates = [n for n in pool if n.answer is not None and n.action is not Action.REFUSE]
     if not candidates:
         return None
 
     if method == "high_confidence_majority":
-        cut = float(np.quantile([n.confidence_mean for n in candidates], high_conf_quantile))
+        cut = float(np.quantile([n.confidence_mean for n in candidates], 0.5))
         kept = [n for n in candidates if n.confidence_mean >= cut]
         candidates = kept or candidates
         method = "majority"
@@ -225,8 +223,7 @@ def run_tree(
     run.halted_node_ids = [n.id for n in halted]
     parent_ids = {n.parent for n in run.nodes if n.parent is not None}
     leaves = [n for n in run.nodes if n.id not in parent_ids]
-    run.final_answer = aggregate(halted, tree_cfg.vote, fallback_all=leaves,
-                                 high_conf_quantile=tree_cfg.high_conf_quantile)
+    run.final_answer = aggregate(halted, tree_cfg.vote, fallback_all=leaves)
     return run
 
 

@@ -249,6 +249,15 @@ def test_http_payload_carries_logprob_count():
     assert payload["seed"] == 7
 
 
+def test_http_payload_bytes_are_pinned():
+    """Key order and values of one request body, the sampling top-k included."""
+    messages = [{"role": "user", "content": "hi"}]
+    assert json.dumps(build_chat_payload(messages, GenerationConfig(seed=3), "m")) == (
+        '{"model": "m", "messages": [{"role": "user", "content": "hi"}], '
+        '"temperature": 0.7, "top_p": 0.95, "max_tokens": 32000, "logprobs": true, '
+        '"top_logprobs": 20, "top_k": 20, "seed": 3}')
+
+
 def _chat_response(top_counts, finish="stop"):
     content = []
     for i, n in enumerate(top_counts):

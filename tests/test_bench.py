@@ -84,12 +84,21 @@ def test_duplicate_ids_rejected(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("row", [[1, 2], "s", {"id": "q", "statement": "s", "answer": "a",
+                                                "mode": "mcq", "choices": 5}],
+                         ids=["list", "string", "choices not a list"])
+def test_a_row_of_the_wrong_type_names_its_line(tmp_path, row):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"}, row])
+    with pytest.raises(DatasetError, match="d.jsonl:2: "):
+        load_dataset(path)
+
+
 def test_unsure_choice_detected(tmp_path):
     path = tmp_path / "d.jsonl"
     write_jsonl(path, [{"id": "q", "statement": "s", "answer": "b", "mode": "mcq",
                         "choices": ["a", "b", "Insufficient information to answer"]}])
     problem = load_dataset(path)[0]
-    assert problem.unsure_choice_present
     assert problem.unsure_index() == 2
 
 

@@ -307,27 +307,3 @@ def test_constant_shift_moves_stats(rng):
     assert b.tail_mean == pytest.approx(a.tail_mean + delta)
     assert b.slope == pytest.approx(a.slope, abs=1e-9)
 
-
-# ---------------------------------------------------------------------------
-# trace dump
-# ---------------------------------------------------------------------------
-
-def test_trace_dump_roundtrip(tmp_path):
-    from refinectl.confidence import dump_trace_record, read_trace_dump, write_trace_dump
-    trace = ConfidenceTrace(np.array([1.0, 2.5, 3.0]))
-    lines = [dump_trace_record("p1", 0, trace, "42", True, source="parallel",
-                               ground_truth="42")]
-    path = tmp_path / "traces.jsonl"
-    write_trace_dump(path, lines)
-    records = read_trace_dump(path)
-    assert records[0]["problem_id"] == "p1"
-    assert records[0]["values"] == [1.0, 2.5, 3.0]
-    assert records[0]["source"] == "parallel"
-
-
-def test_trace_dump_bad_json_line_number(tmp_path):
-    path = tmp_path / "traces.jsonl"
-    path.write_text('{"ok": 1}\nnot json\n')
-    from refinectl.confidence import read_trace_dump
-    with pytest.raises(ValueError, match=":2"):
-        read_trace_dump(path)

@@ -340,8 +340,11 @@ def test_decision_validation():
         Decision(action=Action.HALT, probs=(0.5, 0.2, 0.2), success_prob=0.5)
     with pytest.raises(ValueError):
         Decision(action=Action.RETHINK, probs=(0.8, 0.1, 0.1), success_prob=0.5)
-    d = Decision.from_probs([0.4, 0.4, 0.2])
-    assert d.action is Action.HALT
+    # a tie goes to the lowest code
+    assert Decision(action=Action.HALT, probs=(0.4, 0.4, 0.2), success_prob=0.5).action \
+        is Action.HALT
+    with pytest.raises(ValueError):
+        Decision(action=Action.RETHINK, probs=(0.4, 0.4, 0.2), success_prob=0.5)
 
 
 # ---------------------------------------------------------------------------

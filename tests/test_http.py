@@ -7,6 +7,8 @@ import json
 import mmap
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -168,6 +170,29 @@ def test_client_error_is_tried_once(server):
         generate(server, [("status", 400), ("body", BODY)])
     assert not isinstance(info.value, TransportError)
     assert server.requests[0] == 1
+
+
+def test_each_http_error_is_closed_before_raising(server, monkeypatch):
+    """A failed status frees its socket at once, not when the error that
+    carries it is collected: every ``HTTPError`` raised, the 400 slot's
+    cause and the 500 slot's three attempts, is closed."""
+    real, raised = urllib.request.urlopen, []
+
+    def urlopen(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except urllib.error.HTTPError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    server.script({0: [("status", 400)], 1: [("status", 500)] * 3})
+    results = drain_concurrent(server.backend(max_inflight=2),
+                               [(MSG, GenerationConfig(seed=i)) for i in range(2)])
+    assert sorted(exc.code for exc in raised) == [400, 500, 500, 500]
+    assert any(exc is results[0].__cause__ for exc in raised)
+    assert isinstance(results[1], TransportError) and results[1].attempts == 3
+    assert all(exc.fp.closed for exc in raised)
 
 
 def test_sleep_past_timeout_is_a_retried_transport_error(server):

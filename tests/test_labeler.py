@@ -10,15 +10,11 @@ from refinectl.controller import Action
 from refinectl.labeler import (
     DEFAULT_THRESHOLDS,
     HeuristicThresholds,
-    LabeledTrace,
     RawTrace,
     heuristic_label,
     label_math,
     label_refusal,
-    raw_traces_from_dump,
-    read_labeled_dataset,
     split,
-    write_labeled_dataset,
 )
 
 
@@ -252,24 +248,3 @@ def test_split_bad_ratios():
     with pytest.raises(ValueError):
         split(synthetic_problem_set(10), ratios=(0.5, 0.2, 0.2))
 
-
-# ---------------------------------------------------------------------------
-# JSONL interchange
-# ---------------------------------------------------------------------------
-
-def test_dump_roundtrip(tmp_path):
-    labeled = label_math([raw("p", 0, "parallel", correct=True)])
-    path = tmp_path / "labeled.jsonl"
-    write_labeled_dataset(path, labeled)
-    back = read_labeled_dataset(path)
-    assert back[0].label is Action.HALT
-    np.testing.assert_allclose(back[0].feature.bins, labeled[0].feature.bins)
-
-
-def test_raw_traces_from_dump_records():
-    records = [{"problem_id": "p", "iteration": 1, "values": [1.0, 2.0],
-                "answer": "7", "correct": False, "source": "sequential",
-                "ground_truth": "9", "produced_by": 1}]
-    traces = raw_traces_from_dump(records)
-    assert traces[0].produced_by is Action.RETHINK
-    assert traces[0].trace.n == 2

@@ -138,6 +138,14 @@ def test_compact_never_exceeds_budget(rng):
         assert len(out) <= budget
 
 
+def test_a_node_keeps_the_last_3200_characters_within_4000():
+    response = "".join(f"{i:05d}" for i in range(2000))  # 10k chars, no repeats
+    backend = mock_backend(MockRecord(text=response, confidences=[15.0] * 50))
+    node = run("p", backend, StubController(actions=[Action.HALT]), CFG, LoopConfig()).nodes[0]
+    assert len(node.compacted_text) <= 4000
+    assert node.compacted_text.endswith("\n" + response[-3200:])
+
+
 # ---------------------------------------------------------------------------
 # prompts
 # ---------------------------------------------------------------------------

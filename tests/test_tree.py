@@ -40,19 +40,18 @@ def node(nid, answer, action, conf=10.0, depth=0, parent=None) -> Node:
 # ---------------------------------------------------------------------------
 
 def test_exceeds_half_stops():
-    decisions = [make_decision(Action.HALT)] * 3 + [make_decision(Action.RETHINK)]
-    assert early_stop_check(decisions, ["7", "7", "7"]) is True
+    actions = [Action.HALT] * 3 + [Action.RETHINK]
+    assert early_stop_check(actions, ["7", "7", "7"]) is True
 
 
 def test_exactly_half_needs_consistent_answers():
-    decisions = [make_decision(Action.HALT)] * 2 + [make_decision(Action.RETHINK)] * 2
-    assert early_stop_check(decisions, ["A", "A"]) is True
-    assert early_stop_check(decisions, ["A", "B"]) is False
+    actions = [Action.HALT] * 2 + [Action.RETHINK] * 2
+    assert early_stop_check(actions, ["A", "A"]) is True
+    assert early_stop_check(actions, ["A", "B"]) is False
 
 
 def test_no_halts_no_stop():
-    decisions = [make_decision(Action.RETHINK)] * 4
-    assert early_stop_check(decisions, []) is False
+    assert early_stop_check([Action.RETHINK] * 4, []) is False
 
 
 def test_empty_decisions_rejected():
@@ -61,9 +60,8 @@ def test_empty_decisions_rejected():
 
 
 def test_refuse_counts_as_halting():
-    decisions = [make_decision(Action.REFUSE, 4), make_decision(Action.REFUSE, 4),
-                 make_decision(Action.RETHINK, 4)]
-    assert early_stop_check(decisions, [None, None]) is True
+    actions = [Action.REFUSE, Action.REFUSE, Action.RETHINK]
+    assert early_stop_check(actions, [None, None]) is True
 
 
 def test_actions_accepted_directly():
@@ -132,7 +130,7 @@ def test_high_confidence_majority_filters_low():
               node(4, "B", Action.HALT, conf=3.0)]
     # median cut keeps the top half: B's majority evaporates
     assert aggregate(halted, "majority") == "B"
-    assert aggregate(halted, "high_confidence_majority", high_conf_quantile=0.5) == "A"
+    assert aggregate(halted, "high_confidence_majority") == "A"
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +287,8 @@ def test_votes_and_agreement_compare_answers_by_one_key():
     halted = [node(0, "{8}", Action.HALT), node(1, "8", Action.HALT),
               node(2, "9", Action.HALT)]
     assert aggregate(halted, "majority") == "8"
-    decisions = [Action.HALT, Action.HALT, Action.RETHINK, Action.RETHINK]
-    assert early_stop_check(decisions, ["8", "{ 8 }"]) is True
+    actions = [Action.HALT, Action.HALT, Action.RETHINK, Action.RETHINK]
+    assert early_stop_check(actions, ["8", "{ 8 }"]) is True
 
 
 class EightBinController(StubController):
