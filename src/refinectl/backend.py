@@ -149,6 +149,9 @@ def _validate_messages(messages: list[Message]) -> None:
             raise ValueError("each message needs 'role' and 'content'")
 
 
+_POOL_LOCK = threading.Lock()  # makes each backend's drain pool once
+
+
 class Backend:
     """Common retry/ordering behaviour shared by all backends.
 
@@ -157,13 +160,18 @@ class Backend:
     backoff sleeps hold no request slot. ``max_inflight`` bounds the
     requests a backend has outstanding at its server. A backend with
     ``max_inflight`` above 1 enforces that bound itself, however many
-    threads call ``generate``; ``drain_concurrent`` runs one thread more
-    than that, so a reply can be parsed while the next request is out.
+    threads call ``generate``, and owns one pool of ``max_inflight + 1``
+    worker threads that every ``drain_concurrent`` on it shares: a reply
+    can be parsed while the next request is out, and at most that many
+    bodies are alive however many problems are in flight. The pool is made
+    on the first concurrent drain; its idle workers exit once the backend
+    is collected.
     """
 
     max_inflight: int = 8
     retry_attempts: int = 3
     retry_backoff: float = 0.5
+    _workers: ThreadPoolExecutor | None = None
 
     def _generate_once(self, messages: list[Message], cfg: GenerationConfig) -> Completion:
         raise NotImplementedError
@@ -186,6 +194,16 @@ class Backend:
         assert last is not None
         raise last
 
+    def _pool(self) -> ThreadPoolExecutor:
+        """The drain pool, made on first use. Its workers hold only a weak
+        reference to it, so it is collected with the backend, and that wakes
+        them to exit."""
+        with _POOL_LOCK:
+            if self._workers is None:
+                self._workers = ThreadPoolExecutor(self.max_inflight + 1,
+                                                   thread_name_prefix="refinectl-drain")
+            return self._workers
+
 
 def drain_concurrent(
     backend: Backend,
@@ -199,9 +217,11 @@ def drain_concurrent(
     raised; one failure never aborts its siblings. Ordering is a pure
     function of the request list, never of completion timing. Backends with
     ``max_inflight`` 1 (the mock, whose FIFO script order is its determinism
-    contract) are drained in order; others fan out over ``max_inflight + 1``
-    threads. The backend bounds its own outstanding requests, so the spare
-    thread sends the next request while another parses its reply.
+    contract) are drained in order in the calling thread; others fan out
+    over the backend's one pool of ``max_inflight + 1`` threads, shared by
+    drains from any number of threads. The backend bounds its own
+    outstanding requests, so the spare thread sends the next request while
+    another parses its reply.
     """
     serve = serve or backend.generate
 
@@ -213,8 +233,7 @@ def drain_concurrent(
 
     if backend.max_inflight <= 1:
         return [one(r) for r in requests]
-    with ThreadPoolExecutor(max_workers=backend.max_inflight + 1) as pool:
-        return list(pool.map(one, requests))
+    return list(backend._pool().map(one, requests))
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +603,8 @@ class HttpBackend(Backend):
 
     @property
     def max_inflight(self) -> int:
-        """Fixed at construction: the request slots and the drain's pool size
-        both follow it."""
+        """Fixed at construction: the request slots, the drain pool's size
+        and the problems a sweep keeps in flight all follow it."""
         return self._max_inflight
 
     def _generate_once(self, messages: list[Message], cfg: GenerationConfig) -> Completion:

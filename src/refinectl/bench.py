@@ -16,8 +16,9 @@ import logging
 import math
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -215,6 +216,35 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
     return _ProblemOutcome(is_correct(problem, done.final_answer), *_spent(done))
 
 
+T = TypeVar("T")
+
+
+def solve_each(solve: Callable[[Problem], T], problems: Sequence[Problem],
+               backend: Backend) -> Iterator[T | RefinementError]:
+    """``solve(problem)`` of each problem, or the ``RefinementError`` it
+    raised, yielded in problem order.
+
+    Up to ``backend.max_inflight`` problems are solved at once, one thread
+    each, so their requests share the backend's slots and its drain pool.
+    At 1 (``MockBackend``, whose FIFO script must be consumed in problem
+    order) they are solved one after another in the calling thread. Any
+    other exception propagates when its problem's turn comes: problems not
+    yet started are cancelled, and those running finish first.
+    """
+    def attempt(problem: Problem) -> T | RefinementError:
+        try:
+            return solve(problem)
+        except RefinementError as exc:
+            return exc
+
+    width = min(backend.max_inflight, len(problems))
+    if width <= 1:
+        yield from map(attempt, problems)
+        return
+    with ThreadPoolExecutor(width, thread_name_prefix="refinectl-problem") as pool:
+        yield from pool.map(attempt, problems)
+
+
 def _spent(done: RunResult | TreeRun | None) -> tuple[int, int]:
     """(generation tokens, generations) of a finished or partial refinement."""
     if isinstance(done, TreeRun):
@@ -236,11 +266,15 @@ def run_benchmark(
 
     Refinement methods need a controller. ``backend_factory(seed)`` can
     supply a fresh backend per seed (mock scripts are consumed by a run);
-    otherwise the given backend is reused. Wall time covers generation and
-    voting, not report I/O. Per-problem failures are logged and scored as
-    incorrect rather than aborting the sweep; a failed problem still counts
-    the tokens of every generation served to it before or beside the failure.
-    With ``spec.randomize_choices`` each seed reorders every MCQ problem's
+    otherwise the given backend is reused. A seed's problems run through
+    :func:`solve_each`: up to ``max_inflight`` of them at once, each on its
+    own thread, and one after another on a backend with one slot. Outcomes
+    are folded in dataset order, so the row does not depend on which problem
+    finishes first. Wall time covers generation and voting, not report I/O.
+    Per-problem failures are logged and scored as incorrect rather than
+    aborting the sweep; a failed problem still counts the tokens of every
+    generation served to it before or beside the failure. With
+    ``spec.randomize_choices`` each seed reorders every MCQ problem's
     choices up front, drawn in dataset order from ``default_rng(seed)``.
     """
     if spec.method in CONTROLLED and controller is None:
@@ -257,13 +291,14 @@ def run_benchmark(
         problems = [replace(p, choices=presented_choices(p, rng))
                     if spec.randomize_choices and p.mode == "mcq" else p for p in dataset]
         correct = 0
-        for problem in problems:
+        outcomes = solve_each(
+            lambda problem: _run_problem(problem, spec, seed_backend, controller, seed),
+            problems, seed_backend)
+        for problem, outcome in zip(problems, outcomes):
             problems_total += 1
-            try:
-                outcome = _run_problem(problem, spec, seed_backend, controller, seed)
-            except RefinementError as exc:
-                logger.warning("problem %s failed: %s", problem.id, exc)
-                outcome = _ProblemOutcome(False, *_spent(exc.partial))
+            if isinstance(outcome, RefinementError):
+                logger.warning("problem %s failed: %s", problem.id, outcome)
+                outcome = _ProblemOutcome(False, *_spent(outcome.partial))
             correct += outcome.correct
             tokens_total += outcome.tokens
             generations_total += outcome.generations
@@ -361,4 +396,5 @@ __all__ = [
     "majority_vote",
     "presented_choices",
     "run_benchmark",
+    "solve_each",
 ]

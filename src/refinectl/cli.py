@@ -13,7 +13,9 @@ Each problem is answered in its own mode (``math_boxed`` or ``mcq``, from the
 dataset row), so one file can mix both. ``run`` and ``tree`` print one line
 per problem; a problem whose generation fails prints
 ``<id>: failed: <message> tokens=<served>`` and the rest still run. The log
-or dump then holds the finished problems, and the exit status is 1.
+or dump then holds the finished problems, and the exit status is 1. Over
+HTTP, up to the backend's ``max_inflight`` problems run at once; lines, log
+and dump stay in problem-file order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .backend import (
     MockBackend,
     load_mock_script,
 )
-from .bench import RunSpec, emit_report, load_dataset, load_report, run_benchmark
+from .bench import RunSpec, emit_report, load_dataset, load_report, run_benchmark, solve_each
 from .controller import load_model
 from .refine import LoopConfig, RefinementError, run, write_run_log
 from .tree import TreeConfig, run_tree, write_tree_dump
@@ -84,13 +86,15 @@ def _cmd_run(args) -> int:
     controller, _ = load_model(args.model_file)
     problems = load_dataset(args.problem_file)
     loop_cfg = LoopConfig(max_iterations=args.max_iters, two_phase_refusal=args.two_phase)
+    gen_cfg = _gen_cfg(args)
     results, failed = [], False
-    for problem in problems:
-        try:
-            result = run(problem, backend, controller, _gen_cfg(args), loop_cfg)
-        except RefinementError as exc:
+    for problem, result in zip(problems, solve_each(
+            lambda problem: run(problem, backend, controller, gen_cfg, loop_cfg),
+            problems, backend)):
+        if isinstance(result, RefinementError):
             failed = True
-            print(f"{problem.id}: failed: {exc} tokens={exc.partial.total_generation_tokens}")
+            print(f"{problem.id}: failed: {result} "
+                  f"tokens={result.partial.total_generation_tokens}")
             continue
         results.append(result)
         print(f"{problem.id}: answer={result.final_answer!r} "
@@ -108,13 +112,14 @@ def _cmd_tree(args) -> int:
     loop_cfg = LoopConfig(two_phase_refusal=args.two_phase)
     tree_cfg = TreeConfig(warmup=args.warmup, branch_factor=args.branch,
                           max_depth=args.depth, vote=args.vote)
+    gen_cfg = _gen_cfg(args)
     runs, failed = [], False
-    for problem in problems:
-        try:
-            tree_run = run_tree(problem, backend, controller, _gen_cfg(args), tree_cfg, loop_cfg)
-        except RefinementError as exc:
+    for problem, tree_run in zip(problems, solve_each(
+            lambda problem: run_tree(problem, backend, controller, gen_cfg, tree_cfg, loop_cfg),
+            problems, backend)):
+        if isinstance(tree_run, RefinementError):
             failed = True
-            print(f"{problem.id}: failed: {exc} tokens={exc.partial.total_tokens}")
+            print(f"{problem.id}: failed: {tree_run} tokens={tree_run.partial.total_tokens}")
             continue
         runs.append(tree_run)
         print(f"{problem.id}: answer={tree_run.final_answer!r} "

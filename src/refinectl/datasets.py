@@ -1,7 +1,8 @@
 """Problem records and the JSONL dataset loader.
 
 Dataset rows: {"id": ..., "statement": ..., "answer": ..., "mode":
-"math_boxed"|"mcq", "choices": [...]?, "unanswerable": bool?}. For MCQ
+"math_boxed"|"mcq", "choices": [str, ...]?, "unanswerable": bool?}, with
+JSON's types checked, not coerced: "false" is not a boolean. For MCQ
 problems the stored answer is the text of the correct choice, and a choice's
 letter is its index in ``Problem.choices``; the bench randomizes choice order
 by reordering a problem's choices, which keeps the ground truth valid.
@@ -123,14 +124,19 @@ def load_dataset(path: str | Path) -> list[Problem]:
                     raise ValueError(f"duplicate id {pid!r}")
                 seen.add(pid)
                 choices = rec.get("choices")
-                choices = tuple(str(c) for c in choices) if choices is not None else None
+                if choices is not None and not (
+                        isinstance(choices, list) and all(isinstance(c, str) for c in choices)):
+                    raise TypeError(f"choices must be a list of strings, not {choices!r}")
+                unanswerable = rec.get("unanswerable", False)
+                if not isinstance(unanswerable, bool):
+                    raise TypeError(f"unanswerable must be true or false, not {unanswerable!r}")
                 problem = Problem(
                     id=pid,
                     statement=str(rec["statement"]),
                     ground_truth=str(rec["answer"]),
                     mode=rec.get("mode", "math_boxed"),
-                    choices=choices,
-                    unanswerable=bool(rec.get("unanswerable", False)),
+                    choices=tuple(choices) if choices is not None else None,
+                    unanswerable=unanswerable,
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc

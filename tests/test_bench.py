@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import re
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -35,7 +38,7 @@ from refinectl.datasets import is_unsure_choice
 from refinectl.refine import LoopConfig, run
 from refinectl.tree import TreeConfig, run_tree
 
-from conftest import StubController, boxed_record, mock_backend
+from conftest import KeyedBackend, StubController, boxed_record, mock_backend
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,26 @@ def test_a_row_of_the_wrong_type_names_its_line(tmp_path, row):
     write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"}, row])
     with pytest.raises(DatasetError, match="d.jsonl:2: "):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("unanswerable", "false", "unanswerable must be true or false"),
+    ("unanswerable", 0, "unanswerable must be true or false"),
+    ("unanswerable", None, "unanswerable must be true or false"),
+    ("choices", "abc", "choices must be a list of strings"),
+    ("choices", ["a", 2], "choices must be a list of strings"),
+    ("choices", {"a": "b"}, "choices must be a list of strings"),
+])
+def test_fields_of_the_wrong_json_type_are_rejected_not_coerced(tmp_path, field, value, match):
+    """A string "false" is truthy and a string iterates as its letters: both
+    would load as something the row does not say."""
+    row = {"id": "q", "statement": "s", "answer": "a", "mode": "mcq", "choices": ["a", "b"]}
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"}, {**row, field: value}])
+    with pytest.raises(DatasetError, match=f"d.jsonl:2: {match}"):
+        load_dataset(path)
+    write_jsonl(path, [row, {"id": "u", "statement": "s", "answer": "1", "unanswerable": True}])
+    assert [p.unanswerable for p in load_dataset(path)] == [False, True]
 
 
 def test_unsure_choice_detected(tmp_path):
@@ -411,6 +434,46 @@ def test_non_finite_sample_fails_its_problem_not_the_sweep(method, bad):
     assert row.accuracy_mean == 50.0  # p0 failed on its only sample, p1 scored
     assert row.tokens_total == 4  # a rejected sample is never served
     assert row.iterations_mean == 0.5
+
+
+@pytest.mark.parametrize("method", ["corefine", "corefine_tree"])
+def test_a_controller_bug_leaves_the_sweep_and_no_thread_outlives_it(method):
+    """A ``ValueError`` from the third ``decide`` is a bug, not a problem's
+    failure: it leaves ``run_benchmark`` with problems in flight as it does
+    one problem at a time. The problem threads end with each sweep, and the
+    drain pool's workers once the backend is collected. Every drain of a
+    backend runs on its one pool, so the trees' requests come from at most
+    ``max_inflight + 1`` threads over both sweeps."""
+    dataset = [Problem(id=f"p{i}", statement=f"question {i}", ground_truth="3")
+               for i in range(4)]
+    spec = RunSpec(method=method, seeds=(0,), loop_cfg=LoopConfig(max_iterations=3),
+                   tree_cfg=TreeConfig(warmup=2, max_depth=1))
+    before = threading.active_count()
+    for slots in (1, 2):
+        backend = KeyedBackend(lambda statement, seed: boxed_record("3", [0.5] * 4),
+                               [p.statement for p in dataset], slots)
+        row = run_benchmark(dataset, spec, backend,
+                            controller=StubController(fn=lambda f: Action.RETHINK))
+        assert row.accuracy_mean == 100.0 and row.tokens_total == backend.tokens
+        calls, lock = itertools.count(1), threading.Lock()
+
+        def third_raises(feature):
+            with lock:
+                if next(calls) == 3:
+                    raise ValueError("the third decide")
+            return Action.RETHINK
+
+        with pytest.raises(ValueError, match="the third decide"):
+            run_benchmark(dataset, spec, backend, controller=StubController(fn=third_raises))
+    assert backend.peak == 2  # the problems did share the slots
+    if method == "corefine_tree":
+        assert len(backend.threads) <= 3
+    del backend
+    gc.collect()
+    deadline = time.monotonic() + 2.0
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before
 
 
 def test_std_over_seeds():

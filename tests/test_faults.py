@@ -4,12 +4,14 @@ records through both orchestrators and the benchmark harness.
 Whatever the script, only ``RefinementError`` escapes ``run`` and
 ``run_tree``, ``run_benchmark`` never raises, every reported token total
 equals the tokens of the records actually served, and a tree never exceeds
-its node budget.
+its node budget. With problems in flight on a concurrent backend the same
+holds, and the row is the one the same records give one problem at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from refinectl.controller import Action
 from refinectl.refine import LoopConfig, RefinementError, run
 from refinectl.tree import TreeConfig, run_tree
 
-from conftest import StubController, boxed_record, mock_backend
+from conftest import KeyedBackend, StubController, boxed_record, mock_backend
 
 CFG = GenerationConfig()
 
@@ -90,3 +92,36 @@ def test_run_benchmark_never_raises_and_counts_served_tokens(
                         backend_factory=factory)
     assert row.tokens_total == served_tokens(records, backends[0])
     assert 0.0 <= row.accuracy_mean <= 100.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables=st.lists(records_st.filter(bool), min_size=3, max_size=3),
+       actions=actions_st, loop_cfg=loop_st, tree_cfg=tree_st,
+       method=st.sampled_from(["corefine", "corefine_tree"]),
+       max_inflight=st.integers(2, 4))
+def test_problems_in_flight_keep_the_serial_row(tables, actions, loop_cfg, tree_cfg, method,
+                                                max_inflight):
+    """Three problems over a backend with 2-4 slots: the sweep never raises,
+    counts exactly the tokens served, and reports the row the same records
+    give at one slot. Records are kept by (statement, seed) and the
+    controller is a function of the reply, so neither depends on which
+    problem's request arrives first."""
+    dataset = [Problem(id=f"p{i}", statement=f"question {i}", ground_truth="3")
+               for i in range(len(tables))]
+    by_statement = {p.statement: table for p, table in zip(dataset, tables)}
+
+    def pick(statement, seed):
+        table = by_statement[statement]
+        return table[seed % len(table)]
+
+    # a served record's confidences are all 9 + its length
+    controller = StubController(fn=lambda f: actions[int(f.bins[0]) % len(actions)],
+                                n_actions=len(Action))
+    spec = RunSpec(method=method, seeds=(0, 1), loop_cfg=loop_cfg, tree_cfg=tree_cfg)
+    rows = []
+    for slots in (max_inflight, 1):
+        backend = KeyedBackend(pick, by_statement, slots)
+        rows.append(run_benchmark(dataset, spec, backend, controller=controller))
+        assert rows[-1].tokens_total == backend.tokens
+        assert backend.peak <= slots
+    assert replace(rows[0], wall_time=0.0) == replace(rows[1], wall_time=0.0)

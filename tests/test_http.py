@@ -3,6 +3,7 @@ timeouts, bodies cut short, and one bad response failing one slot."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import mmap
 import threading
@@ -29,7 +30,8 @@ from refinectl.backend import (
     parse_chat_response,
 )
 from refinectl.bench import Problem, RunSpec, run_benchmark
-from refinectl.controller import Action, init
+from refinectl.cli import main
+from refinectl.controller import Action, init, save_model
 from refinectl.refine import LoopConfig
 from refinectl.tree import TreeConfig
 
@@ -458,27 +460,104 @@ def test_a_non_finite_logprob_fails_its_problem_not_the_sweep(server, spec, scri
 
 
 def tree_body(seed: int) -> bytes:
-    """2-5 tokens by seed, answer 7 or 8; seed 4 truncated."""
-    body = compact_body([[-0.5]] * (2 + seed % 4), with_bytes=False,
+    """2-5 tokens by seed, each of a confidence equal to that length, answer
+    7 or 8; seed 4 truncated."""
+    n = 2 + seed % 4
+    body = compact_body([[-float(n)]] * n, with_bytes=False,
                         text=f"so \\boxed{{{7 + seed % 2}}}")
     return body.replace(b'"stop"', b'"length"') if seed == 4 else body
 
 
-def test_tree_reports_do_not_depend_on_max_inflight(server):
-    """The same sweep at 1, 2 and 4 slots: the same row, tokens included, and
-    the same requests per seed, though the server holds each request by its
-    seed so that replies arrive out of request order."""
-    spec = RunSpec(method="corefine_tree", seeds=(0,),
-                   tree_cfg=TreeConfig(warmup=3, branch_factor=2, max_depth=2))
+BY_LENGTH = {2: Action.RETHINK, 3: Action.HALT, 4: Action.ALTERNATIVE, 5: Action.RETHINK}
+
+
+def rows_by_max_inflight(server, spec: RunSpec) -> list[tuple]:
+    """The sweep's row without its wall time, and the requests per seed, at
+    1, 2 and 4 slots. The server holds each request by its seed, so replies
+    arrive out of request order, and two problems are in flight from 2 slots
+    on. The controller is a function of the reply's trace length, so which
+    reply a node holds decides the vote, whichever problem asked first."""
     seen = []
     for max_inflight in (1, 2, 4):
         server.script({seed: [("body", tree_body(seed))] * 8 for seed in range(32)},
                       hook=lambda seed: time.sleep(0.005 * (3 - seed % 4)))
-        # actions by node order, so which reply a node holds decides the vote
-        controller = StubController(actions=[Action.HALT, Action.RETHINK, Action.ALTERNATIVE,
-                                             Action.RETHINK] * 12)
+        controller = StubController(fn=lambda feature: BY_LENGTH[round(feature.bins[0])])
         row = run_benchmark(TWO_PROBLEMS, spec, server.backend(max_inflight=max_inflight),
                             controller=controller)
         seen.append((replace(row, wall_time=0.0), dict(server.requests)))
+    return seen
+
+
+def test_tree_reports_do_not_depend_on_max_inflight(server):
+    """The same sweep at 1, 2 and 4 slots: the same row, tokens included, and
+    the same requests per seed."""
+    spec = RunSpec(method="corefine_tree", seeds=(0,),
+                   tree_cfg=TreeConfig(warmup=3, branch_factor=2, max_depth=2))
+    seen = rows_by_max_inflight(server, spec)
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0].iterations_mean > spec.tree_cfg.warmup  # the trees branch
+
+
+@pytest.mark.parametrize("spec", [
+    RunSpec(method="corefine", seeds=(0,)),
+    RunSpec(method="majority_sequential", k=3, seeds=(0,)),
+], ids=["corefine", "majority_sequential"])
+def test_loop_and_voting_reports_do_not_depend_on_max_inflight(server, spec):
+    seen = rows_by_max_inflight(server, spec)
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0].iterations_mean > 1
+
+
+def test_problems_in_flight_share_the_request_slots(server):
+    """Two refinement loops at two slots have two requests out at once, where
+    problems run one after another would have one; four trees at two slots
+    never have more than two out, whatever their drains ask for."""
+    def pair(seed):
+        with server.lock:
+            server.lock.wait_for(lambda: server.active >= 2, timeout=0.5)
+
+    server.script({0: [("body", SEVEN)] * 2}, hook=pair)
+    halt = StubController(fn=lambda feature: Action.HALT)
+    row = run_benchmark(TWO_PROBLEMS, RunSpec(method="corefine", seeds=(0,)),
+                        server.backend(max_inflight=2), controller=halt)
+    assert row.accuracy_mean == 100.0 and server.peak == 2
+
+    def crowd(seed):
+        with server.lock:
+            server.lock.wait_for(lambda: server.active > 2, timeout=0.1)
+
+    four = [Problem(id=f"p{i}", statement=f"question {i}", ground_truth="7") for i in range(4)]
+    server.script({seed: [("body", SEVEN)] * 4 for seed in range(2)}, hook=crowd)
+    row = run_benchmark(four, RunSpec(method="corefine_tree", seeds=(0,),
+                                      tree_cfg=TreeConfig(warmup=2, max_depth=0)),
+                        server.backend(max_inflight=2), controller=halt)
+    assert row.accuracy_mean == 100.0 and row.tokens_total == 4 * 2 * 2
+    assert server.peak == 2
+
+
+@pytest.mark.parametrize("command, out_flag", [
+    (["run", "--max-iters", "1"], "--log"),
+    (["tree", "--warmup", "1", "--depth", "0"], "--dump"),
+], ids=["run", "tree"])
+def test_cli_keeps_problem_order_with_problems_in_flight(server, tmp_path, capsys, command,
+                                                         out_flag):
+    """The first request to arrive is held longest, so its problem finishes
+    last; the CLI's lines and its log or dump still follow the problem file."""
+    arrivals = itertools.count()
+    server.script({0: [("body", SEVEN)] * 3},
+                  hook=lambda seed: time.sleep(0.3) if next(arrivals) == 0 else None)
+    problems = tmp_path / "problems.jsonl"
+    problems.write_text("".join(json.dumps({"id": f"p{i}", "statement": f"question {i}",
+                                            "answer": "7"}) + "\n" for i in range(3)))
+    model = tmp_path / "controller.bin"
+    save_model(model, init(3, 16, seed=0))
+    out = tmp_path / "out.jsonl"
+    code = main(command + ["--endpoint", f"http://127.0.0.1:{server.httpd.server_address[1]}/v1",
+                           "--model", "m", "--problem-file", str(problems),
+                           "--model-file", str(model), "--seed", "0", out_flag, str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["p0", "p1", "p2"]
+    assert [json.loads(row)["problem_id"] for row in out.read_text().splitlines()] == \
+        ["p0", "p1", "p2"]
+    assert server.peak >= 2  # another problem was served while the first was held
