@@ -9,6 +9,8 @@ import pytest
 from refinectl.cli import main
 from refinectl.controller import init, save_model
 
+from conftest import StubController
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -158,3 +160,68 @@ def test_bench_runs_a_mixed_mode_dataset_without_a_mode_flag(tmp_path):
     assert code == 0
     row = json.loads(out.read_text())[0]
     assert row["acc_mean"] == 100.0 and row["tokens"] == 10
+
+
+def record(answer, conf, n):
+    """A constant-confidence response boxing ``answer`` (None: no box)."""
+    text = "..." if answer is None else f"... \\boxed{{{answer}}}"
+    return {"text": text, "confidences": [conf] * n}
+
+
+def by_confidence(feature):
+    """Mean trace confidence below 10 rethinks, below 14 switches approach,
+    below 20 halts, and from 20 up refuses."""
+    mean = feature.bins.mean()
+    return 1 if mean < 10 else 2 if mean < 14 else 0 if mean < 20 else 3
+
+
+@pytest.fixture
+def confidence_controller(monkeypatch):
+    monkeypatch.setattr("refinectl.cli.load_model",
+                        lambda path: (StubController(fn=by_confidence, n_actions=4), {}))
+
+
+RUN_SCRIPT = [
+    record("5", 8.0, 4), record("7", 16.0, 6),                        # p0: halt
+    TRUNCATED, FAILED,                                                # p1: failed
+    record("3", 8.0, 2), record("{3}", 12.0, 3), record(" 3", 8.0, 2),  # p2: override
+    record(None, 8.0, 1), record("4", 12.0, 2), record("6", 8.0, 3),  # p3: cap
+    record("9", 24.0, 5),                                             # p4: refuse
+]
+RUN_STDOUT = """\
+p0: answer='7' iterations=2 terminated_by=halt tokens=10
+p1: failed: boom tokens=5
+p2: answer='3' iterations=3 terminated_by=consistency_override tokens=7
+p3: answer='6' iterations=3 terminated_by=max_iterations tokens=6
+p4: answer=None iterations=1 terminated_by=refuse tokens=5
+"""
+
+TREE_SCRIPT = [
+    record("7", 16.0, 2), record("7", 18.0, 3),                       # p0: early stop
+    TRUNCATED, FAILED, FAILED,                                        # p1: failed
+    record("4", 8.0, 1), record("5", 12.0, 2),                        # p2: both refine,
+    record("5", 16.0, 1), record("4", 8.0, 2),                        # two children each
+    record(None, 12.0, 3), record("5", 16.0, 4),
+    record("2", 16.0, 1), record("1", 24.0, 1),                       # p3: no refinement
+]
+TREE_STDOUT = """\
+p0: answer='7' nodes=2 early_stopped=True tokens=5
+p1: failed: all warmup generations failed tokens=5
+p2: answer='5' nodes=6 early_stopped=False tokens=13
+p3: answer='2' nodes=2 early_stopped=True tokens=2
+"""
+
+
+@pytest.mark.parametrize("command, script, flags, expected", [
+    ("run", RUN_SCRIPT, ["--max-iters", "3"], RUN_STDOUT),
+    ("tree", TREE_SCRIPT, ["--warmup", "2", "--branch", "2", "--depth", "1"], TREE_STDOUT),
+], ids=["run", "tree"])
+def test_run_and_tree_stdout_bytes(tmp_path, capsys, confidence_controller,
+                                   command, script, flags, expected):
+    """Every success and failed line, byte for byte, on a one-slot mock."""
+    n = expected.count("\n")
+    code = main([command, "--mock-script", write_records(tmp_path / "script.json", script),
+                 "--problem-file", write_dataset(tmp_path / "problems.jsonl", n=n),
+                 "--model-file", "unused.bin", *flags])
+    assert code == 1
+    assert capsys.readouterr().out == expected
