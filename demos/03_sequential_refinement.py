@@ -40,7 +40,7 @@ result = run("A hard competition problem", backend, ThresholdPolicy(),
 print(f"final answer:   {result.final_answer}")
 print(f"iterations:     {result.iterations_used}")
 print(f"terminated by:  {result.terminated_by}")
-print(f"tokens used:    {result.total_generation_tokens}")
+print(f"tokens used:    {result.total_tokens}")
 for node in result.nodes:
     print(f"  t={node.depth + 1} action={node.action.name:11s} "
           f"answer={node.answer} conf={node.confidence_mean:.1f}")

@@ -2,7 +2,9 @@
 
 Two scripted scenarios: an easy problem where all warmup traces agree and
 the tree stops after four nodes, and a hard one where a single confident
-trace halts while everything else keeps branching until the depth cap.
+trace halts while everything else keeps branching until the depth cap. A
+tree returns the same ``RunResult`` as the sequential loop; its
+``terminated_by`` says why it stopped.
 
 Run: python demos/04_tree_refinement.py
 """
@@ -40,7 +42,7 @@ print(f"node budget: {TREE.max_nodes()} maximum")
 easy = MockBackend([record("7", 16.0) for _ in range(4)])
 run_easy = run_tree(Problem(id="easy", statement="easy problem", ground_truth="7"),
                     easy, ThresholdPolicy(), GEN, TREE, LoopConfig())
-print(f"\neasy: {len(run_easy.nodes)} nodes, early_stopped={run_easy.early_stopped}, "
+print(f"\neasy: {len(run_easy.nodes)} nodes, terminated_by={run_easy.terminated_by}, "
       f"answer={run_easy.final_answer}, tokens={run_easy.total_tokens}")
 
 # --- hard problem: one good trace, everyone else explores -------------------------
@@ -53,7 +55,7 @@ run_hard = run_tree(Problem(id="hard", statement="hard problem", ground_truth="2
                     hard, ThresholdPolicy(), GEN, TREE, LoopConfig())
 
 print(f"\nhard: {len(run_hard.nodes)} nodes explored, "
-      f"max depth {run_hard.max_depth_explored()}")
+      f"max depth {run_hard.max_depth_explored()}, terminated_by={run_hard.terminated_by}")
 for node in run_hard.nodes:
     indent = "  " * node.depth
     mark = "*" if node.halting else " "

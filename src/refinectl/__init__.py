@@ -73,6 +73,6 @@ from .refine import (
     run,
 )
 from .training import TrainConfig, TrainReport, class_weights, loss, train
-from .tree import TreeConfig, TreeRun, aggregate, early_stop_check, run_tree, tree_metrics
+from .tree import TreeConfig, aggregate, early_stop_check, run_tree, tree_metrics
 
 __version__ = "0.1.0"

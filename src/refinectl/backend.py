@@ -316,10 +316,14 @@ class MockBackend(Backend):
 
 
 def load_mock_script(path: str | Path) -> list[MockRecord]:
-    """Load a mock script file: {"responses": [{text, confidences|logprobs, finish_reason}]}."""
+    """Load a mock script file: {"responses": [{text, confidences|logprobs,
+    finish_reason}]}. A file that is not one raises ``ScriptError``."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "responses" not in doc:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ScriptError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("responses"), list):
         raise ScriptError("script file must be an object with a 'responses' list")
     records = []
     for i, row in enumerate(doc["responses"]):

@@ -33,9 +33,8 @@ from .datasets import (  # re-exported: the dataset surface lives with the harne
     normalize_math_answer,
     presented_choices,
 )
-from .refine import LoopConfig, RefinementError, RunResult, build_initial_prompt, \
-    extract_answer, run
-from .tree import TreeConfig, TreeRun, run_tree
+from .refine import LoopConfig, RefinementError, build_initial_prompt, extract_answer, run
+from .tree import TreeConfig, run_tree
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +135,7 @@ def conf_filtered_vote(
     score: dict[str, float] = {}
     for a, c in kept:
         key = normalize_math_answer(a)
-        if key:
+        if key is not None:
             score[key] = score.get(key, 0.0) + (c if weighted else 1.0)
     if not score:
         return None
@@ -213,7 +212,8 @@ def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
         done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg)
     else:
         raise ValueError(f"unknown method {spec.method!r}")
-    return _ProblemOutcome(is_correct(problem, done.final_answer), *_spent(done))
+    return _ProblemOutcome(is_correct(problem, done.final_answer), done.total_tokens,
+                           len(done.nodes))
 
 
 T = TypeVar("T")
@@ -245,15 +245,6 @@ def solve_each(solve: Callable[[Problem], T], problems: Sequence[Problem],
         yield from pool.map(attempt, problems)
 
 
-def _spent(done: RunResult | TreeRun | None) -> tuple[int, int]:
-    """(generation tokens, generations) of a finished or partial refinement."""
-    if isinstance(done, TreeRun):
-        return done.total_tokens, len(done.nodes)
-    if isinstance(done, RunResult):
-        return done.total_generation_tokens, done.iterations_used
-    return 0, 0
-
-
 def run_benchmark(
     dataset: Sequence[Problem],
     spec: RunSpec,
@@ -283,7 +274,6 @@ def run_benchmark(
     per_seed_acc: list[float] = []
     tokens_total = 0
     generations_total = 0
-    problems_total = 0
     started = time.perf_counter()
     for seed in spec.seeds:
         seed_backend = backend_factory(seed) if backend_factory is not None else backend
@@ -295,10 +285,10 @@ def run_benchmark(
             lambda problem: _run_problem(problem, spec, seed_backend, controller, seed),
             problems, seed_backend)
         for problem, outcome in zip(problems, outcomes):
-            problems_total += 1
             if isinstance(outcome, RefinementError):
                 logger.warning("problem %s failed: %s", problem.id, outcome)
-                outcome = _ProblemOutcome(False, *_spent(outcome.partial))
+                outcome = _ProblemOutcome(False, outcome.partial.total_tokens,
+                                          len(outcome.partial.nodes))
             correct += outcome.correct
             tokens_total += outcome.tokens
             generations_total += outcome.generations
@@ -314,7 +304,7 @@ def run_benchmark(
         accuracy_std=std,
         tokens_total=tokens_total,
         wall_time=wall,
-        iterations_mean=generations_total / problems_total if problems_total else 0.0,
+        iterations_mean=generations_total / (len(dataset) * len(spec.seeds)) if dataset else 0.0,
     )
 
 
@@ -374,15 +364,32 @@ def emit_report(rows: Sequence[ReportRow], format: str = "csv") -> bytes:
     raise ValueError(f"unknown format {format!r}")
 
 
+class ReportError(ValueError):
+    """Report blob violates the json format; message names the bad row."""
+
+
 def load_report(blob: bytes) -> list[ReportRow]:
     """Inverse of the json format of :func:`emit_report`."""
-    return [ReportRow.from_dict(d) for d in json.loads(blob.decode("utf-8"))]
+    try:
+        rows = json.loads(blob)
+    except ValueError as exc:
+        raise ReportError(f"invalid JSON: {exc}") from exc
+    if not isinstance(rows, list):
+        raise ReportError(f"a report is a JSON list of rows, not a {type(rows).__name__}")
+    out = []
+    for i, d in enumerate(rows):
+        try:
+            out.append(ReportRow.from_dict(d))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReportError(f"row {i}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
 __all__ = [
     "CSV_COLUMNS",
     "DatasetError",
     "Problem",
+    "ReportError",
     "ReportRow",
     "RunSpec",
     "choice_letter",

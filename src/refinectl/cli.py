@@ -15,14 +15,16 @@ per problem; a problem whose generation fails prints
 ``<id>: failed: <message> tokens=<served>`` and the rest still run. The log
 or dump then holds the finished problems, and the exit status is 1. Over
 HTTP, up to the backend's ``max_inflight`` problems run at once; lines, log
-and dump stay in problem-file order.
+and dump stay in problem-file order. An input file that is missing or
+malformed (problems, dataset, mock script, model, report) prints
+``refinectl: <message>`` to stderr and exits with status 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -32,12 +34,13 @@ from .backend import (
     GenerationConfig,
     HttpBackend,
     MockBackend,
+    ScriptError,
     load_mock_script,
 )
 from .bench import RunSpec, emit_report, load_dataset, load_report, run_benchmark, solve_each
-from .controller import load_model
+from .controller import SerializationError, load_model
 from .refine import LoopConfig, RefinementError, run, write_run_log
-from .tree import TreeConfig, run_tree, write_tree_dump
+from .tree import VOTE_METHODS, TreeConfig, run_tree, write_tree_dump
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
@@ -54,13 +57,6 @@ def _make_backend(args) -> Backend:
     if args.endpoint and args.model:
         return HttpBackend(args.endpoint, args.model, api_key_env=args.api_key_env)
     raise SystemExit("need either --mock-script or both --endpoint and --model")
-
-
-def _make_backend_factory(args):
-    if args.mock_script:
-        return lambda seed: MockBackend(load_mock_script(args.mock_script))
-    backend = _make_backend(args)
-    return lambda seed: backend
 
 
 def _gen_cfg(args) -> GenerationConfig:
@@ -81,53 +77,45 @@ def _add_gen_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
-def _cmd_run(args) -> int:
+def _solve_problems(args, solve, fields, write, out) -> int:
+    """``run`` and ``tree``: ``solve(problem, backend, controller, gen_cfg)``
+    each problem, print its line and ``write`` the finished runs to ``out``."""
     backend = _make_backend(args)
     controller, _ = load_model(args.model_file)
     problems = load_dataset(args.problem_file)
-    loop_cfg = LoopConfig(max_iterations=args.max_iters, two_phase_refusal=args.two_phase)
     gen_cfg = _gen_cfg(args)
     results, failed = [], False
     for problem, result in zip(problems, solve_each(
-            lambda problem: run(problem, backend, controller, gen_cfg, loop_cfg),
+            lambda problem: solve(problem, backend, controller, gen_cfg),
             problems, backend)):
         if isinstance(result, RefinementError):
             failed = True
-            print(f"{problem.id}: failed: {result} "
-                  f"tokens={result.partial.total_generation_tokens}")
+            print(f"{problem.id}: failed: {result} tokens={result.partial.total_tokens}")
             continue
         results.append(result)
-        print(f"{problem.id}: answer={result.final_answer!r} "
-              f"iterations={result.iterations_used} terminated_by={result.terminated_by} "
-              f"tokens={result.total_generation_tokens}")
-    if args.log:
-        write_run_log(args.log, results)
+        print(f"{problem.id}: answer={result.final_answer!r} {fields(result)} "
+              f"tokens={result.total_tokens}")
+    if out:
+        write(out, results)
     return int(failed)
+
+
+def _cmd_run(args) -> int:
+    loop_cfg = LoopConfig(max_iterations=args.max_iters, two_phase_refusal=args.two_phase)
+    return _solve_problems(
+        args, partial(run, loop_cfg=loop_cfg),
+        lambda r: f"iterations={r.iterations_used} terminated_by={r.terminated_by}",
+        write_run_log, args.log)
 
 
 def _cmd_tree(args) -> int:
-    backend = _make_backend(args)
-    controller, _ = load_model(args.model_file)
-    problems = load_dataset(args.problem_file)
     loop_cfg = LoopConfig(two_phase_refusal=args.two_phase)
     tree_cfg = TreeConfig(warmup=args.warmup, branch_factor=args.branch,
                           max_depth=args.depth, vote=args.vote)
-    gen_cfg = _gen_cfg(args)
-    runs, failed = [], False
-    for problem, tree_run in zip(problems, solve_each(
-            lambda problem: run_tree(problem, backend, controller, gen_cfg, tree_cfg, loop_cfg),
-            problems, backend)):
-        if isinstance(tree_run, RefinementError):
-            failed = True
-            print(f"{problem.id}: failed: {tree_run} tokens={tree_run.partial.total_tokens}")
-            continue
-        runs.append(tree_run)
-        print(f"{problem.id}: answer={tree_run.final_answer!r} "
-              f"nodes={len(tree_run.nodes)} early_stopped={tree_run.early_stopped} "
-              f"tokens={tree_run.total_tokens}")
-    if args.dump:
-        write_tree_dump(args.dump, runs)
-    return int(failed)
+    return _solve_problems(
+        args, partial(run_tree, tree_cfg=tree_cfg, loop_cfg=loop_cfg),
+        lambda r: f"nodes={len(r.nodes)} early_stopped={r.early_stopped}",
+        write_tree_dump, args.dump)
 
 
 def _cmd_bench(args) -> int:
@@ -145,9 +133,11 @@ def _cmd_bench(args) -> int:
         exclude_max=args.exclude_max,
         gen_cfg=_gen_cfg(args),
     )
-    row = run_benchmark(problems, spec, backend=None, controller=controller,
-                        dataset_name=Path(args.dataset).stem,
-                        backend_factory=_make_backend_factory(args))
+    # a run consumes its mock script, so every seed loads its own
+    factory = (lambda seed: _make_backend(args)) if args.mock_script else None
+    row = run_benchmark(problems, spec, None if factory else _make_backend(args),
+                        controller=controller, dataset_name=Path(args.dataset).stem,
+                        backend_factory=factory)
     out_format = "json" if args.out and args.out.endswith(".json") else "csv"
     blob = emit_report([row], format=out_format)
     if args.out:
@@ -188,8 +178,7 @@ def main(argv=None) -> int:
     p_tree.add_argument("--warmup", type=int, default=4)
     p_tree.add_argument("--branch", type=int, default=2)
     p_tree.add_argument("--depth", type=int, default=3)
-    p_tree.add_argument("--vote", choices=("majority", "confidence_weighted",
-                                           "high_confidence_majority"), default="majority")
+    p_tree.add_argument("--vote", choices=VOTE_METHODS, default="majority")
     p_tree.add_argument("--two-phase", action="store_true")
     p_tree.add_argument("--dump", help="write tree JSONL dump here")
     p_tree.set_defaults(func=_cmd_tree)
@@ -217,7 +206,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bench" and args.method in bench_mod.CONTROLLED and not args.model_file:
         p_bench.error(f"--method {args.method} needs --model-file")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (bench_mod.DatasetError, bench_mod.ReportError, ScriptError, SerializationError,
+            FileNotFoundError) as exc:  # a bad input file, not a bug: no traceback
+        print(f"refinectl: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,21 +84,21 @@ def correct_letter(problem: Problem) -> str:
 
 
 def normalize_math_answer(answer: str | None) -> str | None:
-    """Strip whitespace and one layer of surrounding braces for string
-    comparison; no CAS equivalence is attempted."""
+    """An answer's key at every vote and check: whitespace collapsed, braces
+    stripped, no CAS; nothing left (``""``, ``"{ }"``) means no key."""
     if answer is None:
         return None
     out = answer.strip()
     while len(out) >= 2 and out[0] == "{" and out[-1] == "}":
         out = out[1:-1].strip()
-    return " ".join(out.split())
+    return " ".join(out.split()) or None
 
 
 def is_correct(problem: Problem, answer: str | None) -> bool:
     """String-match scoring; an MCQ answer is the letter of the choice's
-    index in ``problem.choices``. REFUSE/absent answers count as incorrect
-    unless the dataset marks the problem unanswerable."""
-    if answer is None:
+    index in ``problem.choices``. Answers without a key (REFUSE, absent,
+    empty) count as incorrect unless the problem is marked unanswerable."""
+    if normalize_math_answer(answer) is None:
         return problem.unanswerable
     if problem.mode == "math_boxed":
         return normalize_math_answer(answer) == normalize_math_answer(problem.ground_truth)

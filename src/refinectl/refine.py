@@ -29,7 +29,8 @@ from .confidence import (
 from .controller import Action, Decision
 from .datasets import Problem, as_problem, choice_letter, normalize_math_answer
 
-TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override")
+TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override",
+                "early_stop", "max_depth", "no_refinement", "failed")
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,16 @@ class Node:
 
 @dataclass
 class RunResult:
-    """One loop run; ``nodes`` is its chain of generations, oldest first."""
+    """One run of the loop or the tree. ``nodes[i].id == i``: the loop's
+    nodes form one chain, a tree's come level by level. ``total_tokens``
+    counts every token served; the rest are views of ``nodes`` and
+    ``terminated_by``, which reads "failed" until the run ends."""
 
     problem_id: str
-    final_answer: str | None
-    total_generation_tokens: int
-    terminated_by: str
     nodes: list[Node] = field(default_factory=list)
+    final_answer: str | None = None
+    total_tokens: int = 0
+    terminated_by: str = "failed"
 
     def __post_init__(self) -> None:
         if self.terminated_by not in TERMINATIONS:
@@ -92,13 +96,30 @@ class RunResult:
     def decisions(self) -> list[Decision]:
         return [n.decision for n in self.nodes]
 
+    @property
+    def early_stopped(self) -> bool:
+        return self.terminated_by == "early_stop"
+
+    @property
+    def halted_node_ids(self) -> list[int]:
+        return [n.id for n in self.nodes if n.halting]
+
+    def max_depth_explored(self) -> int:
+        return max((n.depth for n in self.nodes), default=0)
+
+    def ancestry(self, node: Node) -> list[Node]:
+        """``node`` and its ancestors, root first: its children's history."""
+        chain = [node]
+        while chain[-1].parent is not None:
+            chain.append(self.nodes[chain[-1].parent])
+        return chain[::-1]
+
 
 class RefinementError(Exception):
-    """Backend failure mid-run; ``partial`` is whatever completed so far: the
-    ``RunResult`` of ``run`` or the ``TreeRun`` of ``run_tree``, with every
-    token served before the failure counted."""
+    """Backend failure mid-run; ``partial`` is the ``RunResult`` so far, which
+    reads "failed" and counts every token served, the failed node's included."""
 
-    def __init__(self, message: str, partial=None):
+    def __init__(self, message: str, partial: RunResult):
         super().__init__(message)
         self.partial = partial
 
@@ -406,24 +427,21 @@ def run(
     tokens already served, the failed node's included.
     """
     problem = as_problem(problem)
-    result = RunResult(problem_id=problem.id, final_answer=None, total_generation_tokens=0,
-                       terminated_by="halt")
-    answer_counts: Counter[str] = Counter()
+    result = RunResult(problem_id=problem.id)
+    answer_counts: Counter[str | None] = Counter()
     messages = build_initial_prompt(problem)
 
     for t in range(1, loop_cfg.max_iterations + 1):
         completion, tokens = generate_node(backend, messages, gen_cfg,
                                            loop_cfg.max_truncation_retries)
-        result.total_generation_tokens += tokens
+        result.total_tokens += tokens
         if isinstance(completion, BackendError):
             raise RefinementError(str(completion), partial=result) from completion
         node = score_node(completion, tokens, t - 1, result.nodes[-1] if result.nodes else None,
                           controller, loop_cfg, problem.mode)
         result.nodes.append(node)
         key = normalize_math_answer(node.answer)
-        if key is not None:
-            answer_counts[key] += 1
-
+        answer_counts[key] += 1
         if key is not None and answer_counts[key] >= loop_cfg.consistency_override_count:
             result.terminated_by = "consistency_override"
         elif node.action is Action.HALT:

@@ -11,13 +11,16 @@ majority), falling back to the leaves when nothing halted; refusing nodes
 halt but cast no vote and take no part in the agreement. Each node runs
 the sequential loop's own step: ``generate_node`` on a ``drain_concurrent``
 worker, which holds one of the backend's request slots only while the
-request is out, then ``score_node``.
+request is out, then ``score_node``. A tree returns the loop's own
+``RunResult``, which ends on "early_stop", "max_depth" (the depth cap) or
+"no_refinement" (no node of the last level asked for refinement).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +33,7 @@ from .refine import (
     LoopConfig,
     Node,
     RefinementError,
+    RunResult,
     build_initial_prompt,
     build_prompt,
     generate_node,
@@ -62,57 +66,19 @@ class TreeConfig:
         return self.warmup * sum(self.branch_factor ** d for d in range(self.max_depth + 1))
 
 
-@dataclass
-class TreeRun:
-    """One tree; ``nodes[i].id == i``, so a child's spawning action is
-    ``nodes[child.parent].action``."""
-
-    problem_id: str
-    nodes: list[Node]
-    early_stopped: bool
-    final_answer: str | None
-    halted_node_ids: list[int]
-    total_tokens: int
-
-    def max_depth_explored(self) -> int:
-        return max((n.depth for n in self.nodes), default=0)
-
-    def ancestry(self, node: Node) -> list[Node]:
-        """``node`` and its ancestors, root first: its children's history."""
-        chain = [node]
-        while chain[-1].parent is not None:
-            chain.append(self.nodes[chain[-1].parent])
-        return chain[::-1]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "problem_id": self.problem_id,
-            "nodes": [{
-                "id": n.id, "parent": n.parent, "depth": n.depth,
-                "answer": n.answer, "action": n.action.name,
-                "probs": list(n.decision.probs), "conf": n.confidence_mean,
-                "tokens": n.tokens,
-            } for n in self.nodes],
-            "early_stopped": self.early_stopped,
-            "final_answer": self.final_answer,
-        })
-
-
 def early_stop_check(actions: Sequence[Action], answers_of_halted: Sequence[str | None]) -> bool:
     """Stop when halting actions exceed half of all actions so far, or hit
-    exactly half while every answer in ``answers_of_halted`` is the same
-    (compared by ``normalize_math_answer``). REFUSE counts as halting, but
-    ``run_tree`` passes only the answers of HALT nodes, since refusing nodes
-    cast no vote."""
+    exactly half while every answer in ``answers_of_halted`` has the same
+    ``normalize_math_answer`` key; answers without a key never agree.
+    REFUSE counts as halting, but ``run_tree`` passes only the answers of
+    HALT nodes, since refusing nodes cast no vote."""
     if not actions:
         raise ValueError("actions must be non-empty")
     halting = sum(1 for a in actions if a in (Action.HALT, Action.REFUSE))
     if 2 * halting > len(actions):
         return True
-    if 2 * halting == len(actions) and len(answers_of_halted) >= 1:
-        keys = {normalize_math_answer(a) for a in answers_of_halted}
-        return len(keys) == 1
-    return False
+    keys = {normalize_math_answer(a) for a in answers_of_halted}
+    return 2 * halting == len(actions) and len(keys) == 1 and None not in keys
 
 
 def aggregate(
@@ -122,12 +88,14 @@ def aggregate(
 ) -> str | None:
     """Vote a final answer, keyed by ``normalize_math_answer``. An empty
     halted set falls back to the given nodes (normally the leaves); refusing
-    nodes cast no vote, so a halted set whose members all refused or
-    abstained yields None. Ties break toward the higher summed trace
-    confidence, then lexicographically smallest answer. The high-confidence
-    vote keeps the candidates at or above their median confidence."""
+    nodes and answers without a key cast no vote, so a halted set whose
+    members all refused or abstained yields None. Ties break toward the
+    higher summed trace confidence, then lexicographically smallest answer.
+    The high-confidence vote keeps the candidates at or above their median
+    confidence."""
     pool = list(halted) if halted else list(fallback_all)
-    candidates = [n for n in pool if n.answer is not None and n.action is not Action.REFUSE]
+    candidates = [n for n in pool if n.action is not Action.REFUSE
+                  and normalize_math_answer(n.answer) is not None]
     if not candidates:
         return None
 
@@ -160,21 +128,21 @@ def run_tree(
     gen_cfg: GenerationConfig,
     tree_cfg: TreeConfig,
     loop_cfg: LoopConfig,
-) -> TreeRun:
+) -> RunResult:
     """Execute one tree: warmup, branching refinement, early stopping, vote.
 
     Node ids are assigned level by level in (parent id, child index) order
     and controller decisions are evaluated in node-id order, so runs on the
     mock backend are deterministic regardless of completion scheduling.
+    The run ends on "early_stop", "max_depth" or "no_refinement".
 
     A failed generation or failed truncation retry fails its slot only: the
     slot is logged and skipped, and the tokens it was served still count in
     ``total_tokens``. When every warmup slot fails, ``RefinementError``
-    carries the node-less ``TreeRun`` as its partial result.
+    carries the node-less run as its partial result.
     """
     problem = as_problem(problem)
-    run = TreeRun(problem_id=problem.id, nodes=[], early_stopped=False,
-                  final_answer=None, halted_node_ids=[], total_tokens=0)
+    run = RunResult(problem_id=problem.id)
 
     def serve(messages, cfg):
         return generate_node(backend, messages, cfg, loop_cfg.max_truncation_retries)
@@ -206,24 +174,27 @@ def run_tree(
         del requests, completion
         if not run.nodes:
             raise RefinementError("all warmup generations failed", partial=run)
-        run.early_stopped = bool(frontier) and early_stop_check(
-            [n.action for n in run.nodes],
-            [n.answer for n in run.nodes if n.action is Action.HALT])  # refusals cast no vote
-        if run.early_stopped or depth == tree_cfg.max_depth:
+        if frontier and early_stop_check(
+                [n.action for n in run.nodes],
+                [n.answer for n in run.nodes if n.action is Action.HALT]):  # refusals cast no vote
+            run.terminated_by = "early_stop"
+            break
+        if depth == tree_cfg.max_depth:
+            run.terminated_by = "max_depth"
             break
         depth += 1
         level = [(n, build_prompt(problem, run.ancestry(n), n.action, phase=depth,
                                   two_phase=loop_cfg.two_phase_refusal))
                  for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
         if not level:
+            run.terminated_by = "no_refinement"
             break
         level = [slot for slot in level for _ in range(tree_cfg.branch_factor)]
 
-    halted = [n for n in run.nodes if n.halting]
-    run.halted_node_ids = [n.id for n in halted]
     parent_ids = {n.parent for n in run.nodes if n.parent is not None}
     leaves = [n for n in run.nodes if n.id not in parent_ids]
-    run.final_answer = aggregate(halted, tree_cfg.vote, fallback_all=leaves)
+    run.final_answer = aggregate([n for n in run.nodes if n.halting], tree_cfg.vote,
+                                 fallback_all=leaves)
     return run
 
 
@@ -243,7 +214,7 @@ class TreeMetrics:
     action_distribution: dict[str, float]
 
 
-def tree_metrics(runs: Sequence[TreeRun],
+def tree_metrics(runs: Sequence[RunResult],
                  ground_truth: Mapping[str, Problem | str]) -> TreeMetrics:
     """Aggregate behaviour statistics over many tree runs.
 
@@ -256,21 +227,16 @@ def tree_metrics(runs: Sequence[TreeRun],
     if not runs:
         raise ValueError("no runs to report on")
 
-    def correct(run: TreeRun) -> bool:
+    def correct(run: RunResult) -> bool:
         truth = ground_truth.get(run.problem_id)
         if isinstance(truth, str):
             truth = Problem(id=run.problem_id, statement="", ground_truth=truth)
         return truth is not None and is_correct(truth, run.final_answer)
 
     early = [r for r in runs if r.early_stopped]
-    high_halt = [r for r in runs if 2 * sum(1 for n in r.nodes if n.halting) >= len(r.nodes)
-                 and r.nodes]
-    action_counts: dict[str, int] = {}
-    total_decisions = 0
-    for r in runs:
-        for n in r.nodes:
-            action_counts[n.action.name] = action_counts.get(n.action.name, 0) + 1
-            total_decisions += 1
+    high_halt = [r for r in runs if r.nodes and 2 * len(r.halted_node_ids) >= len(r.nodes)]
+    action_counts = Counter(n.action.name for r in runs for n in r.nodes)
+    total_decisions = sum(action_counts.values())
 
     return TreeMetrics(
         runs=len(runs),
@@ -287,16 +253,26 @@ def tree_metrics(runs: Sequence[TreeRun],
     )
 
 
-def write_tree_dump(path, runs: Iterable[TreeRun]) -> None:
+def write_tree_dump(path, runs: Iterable[RunResult]) -> None:
+    """One JSON line per run: problem_id, nodes, early_stopped, final_answer."""
     with open(path, "w", encoding="utf-8") as fh:
         for run in runs:
-            fh.write(run.to_json() + "\n")
+            fh.write(json.dumps({
+                "problem_id": run.problem_id,
+                "nodes": [{
+                    "id": n.id, "parent": n.parent, "depth": n.depth,
+                    "answer": n.answer, "action": n.action.name,
+                    "probs": list(n.decision.probs), "conf": n.confidence_mean,
+                    "tokens": n.tokens,
+                } for n in run.nodes],
+                "early_stopped": run.early_stopped,
+                "final_answer": run.final_answer,
+            }) + "\n")
 
 
 __all__ = [
     "TreeConfig",
     "TreeMetrics",
-    "TreeRun",
     "aggregate",
     "early_stop_check",
     "run_tree",

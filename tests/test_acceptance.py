@@ -156,14 +156,14 @@ def test_criterion_07_sequential_loop_end_to_end():
     for _ in range(5):
         result = _two_iteration_run()
         outcomes.append((result.final_answer, result.iterations_used,
-                         result.terminated_by, result.total_generation_tokens,
+                         result.terminated_by, result.total_tokens,
                          tuple(tuple(d.probs) for d in result.decisions),
                          tuple(result.nodes)))
     assert len(set(outcomes)) == 1
     result = _two_iteration_run()
     assert result.terminated_by == "halt"
     assert result.iterations_used == 2
-    assert result.total_generation_tokens == 70
+    assert result.total_tokens == 70
 
     backend = mock_backend(*[boxed_record("8", [9.0] * 10) for _ in range(3)])
     controller = StubController(actions=[Action.RETHINK, Action.ALTERNATIVE,

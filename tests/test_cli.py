@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from refinectl.bench import load_report
 from refinectl.cli import main
 from refinectl.controller import init, save_model
 
@@ -202,7 +203,7 @@ TREE_SCRIPT = [
     record("4", 8.0, 1), record("5", 12.0, 2),                        # p2: both refine,
     record("5", 16.0, 1), record("4", 8.0, 2),                        # two children each
     record(None, 12.0, 3), record("5", 16.0, 4),
-    record("2", 16.0, 1), record("1", 24.0, 1),                       # p3: no refinement
+    record("2", 16.0, 1), record("1", 24.0, 1),                       # p3: halt, refuse
 ]
 TREE_STDOUT = """\
 p0: answer='7' nodes=2 early_stopped=True tokens=5
@@ -225,3 +226,54 @@ def test_run_and_tree_stdout_bytes(tmp_path, capsys, confidence_controller,
                  "--model-file", "unused.bin", *flags])
     assert code == 1
     assert capsys.readouterr().out == expected
+
+
+REPORT_ROW = {"method": "pass1", "dataset": "d", "acc_mean": 50.0, "acc_std": 0.0,
+              "tokens": 10, "time_s": 0.5, "iters_mean": 1.0}
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"{}", "a report is a JSON list of rows, not a dict"),
+    (b"[1]", "row 0: TypeError: "),
+    (json.dumps([REPORT_ROW, {k: v for k, v in REPORT_ROW.items() if k != "dataset"}]).encode(),
+     "row 1: KeyError: 'dataset'"),
+    (json.dumps([{**REPORT_ROW, "tokens": "many"}]).encode(),
+     "row 0: ValueError: invalid literal for int() with base 10: 'many'"),
+    (b"[", "invalid JSON: "),
+], ids=["object", "number-row", "no-dataset", "bad-tokens", "not-json"])
+def test_load_report_names_the_bad_row(blob, message):
+    with pytest.raises(ValueError) as err:
+        load_report(blob)
+    assert str(err.value).startswith(message)
+
+
+def bad_file(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["report-object", "report-no-dataset", "problem-row",
+                                  "problem-missing", "script-json", "script-shape",
+                                  "model-blob", "model-missing"])
+def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, case):
+    script = write_script(tmp_path / "script.json", n_records=1)
+    problems = write_dataset(tmp_path / "problems.jsonl", n=1)
+    run = ["run", "--problem-file", problems, "--mock-script", script,
+           "--model-file", model_file]
+    row = {k: v for k, v in REPORT_ROW.items() if k != "dataset"}
+    argv = {
+        "report-object": ["report", "--in", bad_file(tmp_path, "r.json", b'{"rows": []}')],
+        "report-no-dataset": ["report", "--in",
+                              bad_file(tmp_path, "r.json", json.dumps([row]).encode())],
+        "problem-row": run[:2] + [bad_file(tmp_path, "p.jsonl", b'{"id": "p0"}\n')] + run[3:],
+        "problem-missing": run[:2] + [str(tmp_path / "none.jsonl")] + run[3:],
+        "script-json": run[:4] + [bad_file(tmp_path, "s.json", b"{responses")] + run[5:],
+        "script-shape": run[:4] + [bad_file(tmp_path, "s.json", b'{"responses": 5}')] + run[5:],
+        "model-blob": run[:6] + [bad_file(tmp_path, "m.bin", b"not a model")],
+        "model-missing": run[:6] + [str(tmp_path / "none.bin")],
+    }[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refinectl: ") and captured.err.count("\n") == 1

@@ -55,9 +55,9 @@ def served_tokens(records, backend) -> int:
 def test_run_fails_only_with_refinement_error_and_exact_tokens(records, actions, loop_cfg):
     backend = mock_backend(*records)
     try:
-        tokens = run("p", backend, cycling(actions), CFG, loop_cfg).total_generation_tokens
+        tokens = run("p", backend, cycling(actions), CFG, loop_cfg).total_tokens
     except RefinementError as exc:
-        tokens = exc.partial.total_generation_tokens
+        tokens = exc.partial.total_tokens
     assert tokens == served_tokens(records, backend)
 
 

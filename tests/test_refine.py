@@ -298,7 +298,7 @@ def test_two_iteration_scenario():
     assert result.iterations_used == 2
     assert result.terminated_by == "halt"
     assert result.final_answer == "7"
-    assert result.total_generation_tokens == 70
+    assert result.total_tokens == 70
     assert len(result.nodes[:-1]) == 1
     assert len(result.decisions) == 2
 
@@ -373,7 +373,7 @@ def test_truncation_retry_then_alternative():
     assert result.iterations_used == 2
     # the follow-up prompt used the switch-approach template, not RETHINK
     assert "COMPLETELY DIFFERENT" in backend.prompts[2]
-    assert result.total_generation_tokens == 30
+    assert result.total_tokens == 30
 
 
 def test_backend_failure_carries_partial_result():
@@ -392,8 +392,16 @@ def test_failed_truncation_retry_counts_served_tokens():
     with pytest.raises(RefinementError) as err:
         run("p", backend, StubController(actions=[]), CFG,
             LoopConfig(max_truncation_retries=1))
-    assert err.value.partial.total_generation_tokens == 7
+    assert err.value.partial.total_tokens == 7
     assert err.value.partial.iterations_used == 0
+
+
+def test_a_failed_runs_partial_says_it_failed():
+    backend = mock_backend(boxed_record("5", [9.0] * 10), MockRecord(error="boom"))
+    with pytest.raises(RefinementError) as err:
+        run("p", backend, StubController(actions=[Action.RETHINK]), CFG, LoopConfig())
+    assert err.value.partial.terminated_by == "failed"
+    assert err.value.partial.final_answer is None
 
 
 def test_run_deterministic_byte_identical():
@@ -405,7 +413,7 @@ def test_run_deterministic_byte_identical():
                                     else Action.HALT)
         result = run("p", backend, controller, CFG, LoopConfig())
         outcomes.append((result.final_answer, result.iterations_used,
-                         result.total_generation_tokens,
+                         result.total_tokens,
                          tuple(tuple(d.probs) for d in result.decisions),
                          tuple(result.nodes)))
     assert len(set(outcomes)) == 1

@@ -10,11 +10,10 @@ import pytest
 from refinectl.backend import GenerationConfig, MockBackend, MockRecord
 from refinectl.controller import Action
 from refinectl.datasets import Problem
-from refinectl.refine import LoopConfig, Node, write_run_log
+from refinectl.refine import LoopConfig, Node, RefinementError, RunResult, write_run_log
 from refinectl.refine import run as run_loop
 from refinectl.tree import (
     TreeConfig,
-    TreeRun,
     aggregate,
     early_stop_check,
     run_tree,
@@ -228,9 +227,10 @@ def test_tree_deterministic():
         backend = MockBackend(records)
         run = run_tree("p", backend, StubController(actions=list(actions)), CFG,
                        TreeConfig(warmup=3, branch_factor=2, max_depth=2), LOOP)
-        return run.to_json()
+        return run
 
-    assert len({one() for _ in range(5)}) == 1
+    first = one()
+    assert all(one() == first for _ in range(4))
 
 
 def test_early_stop_at_level_boundary():
@@ -350,21 +350,48 @@ def test_a_failed_slot_keeps_its_seed_sent():
     assert backend.seeds == list(range(7))
 
 
+def test_all_warmup_failed_partial_says_it_failed():
+    # slot 0 is truncated and its retry fails; slot 1 fails outright
+    backend = mock_backend(boxed_record("5", [9.0] * 3, finish="length"),
+                           MockRecord(error="boom"), MockRecord(error="boom"))
+    with pytest.raises(RefinementError) as err:
+        run_tree("p", backend, StubController(actions=[]), CFG,
+                 TreeConfig(warmup=2, max_depth=0), LOOP)
+    partial = err.value.partial
+    assert isinstance(partial, RunResult)
+    assert (partial.terminated_by, partial.nodes, partial.total_tokens) == ("failed", [], 3)
+
+
+@pytest.mark.parametrize("warmup, children, max_depth, ended", [
+    ([Action.HALT] * 2, [], 1, "early_stop"),
+    ([Action.RETHINK] * 2, [], 0, "max_depth"),
+    # half the decisions halt but on two answers, and nothing is left to refine
+    ([Action.RETHINK] * 2, [Action.HALT] * 2, 2, "no_refinement"),
+], ids=["early_stop", "max_depth", "no_refinement"])
+def test_each_tree_ending_is_named(warmup, children, max_depth, ended):
+    backend = mock_backend(*[boxed_record(str(i), [9.0] * 2)
+                             for i in range(len(warmup) + len(children))])
+    run = run_tree("p", backend, StubController(actions=warmup + children), CFG,
+                   TreeConfig(warmup=len(warmup), branch_factor=1, max_depth=max_depth), LOOP)
+    assert len(run.nodes) == len(warmup) + len(children)
+    assert run.terminated_by == ended
+    assert run.early_stopped is (ended == "early_stop")
+
+
 # ---------------------------------------------------------------------------
 # tree_metrics
 # ---------------------------------------------------------------------------
 
 def synthetic_run(pid: str, answer: str, halting: int, total: int,
-                  early: bool = True) -> TreeRun:
+                  early: bool = True) -> RunResult:
     nodes = []
     for i in range(total):
         action = Action.HALT if i < halting else Action.RETHINK
         nodes.append(node(i, answer if action is Action.HALT else "junk",
                           action, depth=0 if i < 4 else 1))
-    return TreeRun(problem_id=pid, nodes=nodes, early_stopped=early,
-                   final_answer=answer, halted_node_ids=[n.id for n in nodes
-                                                         if n.halting],
-                   total_tokens=10 * total)
+    return RunResult(problem_id=pid, nodes=nodes, final_answer=answer,
+                     total_tokens=10 * total,
+                     terminated_by="early_stop" if early else "max_depth")
 
 
 def test_reconstructed_halt_precision():
