@@ -23,6 +23,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -250,7 +251,8 @@ class MockRecord:
     per token, in served order) may be given, which are reduced with the
     request's ``logprob_count`` as k. ``error`` makes the request fail with
     that message instead of returning; so does a non-finite value, with the
-    ``BackendError`` the HTTP path raises, and a record with no values.
+    ``BackendError`` the HTTP path raises, a record with no values, and a
+    record whose fields do not convert (``ScriptError``).
     """
 
     text: str = ""
@@ -264,25 +266,30 @@ class MockRecord:
         """This record served to a request for ``k`` top logprobs per token."""
         if self.confidences is not None and self.logprobs is not None:
             raise ScriptError("record may set confidences or logprobs, not both")
-        if self.confidences is not None:
-            values, counts = np.array(self.confidences, dtype=np.float64), None
-        else:
-            rows = self.logprobs or ()
-            counts = np.fromiter(map(len, rows), dtype=np.intp)
-            if not counts.all():
-                raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
-            values = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
-                                 count=int(counts.sum()))
-        if not values.size:
-            raise ScriptError("record has neither confidences nor logprobs")
-        trace = _finite_trace(values, counts, k)
-        return Completion(
-            text=self.text,
-            trace=trace,
-            completion_tokens=trace.n,
-            prompt_tokens=self.prompt_tokens,
-            finish_reason=self.finish_reason,
-        )
+        if not isinstance(self.text, str) or not _is_count(self.prompt_tokens):
+            raise ScriptError("record needs a string text and an integer prompt_tokens >= 0")
+        try:
+            if self.confidences is not None:
+                values, counts = np.array(self.confidences, dtype=np.float64), None
+            else:
+                rows = self.logprobs or ()
+                counts = np.fromiter(map(len, rows), dtype=np.intp)
+                if not counts.all():
+                    raise ScriptError(f"logprobs row {int(np.argmin(counts))} is empty")
+                values = np.fromiter(chain.from_iterable(rows), dtype=np.float64,
+                                     count=int(counts.sum()))
+            if not values.size:
+                raise ScriptError("record has neither confidences nor logprobs")
+            trace = _finite_trace(values, counts, k)
+            return Completion(
+                text=self.text,
+                trace=trace,
+                completion_tokens=trace.n,
+                prompt_tokens=self.prompt_tokens,
+                finish_reason=self.finish_reason,
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScriptError(f"malformed mock record: {exc}") from exc
 
 
 class MockBackend(Backend):
@@ -315,9 +322,44 @@ class MockBackend(Backend):
         return record.to_completion(cfg.logprob_count)
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _numbers(value: object) -> bool:
+    """Whether ``value`` is a JSON list of numbers."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
+
+def _script_record(row: object) -> MockRecord:
+    """The record of one script row; ``ValueError`` says what is wrong."""
+    if not isinstance(row, dict):
+        raise ValueError("not an object")
+    text = row.get("text", "")
+    confidences, logprobs = row.get("confidences"), row.get("logprobs")
+    finish_reason = row.get("finish_reason", "stop")
+    prompt_tokens = row.get("prompt_tokens", 0)
+    if not isinstance(text, str):
+        raise ValueError("text is not a string")
+    if confidences is not None and not _numbers(confidences):
+        raise ValueError("confidences is not a list of numbers")
+    if logprobs is not None and not (isinstance(logprobs, list) and all(
+            lps and _numbers(lps) for lps in logprobs)):
+        raise ValueError("logprobs is not a list of non-empty lists of numbers")
+    if finish_reason not in FINISH_REASONS:
+        raise ValueError(f"finish_reason {finish_reason!r} is not one of {FINISH_REASONS}")
+    if not _is_count(prompt_tokens):
+        raise ValueError(f"prompt_tokens {prompt_tokens!r} is not an integer >= 0")
+    return MockRecord(text=text, confidences=confidences, logprobs=logprobs,
+                      finish_reason=finish_reason, prompt_tokens=prompt_tokens,
+                      error=row.get("error"))
+
+
 def load_mock_script(path: str | Path) -> list[MockRecord]:
     """Load a mock script file: {"responses": [{text, confidences|logprobs,
-    finish_reason}]}. A file that is not one raises ``ScriptError``."""
+    finish_reason, prompt_tokens, error}]}. A file that is not one, or a row
+    with a field of the wrong type, raises ``ScriptError``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -327,16 +369,10 @@ def load_mock_script(path: str | Path) -> list[MockRecord]:
         raise ScriptError("script file must be an object with a 'responses' list")
     records = []
     for i, row in enumerate(doc["responses"]):
-        if not isinstance(row, dict):
-            raise ScriptError(f"responses[{i}] is not an object")
-        records.append(MockRecord(
-            text=row.get("text", ""),
-            confidences=row.get("confidences"),
-            logprobs=row.get("logprobs"),
-            finish_reason=row.get("finish_reason", "stop"),
-            prompt_tokens=int(row.get("prompt_tokens", 0)),
-            error=row.get("error"),
-        ))
+        try:
+            records.append(_script_record(row))
+        except ValueError as exc:
+            raise ScriptError(f"responses[{i}]: {exc}") from exc
     return records
 
 
@@ -436,22 +472,50 @@ _INT = rb'(?:0|[1-9][0-9]*)'
 _ENTRY = rb'\{"token":' + _STR + rb',"logprob":'
 _BYTES = rb'(?:,"bytes":(?:\[(?:' + _INT + rb'(?:,' + _INT + rb')*|)\]|null)|)'
 _TOKEN = _ENTRY + _NUM + _BYTES + rb',"top_logprobs":\['
-# One match per top-logprobs entry, capturing its logprob. The first match
-# also takes the array's "[" and the first token up to its top_logprobs; an
-# entry that ends a row takes the next token the same way, or the array's
-# end. So consecutive matches tile the array exactly when it has this form;
-# anything else falls to the last branch, which takes the rest and captures
-# nothing.
+_TOP = _ENTRY + rb'(' + _NUM + rb')' + _BYTES + rb'\}'  # one top entry, its logprob captured
+# The array is scanned in windows of whole rows. A row is the array's "["
+# (only at its start) or a ",", then a token object: the token up to its
+# top_logprobs, its entries, "]}". The array's closing "]" is in no window.
+# Both patterns below end each match at an entry's "," or a row's "]}", and
+# their last branch takes the rest of the window and captures nothing, so
+# consecutive matches tile a window exactly when its rows have this form.
+# One match per top-logprobs entry, capturing its logprob. An entry may
+# follow only an entry's ","; a row's first entry also takes the row's
+# start, which may follow only a row's "]}".
 _TOP_ENTRY = re.compile(
-    rb'(?:\A\[' + _TOKEN + rb'|)' + _ENTRY + rb'(' + _NUM + rb')' + _BYTES
-    + rb'\}(?:,|\]\}(?:,' + _TOKEN + rb'|\]))|[\s\S]+')
+    rb'(?:(?<=,)|(?:\A\[|(?<=\]\}),)' + _TOKEN + rb')' + _TOP + rb'(?:,|\]\})|(?s:.+)')
 _CONTENT = b'"logprobs":{"content":['
 _TOP_LOGPROBS = b',"top_logprobs":['
 _LOGPROB = b'"logprob":'
 _CONTENT_END = b"}]}]"
+# In a tiled array, the end of one row and the start of the next: no string
+# holds an unescaped quote, and an entry's bytes list ends in a digit or "[".
+_ROW_BREAK = b'}]},{"token":'
 # Bytes of the array scanned at a time, plus the rest of the row a window
 # ends in: what one window's captures and row counts hold in memory.
 _WINDOW = 1 << 18
+# The widest first row the row pattern is compiled for; wider bodies are
+# scanned by the entry pattern.
+_MAX_ROW_WIDTH = 64
+
+
+@lru_cache(maxsize=None)
+def _row_pattern(width: int) -> re.Pattern:
+    """One match per row of ``width`` top entries, capturing their logprobs.
+    Every match ends a row, so a row's start needs no look back."""
+    return re.compile(rb'(?:\A\[|,)' + _TOKEN + b",".join([_TOP] * width)
+                      + rb'\]\}|(?s:.+)')
+
+
+def _row_width(raw: bytes | mmap.mmap, lo: int, hi: int) -> int:
+    """The logprob keys in ``raw[lo:hi]``, counted up to one past
+    ``_MAX_ROW_WIDTH``."""
+    width = 0
+    at = raw.find(_LOGPROB, lo, hi)
+    while at >= 0 and width <= _MAX_ROW_WIDTH:
+        width += 1
+        at = raw.find(_LOGPROB, at + 1, hi)
+    return width
 
 
 def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
@@ -461,16 +525,18 @@ def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
     if key < 0:
         return None
     start = key + len(_CONTENT) - 1
-    # The first top_logprobs key belongs to the first token, inside the first
-    # match. In a tiled array '"logprob":' and every later top_logprobs key
-    # occur only as keys (a quote inside a string is escaped), and each such
-    # key ends a row and a match, so a window ends right after one. The
-    # array ends at the first "}]}]" that ends a row that tiles: a token may
-    # hold "}]}]" too.
-    first_row = raw.find(_TOP_LOGPROBS, start) + len(_TOP_LOGPROBS)
-    if first_row < len(_TOP_LOGPROBS):
+    # The array ends at the first "}]}]" that ends a row that tiles: a token
+    # may hold "}]}]" too. None ends before the first top_logprobs key.
+    first_row = raw.find(_TOP_LOGPROBS, start)
+    end = raw.find(_CONTENT_END, first_row) if first_row >= 0 else -1
+    if end < 0:
         return None
-    end = raw.find(_CONTENT_END, first_row)
+    # Rows as wide as the first are matched whole, one match per row; the
+    # first window they do not tile, and every window after it, is scanned
+    # one top entry at a time.
+    row_break = raw.find(_ROW_BREAK, first_row, end)
+    width = _row_width(raw, first_row, end if row_break < 0 else row_break)
+    whole_rows = _row_pattern(width) if 0 < width <= _MAX_ROW_WIDTH else None
     captured = array("d")  # grown in place, so the values are held once
     counts: list[int] = []
     lo = start
@@ -478,29 +544,35 @@ def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
     # The view is released on every exit: a mapping cannot close while one lives.
     with memoryview(raw)[start:] as view:  # \A matches only at the array's "["
         while True:
-            if end < 0:
-                return None
-            cut = raw.find(_TOP_LOGPROBS, max(lo + _WINDOW, first_row), end)
-            if cut < 0:  # stop short of the row that the candidate end is in
-                cut = raw.rfind(_TOP_LOGPROBS, max(lo, first_row), end)
-            hi = end + len(_CONTENT_END) if cut < 0 else cut + len(_TOP_LOGPROBS)
-            logprobs = _TOP_ENTRY.findall(view, lo - start, hi - start)
-            if not logprobs[-1]:
-                spare -= hi - lo
-                if cut >= 0 or spare < 0:
-                    return None
-                end = raw.find(_CONTENT_END, end + 1)
-                continue
+            # A window ends at a row's "}]}", where a row break starts; the
+            # last stops short of the row that the candidate end is in.
+            cut = raw.find(_ROW_BREAK, lo + _WINDOW, end)
+            if cut < 0:
+                cut = raw.rfind(_ROW_BREAK, lo, end)
+            hi = (end if cut < 0 else cut) + 3
             # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
             # no confidence depends on
-            captured.extend(map(float, logprobs))
-            # The segment between two top_logprobs keys holds one row's entries
-            # plus the next token's own logprob. A mapping has no count, so
-            # the segments come from one copy of the window.
-            rows = raw[max(lo, first_row):hi].split(_TOP_LOGPROBS)
-            counts.extend(row.count(_LOGPROB) - 1 for row in rows[:-1])
+            found = whole_rows.findall(view, lo - start, hi - start) if whole_rows else None
+            if found and (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
+                captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
+                counts += [width] * len(found)
+            else:
+                whole_rows = None
+                logprobs = _TOP_ENTRY.findall(view, lo - start, hi - start)
+                if not logprobs[-1]:
+                    spare -= hi - lo
+                    if cut >= 0 or spare < 0:
+                        return None
+                    end = raw.find(_CONTENT_END, end + 1)
+                    if end < 0:
+                        return None
+                    continue
+                captured.extend(map(float, logprobs))
+                # Each row of the window holds its token's own logprob and its
+                # entries'. A mapping has no count, so the rows come from one
+                # copy of the window.
+                counts.extend(row.count(_LOGPROB) - 1 for row in raw[lo:hi].split(_ROW_BREAK))
             if cut < 0:
-                counts.append(rows[-1].count(_LOGPROB))
                 break
             lo = hi
     values = np.frombuffer(captured)
@@ -514,7 +586,7 @@ def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
         constants.append(name)
         return constants
 
-    rest = raw[:start] + b"NaN" + raw[hi:]
+    rest = raw[:start] + b"NaN" + raw[end + len(_CONTENT_END):]
     try:
         obj = json.loads(rest.decode("utf-8", errors="replace"), parse_constant=marker)
         choice, text, content = _choice(obj)

@@ -17,7 +17,8 @@ or dump then holds the finished problems, and the exit status is 1. Over
 HTTP, up to the backend's ``max_inflight`` problems run at once; lines, log
 and dump stay in problem-file order. An input file that is missing or
 malformed (problems, dataset, mock script, model, report) prints
-``refinectl: <message>`` to stderr and exits with status 2.
+``refinectl: <message>`` to stderr and exits with status 2; so does a flag
+value out of range, as a usage error, before anything runs.
 """
 
 from __future__ import annotations
@@ -77,13 +78,12 @@ def _add_gen_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
-def _solve_problems(args, solve, fields, write, out) -> int:
+def _solve_problems(args, gen_cfg, solve, fields, write, out) -> int:
     """``run`` and ``tree``: ``solve(problem, backend, controller, gen_cfg)``
     each problem, print its line and ``write`` the finished runs to ``out``."""
     backend = _make_backend(args)
     controller, _ = load_model(args.model_file)
     problems = load_dataset(args.problem_file)
-    gen_cfg = _gen_cfg(args)
     results, failed = [], False
     for problem, result in zip(problems, solve_each(
             lambda problem: solve(problem, backend, controller, gen_cfg),
@@ -100,30 +100,24 @@ def _solve_problems(args, solve, fields, write, out) -> int:
     return int(failed)
 
 
-def _cmd_run(args) -> int:
-    loop_cfg = LoopConfig(max_iterations=args.max_iters, two_phase_refusal=args.two_phase)
-    return _solve_problems(
-        args, partial(run, loop_cfg=loop_cfg),
-        lambda r: f"iterations={r.iterations_used} terminated_by={r.terminated_by}",
-        write_run_log, args.log)
+# Each command's configs, built from its flags before anything runs: a
+# ValueError from one is a usage error.
+
+def _run_configs(args) -> dict:
+    return {"gen_cfg": _gen_cfg(args),
+            "loop_cfg": LoopConfig(max_iterations=args.max_iters,
+                                   two_phase_refusal=args.two_phase)}
 
 
-def _cmd_tree(args) -> int:
-    loop_cfg = LoopConfig(two_phase_refusal=args.two_phase)
-    tree_cfg = TreeConfig(warmup=args.warmup, branch_factor=args.branch,
-                          max_depth=args.depth, vote=args.vote)
-    return _solve_problems(
-        args, partial(run_tree, tree_cfg=tree_cfg, loop_cfg=loop_cfg),
-        lambda r: f"nodes={len(r.nodes)} early_stopped={r.early_stopped}",
-        write_tree_dump, args.dump)
+def _tree_configs(args) -> dict:
+    return {"gen_cfg": _gen_cfg(args),
+            "loop_cfg": LoopConfig(two_phase_refusal=args.two_phase),
+            "tree_cfg": TreeConfig(warmup=args.warmup, branch_factor=args.branch,
+                                   max_depth=args.depth, vote=args.vote)}
 
 
-def _cmd_bench(args) -> int:
-    problems = load_dataset(args.dataset)
-    controller = None
-    if args.model_file:
-        controller, _ = load_model(args.model_file)
-    spec = RunSpec(
+def _bench_configs(args) -> dict:
+    return {"spec": RunSpec(
         method=args.method,
         k=args.k,
         seeds=tuple(range(args.seeds)),
@@ -132,7 +126,28 @@ def _cmd_bench(args) -> int:
         exclude_min=args.exclude_min,
         exclude_max=args.exclude_max,
         gen_cfg=_gen_cfg(args),
-    )
+    )}
+
+
+def _cmd_run(args, gen_cfg, loop_cfg) -> int:
+    return _solve_problems(
+        args, gen_cfg, partial(run, loop_cfg=loop_cfg),
+        lambda r: f"iterations={r.iterations_used} terminated_by={r.terminated_by}",
+        write_run_log, args.log)
+
+
+def _cmd_tree(args, gen_cfg, loop_cfg, tree_cfg) -> int:
+    return _solve_problems(
+        args, gen_cfg, partial(run_tree, tree_cfg=tree_cfg, loop_cfg=loop_cfg),
+        lambda r: f"nodes={len(r.nodes)} terminated_by={r.terminated_by}",
+        write_tree_dump, args.dump)
+
+
+def _cmd_bench(args, spec) -> int:
+    problems = load_dataset(args.dataset)
+    controller = None
+    if args.model_file:
+        controller, _ = load_model(args.model_file)
     # a run consumes its mock script, so every seed loads its own
     factory = (lambda seed: _make_backend(args)) if args.mock_script else None
     row = run_benchmark(problems, spec, None if factory else _make_backend(args),
@@ -168,7 +183,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--two-phase", action="store_true",
                        help="neutral prompt at iteration 0, aggressive afterwards (mcq)")
     p_run.add_argument("--log", help="write per-iteration JSONL log here")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, configs=_run_configs)
 
     p_tree = sub.add_parser("tree", help="tree-structured refinement")
     _add_backend_args(p_tree)
@@ -181,7 +196,7 @@ def main(argv=None) -> int:
     p_tree.add_argument("--vote", choices=VOTE_METHODS, default="majority")
     p_tree.add_argument("--two-phase", action="store_true")
     p_tree.add_argument("--dump", help="write tree JSONL dump here")
-    p_tree.set_defaults(func=_cmd_tree)
+    p_tree.set_defaults(func=_cmd_tree, configs=_tree_configs)
 
     p_bench = sub.add_parser("bench", help="run a baseline or refinement benchmark")
     _add_backend_args(p_bench)
@@ -196,18 +211,22 @@ def main(argv=None) -> int:
     p_bench.add_argument("--exclude-max", type=float, default=None)
     p_bench.add_argument("--model-file", help="controller (required for refinement methods)")
     p_bench.add_argument("--out", help="write the report here (.csv or .json)")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench, configs=_bench_configs)
 
     p_report = sub.add_parser("report", help="re-render a JSON report")
     p_report.add_argument("--in", dest="infile", required=True)
     p_report.add_argument("--format", choices=("csv", "json", "markdown"), default="markdown")
-    p_report.set_defaults(func=_cmd_report)
+    p_report.set_defaults(func=_cmd_report, configs=lambda args: {})
 
     args = parser.parse_args(argv)
     if args.command == "bench" and args.method in bench_mod.CONTROLLED and not args.model_file:
         p_bench.error(f"--method {args.method} needs --model-file")
     try:
-        return args.func(args)
+        configs = args.configs(args)
+    except ValueError as exc:  # a flag out of range: exits 2 with the usage line
+        sub.choices[args.command].error(str(exc))
+    try:
+        return args.func(args, **configs)
     except (bench_mod.DatasetError, bench_mod.ReportError, ScriptError, SerializationError,
             FileNotFoundError) as exc:  # a bad input file, not a bug: no traceback
         print(f"refinectl: {exc}", file=sys.stderr)

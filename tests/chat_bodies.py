@@ -165,6 +165,31 @@ def mutated_bodies(draw, max_tokens: int = 5) -> bytes:
     return bytes(body)
 
 
+@st.composite
+def uniform_bodies(draw, max_tokens: int = 8) -> bytes:
+    """A compact body whose rows have one width w (1-5), with or without
+    bytes lists, and a few rows of other widths spliced in anywhere: bodies
+    the row pattern tiles, and bodies whose first untiled row can fall in
+    any window."""
+    width = draw(st.integers(1, 5))
+    widths = [width] * draw(st.integers(1, max_tokens))
+    for _ in range(draw(st.integers(0, 2))):
+        widths.insert(draw(st.integers(0, len(widths))),
+                      draw(st.integers(1, 6).filter(lambda w: w != width)))
+    with_bytes = draw(st.booleans())
+
+    def entry() -> bytes:
+        raw_bytes = b',"bytes":' + draw(st.sampled_from(VALID_BYTES[1:])) if with_bytes else b""
+        return b'{"token":' + draw(json_strings()) + b',"logprob":' + draw(numbers) + raw_bytes
+
+    rows = [entry() + b',"top_logprobs":[' + b",".join(entry() + b"}" for _ in range(w)) + b"]}"
+            for w in widths]
+    return (b'{"id":"chatcmpl-1","object":"chat.completion","choices":[{"index":0,'
+            b'"message":{"role":"assistant","content":"so \\boxed{7}"},'
+            b'"logprobs":{"content":[' + b",".join(rows) + b']},"finish_reason":"stop"}],'
+            b'"usage":{"prompt_tokens":5,"completion_tokens":%d}}' % len(rows))
+
+
 def compact_body(rows: list[list[float]], with_bytes: bool, text: str = "so \\boxed{7}",
                  usage_tokens: int | None = None) -> bytes:
     """A compact body in the OpenAI/vLLM key order (token, logprob, bytes,

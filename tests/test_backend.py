@@ -242,6 +242,87 @@ def test_script_file_roundtrip(tmp_path):
     assert completion.completion_tokens == 2
 
 
+def write_script_rows(tmp_path, rows) -> str:
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"responses": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("confidences", "abc", "confidences is not a list of numbers"),
+    ("confidences", [1.0, "2"], "confidences is not a list of numbers"),
+    ("confidences", [True], "confidences is not a list of numbers"),
+    ("logprobs", [-0.5], "logprobs is not a list of non-empty lists of numbers"),
+    ("logprobs", [[-0.5], []], "logprobs is not a list of non-empty lists of numbers"),
+    ("logprobs", [[None]], "logprobs is not a list of non-empty lists of numbers"),
+    ("prompt_tokens", "5", "prompt_tokens '5' is not an integer >= 0"),
+    ("prompt_tokens", 1.5, "prompt_tokens 1.5 is not an integer >= 0"),
+    ("prompt_tokens", -1, "prompt_tokens -1 is not an integer >= 0"),
+    ("text", 7, "text is not a string"),
+    ("finish_reason", "tool", "finish_reason 'tool' is not one of"),
+])
+def test_a_script_row_of_the_wrong_type_is_rejected_at_load(tmp_path, field, value, message):
+    row = {"text": "x \\boxed{7}", "confidences": [1.0], field: value}
+    if field == "logprobs":
+        del row["confidences"]
+    path = write_script_rows(tmp_path, [{"text": "ok", "confidences": [1.0]}, row])
+    with pytest.raises(ScriptError, match=r"^responses\[1\]: " + message.replace("[", r"\[")):
+        load_mock_script(path)
+
+
+@pytest.mark.parametrize("record", [
+    MockRecord(text="x", confidences="abc"),
+    MockRecord(text="x", confidences=[[1.0, 2.0], [3.0]]),
+    MockRecord(text="x", logprobs=[[-0.5], "ab"]),
+    MockRecord(text="x", logprobs=5),
+    MockRecord(text="x", confidences=[10 ** 400]),
+    MockRecord(text=7, confidences=[1.0]),
+    MockRecord(text="x", confidences=[1.0], prompt_tokens=-1),
+    MockRecord(text="x", confidences=[1.0], finish_reason="tool"),
+])
+def test_a_record_built_in_code_fails_only_its_request(record):
+    backend = mock_backend(record, MockRecord(text="next", confidences=[1.0]))
+    with pytest.raises(ScriptError):
+        backend.generate(MSG, CFG)
+    assert backend.generate(MSG, CFG).text == "next"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 400, 10 ** 400) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=2),
+    max_leaves=6)
+script_fields = {
+    "text": st.text() | json_values,
+    "confidences": st.lists(st.floats(), max_size=4) | json_values,
+    "logprobs": st.lists(st.lists(st.floats(max_value=0), max_size=3), max_size=3) | json_values,
+    "finish_reason": st.sampled_from(["stop", "length", "other"]) | json_values,
+    "prompt_tokens": st.integers(-2, 10) | json_values,
+    "error": st.none() | json_values,
+}
+script_rows = st.fixed_dictionaries({}, optional=script_fields) | json_values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(script_rows, min_size=1, max_size=4))
+def test_a_script_either_fails_to_load_or_serves_only_backend_errors(tmp_path_factory, rows):
+    """Rows with fields of any JSON type: the load raises ``ScriptError``,
+    or every record is served or fails its own request with a
+    ``BackendError``, the next record still served."""
+    path = write_script_rows(tmp_path_factory.mktemp("script"), rows)
+    try:
+        records = load_mock_script(path)
+    except ScriptError:
+        return
+    backend = MockBackend(records)
+    for _ in records:
+        try:
+            completion = backend.generate(MSG, CFG)
+        except BackendError:
+            continue
+        assert isinstance(completion.text, str) and completion.completion_tokens >= 1
+    assert backend.remaining == 0
+
+
 def test_http_payload_carries_logprob_count():
     payload = build_chat_payload(MSG, GenerationConfig(logprob_count=20, seed=7), "m")
     assert payload["logprobs"] is True

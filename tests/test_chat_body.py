@@ -37,6 +37,7 @@ from chat_bodies import (
     json_path,
     mutated_bodies,
     outcome,
+    uniform_bodies,
 )
 from conftest import boxed_record, mock_backend
 
@@ -183,6 +184,138 @@ def test_tokens_holding_the_array_end_take_the_scan_path(monkeypatch, tokens, wi
     monkeypatch.setattr(backend_mod, "json", SimpleNamespace(loads=loads))
     assert parse_chat_body(raw, K) == expected
     assert len(parsed) == 1 and "top_logprobs" not in parsed[0]
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=uniform_bodies(), k=ks)
+def test_uniform_rows_with_ragged_rows_spliced_in_agree_with_json_path(raw, window, k):
+    """Rows matched whole, then rows matched entry by entry from the first
+    window that has a row of another width: the same outcome as JSON, and
+    no body of this form that is JSON takes the JSON path."""
+    with pytest.MonkeyPatch.context() as mp:
+        if window is not None:
+            mp.setattr(backend_mod, "_WINDOW", window)
+        assert_paths_agree(raw, k)
+        try:  # a junk byte may break a string's escape
+            json.loads(raw.decode("utf-8", errors="replace"))
+        except ValueError:
+            return
+        assert outcome(backend_mod._scan_body, raw, k) is not None
+
+
+class Recording:
+    """A compiled pattern whose ``findall`` calls are recorded as
+    ``(name, pos, endpos)``."""
+
+    def __init__(self, pattern, name: str, calls: list):
+        self.pattern, self.name, self.calls = pattern, name, calls
+
+    def findall(self, string, pos, endpos):
+        self.calls.append((self.name, pos, endpos))
+        return self.pattern.findall(string, pos, endpos)
+
+
+def assert_windows_tile_the_array(windows: list[tuple[int, int]], raw: bytes) -> None:
+    """Windows, as offsets into the array, meet end to end from its "[" to
+    the "}]}" of its last row."""
+    assert windows[0][0] == 0
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    start = raw.index(b'"content":[{') + len(b'"content":')
+    assert windows[-1][1] == raw.rindex(b"}]}]") + 3 - start
+
+
+def record_scans(mp) -> list[tuple[str, int, int]]:
+    """Record every window the row and entry patterns scan."""
+    calls: list[tuple[str, int, int]] = []
+    row_pattern = backend_mod._row_pattern
+    mp.setattr(backend_mod, "_row_pattern", lambda w: Recording(row_pattern(w), "row", calls))
+    mp.setattr(backend_mod, "_TOP_ENTRY", Recording(backend_mod._TOP_ENTRY, "entry", calls))
+    return calls
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@pytest.mark.parametrize("with_bytes", [False, True])
+@pytest.mark.parametrize("width", [1, 3, 20])
+def test_uniform_rows_take_the_row_pattern_alone(monkeypatch, width, with_bytes, window):
+    rng = np.random.default_rng(width)
+    rows = (-rng.exponential(2.0, size=(300, width))).tolist()
+    rows[5][0] = -0.0
+    raw = compact_body(rows, with_bytes=with_bytes)
+    expected = parse_chat_response(json.loads(raw), K)
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+
+    class Unused:
+        def findall(self, *args):
+            raise AssertionError("the entry pattern scanned a uniform body")
+
+    calls = record_scans(monkeypatch)
+    monkeypatch.setattr(backend_mod, "_TOP_ENTRY", Unused())
+    assert_same_outcome(backend_mod._scan_body(raw, K), expected)
+    assert {name for name, *_ in calls} == {"row"}
+    assert_windows_tile_the_array([span for _, *span in calls], raw)
+    if window is not None:
+        assert len(calls) == 300  # a row per window
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@pytest.mark.parametrize("ragged", [0, 7, 299])
+def test_after_the_first_untiled_window_the_entry_pattern_scans_the_rest(
+        monkeypatch, ragged, window):
+    """Windows tile the array once each, but for the window holding the
+    first row of another width: the row pattern fails there, and the entry
+    pattern scans that window and every later one."""
+    rows = [[-0.5, -1.5]] * 300
+    rows[ragged] = [-0.5, -1.5, -2.5]
+    raw = compact_body(rows, with_bytes=True)
+    expected = parse_chat_response(json.loads(raw), K)
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    calls = record_scans(monkeypatch)
+    assert_same_outcome(backend_mod._scan_body(raw, K), expected)
+    names = [name for name, *_ in calls]
+    first_entry = names.index("entry")
+    assert names == ["row"] * first_entry + ["entry"] * (len(names) - first_entry)
+    # the one window scanned twice; without it, the windows tile the array
+    windows = [tuple(span) for _, *span in calls]
+    assert windows[first_entry - 1] == windows[first_entry]
+    del windows[first_entry]
+    assert_windows_tile_the_array(windows, raw)
+    if window is not None:
+        # a row per window: a ragged first row sets the width the second lacks
+        assert first_entry - 1 == max(ragged, 1)
+
+
+# Commas and brackets between rows and between entries dropped, doubled or
+# misplaced, and a token dropped from before its entries: none of these
+# bodies is JSON.
+# The last row's: the row before keeps its row break, so the width comes
+# from the first row and the splice falls in the last window.
+BOUNDARY_SPLICES = [(b'}]},{"token":"t2"', b'}]}' + new + b'{"token":"t2"')
+                    for new in (b"", b",,", b",[", b"[", b"]},", b",]},")]
+BOUNDARY_SPLICES += [(b'},{"token":"t21"', b"}" + new + b'{"token":"t21"')
+                     for new in (b"", b",,", b"]},", b",[")]
+# a row that does not end before the next, and a row's entries right after
+# the row before it, without the token they belong to
+BOUNDARY_SPLICES += [(b'}]},{"token":"t2"', b'},,{"token":"t2"'),
+                     (b',{"token":"t2","logprob":-0.5,"top_logprobs":[', b"")]
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@pytest.mark.parametrize("rows", [[[-0.5, -1.5]] * 3, [[-0.5, -1.5, -2.5], [-0.5], [-0.5, -1.5]]],
+                         ids=["uniform", "ragged"])
+@pytest.mark.parametrize("old, new", BOUNDARY_SPLICES)
+def test_a_broken_boundary_is_not_tiled(monkeypatch, rows, old, new, window):
+    """Whole rows or single entries, the scan rejects a row or entry that
+    does not follow a "," and a "," that does not follow a row or entry."""
+    raw = compact_body(rows, with_bytes=False)
+    assert raw.count(old) == 1
+    raw = raw.replace(old, new)
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    assert backend_mod._scan_body(raw, K) is None
+    assert outcome(parse_chat_body, raw, K) is outcome(json_path, raw, K) is BackendError
 
 
 def test_end_candidates_keep_the_scan_linear(monkeypatch):

@@ -206,10 +206,10 @@ TREE_SCRIPT = [
     record("2", 16.0, 1), record("1", 24.0, 1),                       # p3: halt, refuse
 ]
 TREE_STDOUT = """\
-p0: answer='7' nodes=2 early_stopped=True tokens=5
+p0: answer='7' nodes=2 terminated_by=early_stop tokens=5
 p1: failed: all warmup generations failed tokens=5
-p2: answer='5' nodes=6 early_stopped=False tokens=13
-p3: answer='2' nodes=2 early_stopped=True tokens=2
+p2: answer='5' nodes=6 terminated_by=max_depth tokens=13
+p3: answer='2' nodes=2 terminated_by=early_stop tokens=2
 """
 
 
@@ -277,3 +277,90 @@ def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("refinectl: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_a_script_row_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, model_file,
+                                                              command):
+    script = write_records(tmp_path / "script.json",
+                           [{"text": "x \\boxed{7}", "confidences": "abc"}])
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
+    argv = {"run": ["run", "--problem-file", dataset, "--model-file", model_file],
+            "bench": ["bench", "--dataset", dataset, "--method", "pass1", "--seeds", "1"]}
+    assert main([*argv[command], "--mock-script", script]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refinectl: responses[0]: confidences is not a list of "
+                            "numbers\n")
+
+
+# One flag of each class out of range: the tree's shape, the loop's cap, the
+# sweep's spec and the sampling settings every command sends.
+OUT_OF_RANGE = {
+    "tree": [("--warmup", "0"), ("--branch", "0"), ("--depth", "-1")],
+    "run": [("--max-iters", "0")],
+    "bench": [("--keep-fraction", "2"), ("--keep-fraction", "0"), ("--seeds", "0"),
+              ("--k", "0")],
+    "gen": [("--logprobs", "0"), ("--max-tokens", "0"), ("--temperature", "-1"),
+            ("--top-p", "0"), ("--top-p", "1.5")],
+}
+
+
+def flag_cases(flag_class: str, commands: list[str]):
+    return [pytest.param(command, flag, value, id=f"{command}{flag}={value}")
+            for command in commands for flag, value in OUT_OF_RANGE[flag_class]]
+
+
+def assert_usage_error(tmp_path, capsys, model_file, command, flag, value):
+    """``refinectl <command> <flag> <value>`` on valid input files stops at
+    parse with status 2 and a usage line, before any input file is read."""
+    script = write_script(tmp_path / "script.json", n_records=8)
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
+    argv = {"run": ["run", "--problem-file", dataset, "--model-file", model_file],
+            "tree": ["tree", "--problem-file", dataset, "--model-file", model_file],
+            "bench": ["bench", "--dataset", dataset, "--method", "pass1"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--mock-script", script, flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: refinectl {command} ")
+    assert f"refinectl {command}: error: " in captured.err
+
+
+@pytest.mark.parametrize("command, flag, value", flag_cases("tree", ["tree"]))
+def test_an_out_of_range_tree_flag_is_a_usage_error(tmp_path, capsys, model_file,
+                                                     command, flag, value):
+    assert_usage_error(tmp_path, capsys, model_file, command, flag, value)
+
+
+@pytest.mark.parametrize("command, flag, value", flag_cases("run", ["run"]))
+def test_an_out_of_range_loop_flag_is_a_usage_error(tmp_path, capsys, model_file,
+                                                    command, flag, value):
+    assert_usage_error(tmp_path, capsys, model_file, command, flag, value)
+
+
+@pytest.mark.parametrize("command, flag, value", flag_cases("bench", ["bench"]))
+def test_an_out_of_range_bench_flag_is_a_usage_error(tmp_path, capsys, model_file,
+                                                     command, flag, value):
+    assert_usage_error(tmp_path, capsys, model_file, command, flag, value)
+
+
+@pytest.mark.parametrize("command, flag, value", flag_cases("gen", ["run", "tree", "bench"]))
+def test_an_out_of_range_sampling_flag_is_a_usage_error(tmp_path, capsys, model_file,
+                                                        command, flag, value):
+    assert_usage_error(tmp_path, capsys, model_file, command, flag, value)
+
+
+def test_a_value_error_while_running_is_not_a_usage_error(tmp_path, monkeypatch, model_file):
+    """Only the configs' checks become usage errors: a ValueError from the
+    run itself, a bug, still leaves main."""
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("refinectl.cli.run", broken)
+    script = write_script(tmp_path / "script.json", n_records=2)
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["run", "--mock-script", script, "--problem-file", dataset,
+              "--model-file", model_file])
