@@ -476,14 +476,6 @@ _TOP = _ENTRY + rb'(' + _NUM + rb')' + _BYTES + rb'\}'  # one top entry, its log
 # The array is scanned in windows of whole rows. A row is the array's "["
 # (only at its start) or a ",", then a token object: the token up to its
 # top_logprobs, its entries, "]}". The array's closing "]" is in no window.
-# Both patterns below end each match at an entry's "," or a row's "]}", and
-# their last branch takes the rest of the window and captures nothing, so
-# consecutive matches tile a window exactly when its rows have this form.
-# One match per top-logprobs entry, capturing its logprob. An entry may
-# follow only an entry's ","; a row's first entry also takes the row's
-# start, which may follow only a row's "]}".
-_TOP_ENTRY = re.compile(
-    rb'(?:(?<=,)|(?:\A\[|(?<=\]\}),)' + _TOKEN + rb')' + _TOP + rb'(?:,|\]\})|(?s:.+)')
 _CONTENT = b'"logprobs":{"content":['
 _TOP_LOGPROBS = b',"top_logprobs":['
 _LOGPROB = b'"logprob":'
@@ -492,17 +484,17 @@ _CONTENT_END = b"}]}]"
 # holds an unescaped quote, and an entry's bytes list ends in a digit or "[".
 _ROW_BREAK = b'}]},{"token":'
 # Bytes of the array scanned at a time, plus the rest of the row a window
-# ends in: what one window's captures and row counts hold in memory.
+# ends in: what one window's captures hold in memory.
 _WINDOW = 1 << 18
-# The widest first row the row pattern is compiled for; wider bodies are
-# scanned by the entry pattern.
+# The widest first row the row pattern is compiled for: wider bodies take JSON.
 _MAX_ROW_WIDTH = 64
 
 
 @lru_cache(maxsize=None)
 def _row_pattern(width: int) -> re.Pattern:
-    """One match per row of ``width`` top entries, capturing their logprobs.
-    Every match ends a row, so a row's start needs no look back."""
+    """One match per row of ``width`` top entries, capturing their logprobs,
+    or of the rest of the window, capturing nothing: matches tile a window
+    exactly when its rows have this form. Every match ends a row."""
     return re.compile(rb'(?:\A\[|,)' + _TOKEN + b",".join([_TOP] * width)
                       + rb'\]\}|(?s:.+)')
 
@@ -520,58 +512,40 @@ def _row_width(raw: bytes | mmap.mmap, lo: int, hi: int) -> int:
 
 def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
     """``parse_chat_body`` for a body whose logprob content has the compact
-    form, or None when it may not."""
+    form with every row as wide as the first, or None when it may not."""
     key = raw.find(_CONTENT, 0)  # a mapping's find starts at its file position
     if key < 0:
         return None
     start = key + len(_CONTENT) - 1
-    # The array ends at the first "}]}]" that ends a row that tiles: a token
-    # may hold "}]}]" too. None ends before the first top_logprobs key.
+    # The array ends at the first "}]}]" after its first top_logprobs key; if
+    # a token holds one, the window that ends there does not tile.
     first_row = raw.find(_TOP_LOGPROBS, start)
     end = raw.find(_CONTENT_END, first_row) if first_row >= 0 else -1
     if end < 0:
         return None
-    # Rows as wide as the first are matched whole, one match per row; the
-    # first window they do not tile, and every window after it, is scanned
-    # one top entry at a time.
+    # Every row is matched whole, as wide as the first; the first window
+    # that such rows do not tile sends the body to the JSON path.
     row_break = raw.find(_ROW_BREAK, first_row, end)
     width = _row_width(raw, first_row, end if row_break < 0 else row_break)
-    whole_rows = _row_pattern(width) if 0 < width <= _MAX_ROW_WIDTH else None
+    if not 0 < width <= _MAX_ROW_WIDTH:
+        return None
+    whole_rows = _row_pattern(width)
     captured = array("d")  # grown in place, so the values are held once
-    counts: list[int] = []
+    rows = 0
     lo = start
-    spare = len(raw)  # bytes that failed end candidates may rescan: keeps the scan linear
     # The view is released on every exit: a mapping cannot close while one lives.
     with memoryview(raw)[start:] as view:  # \A matches only at the array's "["
         while True:
-            # A window ends at a row's "}]}", where a row break starts; the
-            # last stops short of the row that the candidate end is in.
+            # A window ends at a row's "}]}", where a row break starts.
             cut = raw.find(_ROW_BREAK, lo + _WINDOW, end)
-            if cut < 0:
-                cut = raw.rfind(_ROW_BREAK, lo, end)
             hi = (end if cut < 0 else cut) + 3
             # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
             # no confidence depends on
-            found = whole_rows.findall(view, lo - start, hi - start) if whole_rows else None
-            if found and (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
-                captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
-                counts += [width] * len(found)
-            else:
-                whole_rows = None
-                logprobs = _TOP_ENTRY.findall(view, lo - start, hi - start)
-                if not logprobs[-1]:
-                    spare -= hi - lo
-                    if cut >= 0 or spare < 0:
-                        return None
-                    end = raw.find(_CONTENT_END, end + 1)
-                    if end < 0:
-                        return None
-                    continue
-                captured.extend(map(float, logprobs))
-                # Each row of the window holds its token's own logprob and its
-                # entries'. A mapping has no count, so the rows come from one
-                # copy of the window.
-                counts.extend(row.count(_LOGPROB) - 1 for row in raw[lo:hi].split(_ROW_BREAK))
+            found = whole_rows.findall(view, lo - start, hi - start)
+            if not (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
+                return None
+            captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
+            rows += len(found)
             if cut < 0:
                 break
             lo = hi
@@ -594,7 +568,7 @@ def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
         return None
     if content is not constants or len(constants) != 1:
         return None
-    return _completion(obj, choice, text, values, np.array(counts, dtype=np.intp), k)
+    return _completion(obj, choice, text, values, np.full(rows, width, dtype=np.intp), k)
 
 
 def parse_chat_body(raw: bytes | mmap.mmap, k: int) -> Completion:
@@ -605,10 +579,10 @@ def parse_chat_body(raw: bytes | mmap.mmap, k: int) -> Completion:
     errors="replace")), k)`` returns and raises the same ``BackendError``
     subclasses, plus ``BackendError`` for a body that is not JSON. A body
     whose ``choices[0].logprobs.content`` is in the compact form servers
-    send is read by a validating byte scan of that array, one bounded
-    window at a time, and a JSON parse of the rest, without building a dict
-    per top-k entry or copying the array; any other body takes the JSON
-    path.
+    send, with every row as wide as the first, is read by a validating byte
+    scan of that array, one match per row over bounded windows, and a JSON
+    parse of the rest, without building a dict per top-k entry or copying
+    the array; any other body takes the JSON path.
     """
     completion = _scan_body(raw, k)
     if completion is not None:

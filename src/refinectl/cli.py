@@ -15,10 +15,11 @@ per problem; a problem whose generation fails prints
 ``<id>: failed: <message> tokens=<served>`` and the rest still run. The log
 or dump then holds the finished problems, and the exit status is 1. Over
 HTTP, up to the backend's ``max_inflight`` problems run at once; lines, log
-and dump stay in problem-file order. An input file that is missing or
-malformed (problems, dataset, mock script, model, report) prints
-``refinectl: <message>`` to stderr and exits with status 2; so does a flag
-value out of range, as a usage error, before anything runs.
+and dump stay in problem-file order. An input file that is missing,
+unreadable or malformed (problems, dataset, mock script, model, report)
+prints ``refinectl: <message>`` to stderr and exits with status 2. A flag
+value out of range, or a backend that the flags do not name, is a usage
+error: status 2 and the usage line, before any input is read.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
 def _make_backend(args) -> Backend:
     if args.mock_script:
         return MockBackend(load_mock_script(args.mock_script))
-    if args.endpoint and args.model:
-        return HttpBackend(args.endpoint, args.model, api_key_env=args.api_key_env)
-    raise SystemExit("need either --mock-script or both --endpoint and --model")
+    return HttpBackend(args.endpoint, args.model, api_key_env=args.api_key_env)
 
 
 def _gen_cfg(args) -> GenerationConfig:
@@ -219,16 +218,19 @@ def main(argv=None) -> int:
     p_report.set_defaults(func=_cmd_report, configs=lambda args: {})
 
     args = parser.parse_args(argv)
+    command = sub.choices[args.command]
     if args.command == "bench" and args.method in bench_mod.CONTROLLED and not args.model_file:
-        p_bench.error(f"--method {args.method} needs --model-file")
+        command.error(f"--method {args.method} needs --model-file")
+    if args.command != "report" and not (args.mock_script or args.endpoint and args.model):
+        command.error("need either --mock-script or both --endpoint and --model")
     try:
         configs = args.configs(args)
     except ValueError as exc:  # a flag out of range: exits 2 with the usage line
-        sub.choices[args.command].error(str(exc))
+        command.error(str(exc))
     try:
         return args.func(args, **configs)
     except (bench_mod.DatasetError, bench_mod.ReportError, ScriptError, SerializationError,
-            FileNotFoundError) as exc:  # a bad input file, not a bug: no traceback
+            OSError) as exc:  # a bad input file, not a bug: no traceback
         print(f"refinectl: {exc}", file=sys.stderr)
         return 2
 

@@ -576,10 +576,19 @@ def save_model(path: str | Path, model: ControllerModel, metadata: dict | None =
 
 
 def load_model(path: str | Path) -> tuple[ControllerModel, dict | None]:
+    """The model at ``path`` and its sidecar's metadata, or None without
+    one. A sidecar that is not a JSON object raises ``SerializationError``."""
     path = Path(path)
     model = deserialize(path.read_bytes())
     sidecar = Path(str(path) + ".json")
-    metadata = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else None
+    if not sidecar.exists():
+        return model, None
+    try:
+        metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise SerializationError(f"{sidecar}: not JSON: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise SerializationError(f"{sidecar}: not a JSON object")
     return model, metadata
 
 

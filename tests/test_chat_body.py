@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import mmap
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -143,7 +142,7 @@ def test_a_window_starting_at_a_nested_array_does_not_tile(monkeypatch):
 
 @pytest.mark.parametrize("with_bytes", [False, True])
 def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
-    rows = [[-0.5, -1.25, -3e-05], [-0.0, -2.0], [-7.5]]
+    rows = [[-0.5, -1.25, -3e-05], [-0.0, -2.0, -1.0], [-7.5, -7.5, -7.5]]
     raw = compact_body(rows, with_bytes=with_bytes, text='say "NaN" \\boxed{7}')
     expected = parse_chat_response(json.loads(raw), K)
 
@@ -162,46 +161,41 @@ def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
 @pytest.mark.parametrize("tokens", [["t11"], ["t21"], ["t2"],
                                     ["t0", "t00", "t01", "t1", "t10", "t11", "t2", "t20", "t21"]],
                          ids=["middle_row", "last_row", "last_token", "every_token"])
-def test_tokens_holding_the_array_end_take_the_scan_path(monkeypatch, tokens, window):
-    """A token string holding "}]}]" does not end the array: the scan reads
-    on to the real end, and JSON parses only the rest of the body."""
+def test_tokens_holding_the_array_end_take_the_json_path(monkeypatch, tokens, window):
+    """A token string holding "}]}]" after the first top_logprobs key is
+    taken for the array's end: the window that ends there does not tile, and
+    the body takes the JSON path, which reads it whole."""
     raw = compact_body([[-0.5, -1.5], [-2.5, -3.5], [-4.5, -5.5]], with_bytes=True)
     for token in tokens:
         raw = raw.replace(f'"{token}"'.encode(), b'"x}]}]"')
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
-    parsed = []
-
-    def loads(text, **kwargs):
-        parsed.append(text)
-        return json.loads(text, **kwargs)
-
-    def json_path_taken(*args):
-        raise AssertionError("the JSON path parsed a compact body")
-
-    monkeypatch.setattr(backend_mod, "parse_chat_response", json_path_taken)
-    monkeypatch.setattr(backend_mod, "json", SimpleNamespace(loads=loads))
+    assert backend_mod._scan_body(raw, K) is None
     assert parse_chat_body(raw, K) == expected
-    assert len(parsed) == 1 and "top_logprobs" not in parsed[0]
 
 
 @pytest.mark.parametrize("window", [None, TINY_WINDOW])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(raw=uniform_bodies(), k=ks)
 def test_uniform_rows_with_ragged_rows_spliced_in_agree_with_json_path(raw, window, k):
-    """Rows matched whole, then rows matched entry by entry from the first
-    window that has a row of another width: the same outcome as JSON, and
-    no body of this form that is JSON takes the JSON path."""
+    """Rows matched whole, and the JSON path from the first window that has
+    a row of another width: the same outcome as JSON, and the scan reads a
+    body exactly when it is JSON, every row is as wide as the first and no
+    token after the first top_logprobs key holds "}]}]", which the scan
+    would take for the array's end."""
     with pytest.MonkeyPatch.context() as mp:
         if window is not None:
             mp.setattr(backend_mod, "_WINDOW", window)
         assert_paths_agree(raw, k)
         try:  # a junk byte may break a string's escape
-            json.loads(raw.decode("utf-8", errors="replace"))
+            content = json.loads(raw.decode("utf-8", errors="replace"))[
+                "choices"][0]["logprobs"]["content"]
         except ValueError:
-            return
-        assert outcome(backend_mod._scan_body, raw, k) is not None
+            content = []
+        read = (len({len(row["top_logprobs"]) for row in content}) == 1
+                and raw.count(b"}]}]", raw.index(b',"top_logprobs":[')) == 1)
+        assert (outcome(backend_mod._scan_body, raw, k) is not None) == read
 
 
 class Recording:
@@ -226,11 +220,10 @@ def assert_windows_tile_the_array(windows: list[tuple[int, int]], raw: bytes) ->
 
 
 def record_scans(mp) -> list[tuple[str, int, int]]:
-    """Record every window the row and entry patterns scan."""
+    """Record every window the row pattern scans."""
     calls: list[tuple[str, int, int]] = []
     row_pattern = backend_mod._row_pattern
     mp.setattr(backend_mod, "_row_pattern", lambda w: Recording(row_pattern(w), "row", calls))
-    mp.setattr(backend_mod, "_TOP_ENTRY", Recording(backend_mod._TOP_ENTRY, "entry", calls))
     return calls
 
 
@@ -245,13 +238,7 @@ def test_uniform_rows_take_the_row_pattern_alone(monkeypatch, width, with_bytes,
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
-
-    class Unused:
-        def findall(self, *args):
-            raise AssertionError("the entry pattern scanned a uniform body")
-
     calls = record_scans(monkeypatch)
-    monkeypatch.setattr(backend_mod, "_TOP_ENTRY", Unused())
     assert_same_outcome(backend_mod._scan_body(raw, K), expected)
     assert {name for name, *_ in calls} == {"row"}
     assert_windows_tile_the_array([span for _, *span in calls], raw)
@@ -261,30 +248,25 @@ def test_uniform_rows_take_the_row_pattern_alone(monkeypatch, width, with_bytes,
 
 @pytest.mark.parametrize("window", [None, TINY_WINDOW])
 @pytest.mark.parametrize("ragged", [0, 7, 299])
-def test_after_the_first_untiled_window_the_entry_pattern_scans_the_rest(
-        monkeypatch, ragged, window):
-    """Windows tile the array once each, but for the window holding the
-    first row of another width: the row pattern fails there, and the entry
-    pattern scans that window and every later one."""
+def test_a_row_of_another_width_takes_the_json_path(monkeypatch, ragged, window):
+    """Windows are scanned in order, once each, up to the one holding the
+    first row of another width: the row pattern fails there, and the body
+    takes the JSON path, which agrees."""
     rows = [[-0.5, -1.5]] * 300
     rows[ragged] = [-0.5, -1.5, -2.5]
     raw = compact_body(rows, with_bytes=True)
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    assert backend_mod._scan_body(raw, K) is None
     calls = record_scans(monkeypatch)
-    assert_same_outcome(backend_mod._scan_body(raw, K), expected)
-    names = [name for name, *_ in calls]
-    first_entry = names.index("entry")
-    assert names == ["row"] * first_entry + ["entry"] * (len(names) - first_entry)
-    # the one window scanned twice; without it, the windows tile the array
+    assert_same_outcome(parse_chat_body(raw, K), expected)
     windows = [tuple(span) for _, *span in calls]
-    assert windows[first_entry - 1] == windows[first_entry]
-    del windows[first_entry]
-    assert_windows_tile_the_array(windows, raw)
+    assert windows[0][0] == 0
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
     if window is not None:
         # a row per window: a ragged first row sets the width the second lacks
-        assert first_entry - 1 == max(ragged, 1)
+        assert len(windows) == max(ragged, 1) + 1
 
 
 # Commas and brackets between rows and between entries dropped, doubled or
@@ -318,22 +300,20 @@ def test_a_broken_boundary_is_not_tiled(monkeypatch, rows, old, new, window):
     assert outcome(parse_chat_body, raw, K) is outcome(json_path, raw, K) is BackendError
 
 
-def test_end_candidates_keep_the_scan_linear(monkeypatch):
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+def test_each_window_is_scanned_at_most_once(monkeypatch, window):
     """A broken last row followed by many "}]}]" is not rescanned once per
-    candidate end: failed candidates may rescan at most the body's length."""
-    raw = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=False)
+    candidate end: the row pattern's findall runs at most once per window,
+    and the body takes the JSON path."""
+    raw = compact_body([[-0.5, -1.5]] * 49 + [[-2.5, -3.5]], with_bytes=False)
     raw = raw.replace(b"-3.5", b"-03.5") + b"}]}]" * 2000
-    scans = []
-
-    class Counting:
-        def findall(self, *args):
-            scans.append(args)
-            return pattern.findall(*args)
-
-    pattern = backend_mod._TOP_ENTRY
-    monkeypatch.setattr(backend_mod, "_TOP_ENTRY", Counting())
+    calls = record_scans(monkeypatch)
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
     assert outcome(parse_chat_body, raw, K) is BackendError
-    assert len(scans) < 100
+    windows = [tuple(span) for _, *span in calls]
+    assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
+    assert len(windows) == (1 if window is None else 50)  # a row per tiny window
 
 
 def test_scan_memory_stays_below_the_body():

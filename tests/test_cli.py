@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -89,10 +90,22 @@ def test_bench_csv_output(tmp_path, capsys):
     assert header == "method,dataset,acc_mean,acc_std,tokens,time_s,iters_mean"
 
 
-def test_backend_flags_required(tmp_path, model_file):
+@pytest.mark.parametrize("command", ["run", "tree", "bench"])
+@pytest.mark.parametrize("backend", [[], ["--endpoint", "http://127.0.0.1:9"], ["--model", "m"]],
+                         ids=["none", "endpoint-only", "model-only"])
+def test_backend_flags_required(tmp_path, capsys, model_file, command, backend):
+    """A backend the flags do not name is a usage error, before any input
+    is read: the bench dataset does not exist."""
     dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
-    with pytest.raises(SystemExit):
-        main(["run", "--problem-file", dataset, "--model-file", model_file])
+    argv = {"run": ["run", "--problem-file", dataset, "--model-file", model_file],
+            "tree": ["tree", "--problem-file", dataset, "--model-file", model_file],
+            "bench": ["bench", "--dataset", str(tmp_path / "none.jsonl"), "--method", "pass1"]}
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv[command], *backend])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: refinectl {command} ")
+    assert err.endswith("need either --mock-script or both --endpoint and --model\n")
 
 
 @pytest.mark.parametrize("method", ["corefine", "corefine_tree"])
@@ -253,25 +266,34 @@ def bad_file(tmp_path, name, content):
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["report-object", "report-no-dataset", "problem-row",
-                                  "problem-missing", "script-json", "script-shape",
-                                  "model-blob", "model-missing"])
+@pytest.mark.parametrize("case", ["report-object", "report-no-dataset", "report-dir",
+                                  "problem-row", "problem-missing", "problem-dir",
+                                  "script-json", "script-shape", "script-dir",
+                                  "model-blob", "model-missing", "model-dir", "model-sidecar"])
 def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, case):
     script = write_script(tmp_path / "script.json", n_records=1)
     problems = write_dataset(tmp_path / "problems.jsonl", n=1)
     run = ["run", "--problem-file", problems, "--mock-script", script,
            "--model-file", model_file]
     row = {k: v for k, v in REPORT_ROW.items() if k != "dataset"}
+    # every case's files are written, so each case has files of its own
+    sidecar_model = bad_file(tmp_path, "sidecar.bin", Path(model_file).read_bytes())
+    bad_file(tmp_path, "sidecar.bin.json", b"{broken")
     argv = {
-        "report-object": ["report", "--in", bad_file(tmp_path, "r.json", b'{"rows": []}')],
+        "report-object": ["report", "--in", bad_file(tmp_path, "r1.json", b'{"rows": []}')],
         "report-no-dataset": ["report", "--in",
-                              bad_file(tmp_path, "r.json", json.dumps([row]).encode())],
+                              bad_file(tmp_path, "r2.json", json.dumps([row]).encode())],
+        "report-dir": ["report", "--in", str(tmp_path)],
         "problem-row": run[:2] + [bad_file(tmp_path, "p.jsonl", b'{"id": "p0"}\n')] + run[3:],
         "problem-missing": run[:2] + [str(tmp_path / "none.jsonl")] + run[3:],
-        "script-json": run[:4] + [bad_file(tmp_path, "s.json", b"{responses")] + run[5:],
-        "script-shape": run[:4] + [bad_file(tmp_path, "s.json", b'{"responses": 5}')] + run[5:],
+        "problem-dir": run[:2] + [str(tmp_path)] + run[3:],
+        "script-json": run[:4] + [bad_file(tmp_path, "s1.json", b"{responses")] + run[5:],
+        "script-shape": run[:4] + [bad_file(tmp_path, "s2.json", b'{"responses": 5}')] + run[5:],
+        "script-dir": run[:4] + [str(tmp_path)] + run[5:],
         "model-blob": run[:6] + [bad_file(tmp_path, "m.bin", b"not a model")],
         "model-missing": run[:6] + [str(tmp_path / "none.bin")],
+        "model-dir": run[:6] + [str(tmp_path)],
+        "model-sidecar": run[:6] + [sidecar_model],
     }[case]
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -692,6 +692,16 @@ def test_save_and_load_with_sidecar(tmp_path, rng):
     assert serialize(restored) == serialize(model)
 
 
+@pytest.mark.parametrize("sidecar", [b"{broken", b"[1, 2]", b'"seed"', b"\xff"])
+def test_a_sidecar_that_is_not_a_json_object_is_a_serialization_error(tmp_path, sidecar):
+    from refinectl.controller import SerializationError, load_model, save_model
+    path = tmp_path / "ctl.bin"
+    save_model(path, init(3, 16, seed=1))
+    (tmp_path / "ctl.bin.json").write_bytes(sidecar)
+    with pytest.raises(SerializationError, match="ctl.bin.json"):
+        load_model(path)
+
+
 def test_load_without_sidecar(tmp_path):
     from refinectl.controller import load_model, save_model
     path = tmp_path / "ctl.bin"
