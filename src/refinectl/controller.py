@@ -457,6 +457,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows per block of one eval pass: a larger batch runs as consecutive blocks,
+# so the conv windows held at once stay one block's (about 7.4 MB) whatever
+# the batch size. 64-row blocks hold less but cost more CPU: they leave
+# glibc's trim threshold low, so the training steps between two evaluations
+# fault their buffers back in.
+_INFER_ROWS = 256
+
+
 def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eval-mode forward of a (B, L) batch: (action logits (B, A), success
     logits (B,)).
@@ -464,9 +472,15 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     A pure function of the model's current parameters: batch norm is the
     per-channel affine of its running statistics, computed on each call, and
     dropout is off. It writes to no object, so any number of threads may
-    call it on one model. This is the model's only eval-mode path.
+    call it on one model. This is the model's only eval-mode path. A batch
+    of more than ``_INFER_ROWS`` rows runs as consecutive blocks of that
+    many, whose logits are concatenated.
     """
     model._check_input(x)
+    if len(x) > _INFER_ROWS:
+        blocks = [infer(model, x[i:i + _INFER_ROWS]) for i in range(0, len(x), _INFER_ROWS)]
+        return (np.concatenate([a for a, _ in blocks]),
+                np.concatenate([s for _, s in blocks]))
     h = x[:, None, :]
     for blk in model.blocks:
         h, _ = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)

@@ -2,10 +2,15 @@
 
 Dataset rows: {"id": ..., "statement": ..., "answer": ..., "mode":
 "math_boxed"|"mcq", "choices": [str, ...]?, "unanswerable": bool?}, with
-JSON's types checked, not coerced: "false" is not a boolean. For MCQ
-problems the stored answer is the text of the correct choice, and a choice's
-letter is its index in ``Problem.choices``; the bench randomizes choice order
-by reordering a problem's choices, which keeps the ground truth valid.
+JSON's types checked, not coerced: "false" is not a boolean, and an id,
+statement or answer is a string or a number (a number loads as its ``str``),
+never null, a boolean, a list or an object. For MCQ problems the stored
+answer is the text of the correct choice, and a choice's letter is its index
+in ``Problem.choices``, so a problem takes 2 to 26 distinct choices (A-Z);
+the bench randomizes choice order by reordering a problem's choices, which
+keeps the ground truth valid. :func:`load_dataset` rejects a file that is not
+UTF-8, or any row that breaks these rules, with a ``DatasetError`` naming the
+path and line.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ class Problem:
         if self.mode == "mcq":
             if not self.choices or len(self.choices) < 2:
                 raise ValueError("mcq problems need at least 2 choices")
+            if len(self.choices) > len(string.ascii_uppercase):
+                raise ValueError("mcq problems take at most 26 choices, one per letter A-Z")
             if self.ground_truth not in self.choices:
                 raise ValueError("mcq ground truth must be one of the choices")
             if len(set(self.choices)) != len(self.choices):
@@ -105,13 +112,26 @@ def is_correct(problem: Problem, answer: str | None) -> bool:
     return answer.strip().upper() == correct_letter(problem)
 
 
+def _text_field(rec: dict, key: str) -> str:
+    """A row's string field; a JSON number loads as its ``str``."""
+    value = rec[key]
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    raise TypeError(f"{key} must be a string or a number, not {value!r}")
+
+
 def load_dataset(path: str | Path) -> list[Problem]:
     """Parse and validate a JSONL dataset; schema errors carry line numbers."""
     problems: list[Problem] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:  # decoded line by line, so an error names its line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
@@ -119,7 +139,7 @@ def load_dataset(path: str | Path) -> list[Problem]:
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                pid = str(rec["id"])
+                pid = _text_field(rec, "id")
                 if pid in seen:
                     raise ValueError(f"duplicate id {pid!r}")
                 seen.add(pid)
@@ -132,8 +152,8 @@ def load_dataset(path: str | Path) -> list[Problem]:
                     raise TypeError(f"unanswerable must be true or false, not {unanswerable!r}")
                 problem = Problem(
                     id=pid,
-                    statement=str(rec["statement"]),
-                    ground_truth=str(rec["answer"]),
+                    statement=_text_field(rec, "statement"),
+                    ground_truth=_text_field(rec, "answer"),
                     mode=rec.get("mode", "math_boxed"),
                     choices=tuple(choices) if choices is not None else None,
                     unanswerable=unanswerable,

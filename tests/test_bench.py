@@ -104,10 +104,13 @@ def test_a_row_of_the_wrong_type_names_its_line(tmp_path, row):
     ("choices", "abc", "choices must be a list of strings"),
     ("choices", ["a", 2], "choices must be a list of strings"),
     ("choices", {"a": "b"}, "choices must be a list of strings"),
+    *[(field, value, f"{field} must be a string or a number")
+      for field in ("id", "statement", "answer") for value in (None, True, ["a"], {"v": "a"})],
 ])
 def test_fields_of_the_wrong_json_type_are_rejected_not_coerced(tmp_path, field, value, match):
-    """A string "false" is truthy and a string iterates as its letters: both
-    would load as something the row does not say."""
+    """A string "false" is truthy and a string iterates as its letters, and a
+    null answer would load as the string "None" and be scored against it:
+    each would load as something the row does not say."""
     row = {"id": "q", "statement": "s", "answer": "a", "mode": "mcq", "choices": ["a", "b"]}
     path = tmp_path / "d.jsonl"
     write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"}, {**row, field: value}])
@@ -115,6 +118,37 @@ def test_fields_of_the_wrong_json_type_are_rejected_not_coerced(tmp_path, field,
         load_dataset(path)
     write_jsonl(path, [row, {"id": "u", "statement": "s", "answer": "1", "unanswerable": True}])
     assert [p.unanswerable for p in load_dataset(path)] == [False, True]
+
+
+def test_numeric_text_fields_load_as_their_str(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": 3, "statement": 2.5, "answer": 7}])
+    problem = load_dataset(path)[0]
+    assert (problem.id, problem.statement, problem.ground_truth) == ("3", "2.5", "7")
+
+
+def test_mcq_takes_at_most_26_choices(tmp_path):
+    """A 27th choice has no letter: the sweep would die in ``choice_letter``."""
+    choices = [f"c{i}" for i in range(27)]
+    with pytest.raises(ValueError, match="at most 26 choices"):
+        Problem(id="q", statement="s", ground_truth="c0", mode="mcq", choices=tuple(choices))
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [{"id": "p", "statement": "s", "answer": "1"},
+                       {"id": "q", "statement": "s", "answer": "c26", "mode": "mcq",
+                        "choices": choices}])
+    with pytest.raises(DatasetError, match="d.jsonl:2: mcq problems take at most 26 choices"):
+        load_dataset(path)
+    write_jsonl(path, [{"id": "q", "statement": "s", "answer": "c25", "mode": "mcq",
+                        "choices": choices[:26]}])
+    assert correct_letter(load_dataset(path)[0]) == "Z"
+
+
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'{"id": "p", "statement": "s", "answer": "1"}\n'
+                     b'\xff\xfe{"id": "q"}\n')
+    with pytest.raises(DatasetError, match="d.jsonl:2: not UTF-8: "):
+        load_dataset(path)
 
 
 def test_unsure_choice_detected(tmp_path):

@@ -268,6 +268,7 @@ def bad_file(tmp_path, name, content):
 
 @pytest.mark.parametrize("case", ["report-object", "report-no-dataset", "report-dir",
                                   "problem-row", "problem-missing", "problem-dir",
+                                  "problem-not-utf8", "dataset-not-utf8", "dataset-27-choices",
                                   "script-json", "script-shape", "script-dir",
                                   "model-blob", "model-missing", "model-dir", "model-sidecar"])
 def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, case):
@@ -275,7 +276,12 @@ def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, ca
     problems = write_dataset(tmp_path / "problems.jsonl", n=1)
     run = ["run", "--problem-file", problems, "--mock-script", script,
            "--model-file", model_file]
+    bench = ["bench", "--method", "pass1", "--seeds", "1", "--mock-script", script,
+             "--dataset"]
     row = {k: v for k, v in REPORT_ROW.items() if k != "dataset"}
+    not_utf8 = b'\xff\xfe{"id": "p0"}\n'
+    many_choices = json.dumps({"id": "q", "statement": "s", "answer": "c0", "mode": "mcq",
+                               "choices": [f"c{i}" for i in range(27)]}).encode()
     # every case's files are written, so each case has files of its own
     sidecar_model = bad_file(tmp_path, "sidecar.bin", Path(model_file).read_bytes())
     bad_file(tmp_path, "sidecar.bin.json", b"{broken")
@@ -287,6 +293,9 @@ def test_a_bad_input_file_exits_2_with_one_line(tmp_path, capsys, model_file, ca
         "problem-row": run[:2] + [bad_file(tmp_path, "p.jsonl", b'{"id": "p0"}\n')] + run[3:],
         "problem-missing": run[:2] + [str(tmp_path / "none.jsonl")] + run[3:],
         "problem-dir": run[:2] + [str(tmp_path)] + run[3:],
+        "problem-not-utf8": run[:2] + [bad_file(tmp_path, "p2.jsonl", not_utf8)] + run[3:],
+        "dataset-not-utf8": bench + [bad_file(tmp_path, "d1.jsonl", not_utf8)],
+        "dataset-27-choices": bench + [bad_file(tmp_path, "d2.jsonl", many_choices)],
         "script-json": run[:4] + [bad_file(tmp_path, "s1.json", b"{responses")] + run[5:],
         "script-shape": run[:4] + [bad_file(tmp_path, "s2.json", b'{"responses": 5}')] + run[5:],
         "script-dir": run[:4] + [str(tmp_path)] + run[5:],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,14 @@ from refinectl.controller import (
     parameter_count,
     serialize,
 )
-from refinectl.training import Adam, TrainConfig, batch_loss_and_grads, class_weights, loss
+from refinectl.training import (
+    Adam,
+    TrainConfig,
+    batch_loss_and_grads,
+    class_weights,
+    evaluate_accuracy,
+    loss,
+)
 
 CONV = [(1, 64, 5), (64, 128, 5), (128, 256, 3)]
 
@@ -176,6 +184,57 @@ def test_infer_matches_forward_batch(seed, n_actions, batch, length):
         np.testing.assert_array_equal(cols, ref_cols)
         np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12 * np.abs(ref_out).max())
         h = np.maximum(out, 0.0)
+
+
+def moved_model(seed=5):
+    """A model whose running statistics a train-mode pass moved off their
+    defaults, and the generator that drew that pass."""
+    rng = np.random.default_rng(seed)
+    model = init(3, 16, seed=seed)
+    model.forward_batch(rng.normal(10, 3, (32, 16)), dropout_rng=None)
+    return model, rng
+
+
+@pytest.mark.parametrize("rows", [255, 256, 257, 513])
+def test_infer_runs_large_batches_in_row_blocks(rows):
+    """A large batch is its 256-row blocks run one after another: bitwise the
+    concatenation of those blocks' logits, and still the reference's."""
+    model, rng = moved_model()
+    x = rng.normal(10, 3, (rows, 16))
+    logits, s_logits = infer(model, x)
+    blocks = [infer(model, x[i:i + 256]) for i in range(0, rows, 256)]
+    np.testing.assert_array_equal(logits, np.concatenate([a for a, _ in blocks]))
+    np.testing.assert_array_equal(s_logits, np.concatenate([s for _, s in blocks]))
+    ref_logits, ref_s = reference_infer(model, x)
+    scale = max(np.abs(ref_logits).max(), np.abs(ref_s).max(), 1.0)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(s_logits, ref_s, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_infer_memory_does_not_grow_with_the_batch():
+    """Eval memory is one block's: a whole-batch pass would hold every row's
+    conv windows at once, about 29 KB a row."""
+    model, rng = moved_model()
+    x = rng.normal(10, 3, (4096, 16))
+    peaks = []
+    for rows in (256, 4096):
+        infer(model, x[:rows])  # warm the memoised window indices
+        tracemalloc.start()
+        try:
+            infer(model, x[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_evaluate_accuracy_over_several_blocks():
+    model, rng = moved_model()
+    x = rng.normal(10, 3, (513, 16))
+    labels = rng.integers(0, 3, 513)
+    ref_logits, _ = reference_infer(model, x)
+    assert evaluate_accuracy(model, x, labels) == float((ref_logits.argmax(axis=1)
+                                                         == labels).mean())
 
 
 def reference_conv1d_backward(grad, cols, w, n, stride):
