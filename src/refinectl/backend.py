@@ -9,9 +9,9 @@ the confidence trace of the served top-k logprobs and token usage counts.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import logging
-import mmap
 import os
 import re
 import sys
@@ -21,7 +21,6 @@ import urllib.error
 import urllib.request
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -163,10 +162,10 @@ class Backend:
     ``max_inflight`` above 1 enforces that bound itself, however many
     threads call ``generate``, and owns one pool of ``max_inflight + 1``
     worker threads that every ``drain_concurrent`` on it shares: a reply
-    can be parsed while the next request is out, and at most that many
-    bodies are alive however many problems are in flight. The pool is made
-    on the first concurrent drain; its idle workers exit once the backend
-    is collected.
+    can be read and parsed while the next request is out, and each worker
+    holds a window of its reply rather than the whole body, however many
+    problems are in flight. The pool is made on the first concurrent drain;
+    its idle workers exit once the backend is collected.
     """
 
     max_inflight: int = 8
@@ -347,19 +346,29 @@ def _script_record(row: object) -> MockRecord:
     if logprobs is not None and not (isinstance(logprobs, list) and all(
             lps and _numbers(lps) for lps in logprobs)):
         raise ValueError("logprobs is not a list of non-empty lists of numbers")
+    error = row.get("error")
+    if error is not None and not isinstance(error, str):
+        raise ValueError("error is not a string")
+    if confidences is not None and logprobs is not None:
+        raise ValueError("sets both confidences and logprobs")
+    if confidences == [] or logprobs == []:
+        raise ValueError(f"{'logprobs' if logprobs == [] else 'confidences'} is empty")
+    if error is None and confidences is None and logprobs is None:
+        raise ValueError("sets neither confidences nor logprobs, and no error")
     if finish_reason not in FINISH_REASONS:
         raise ValueError(f"finish_reason {finish_reason!r} is not one of {FINISH_REASONS}")
     if not _is_count(prompt_tokens):
         raise ValueError(f"prompt_tokens {prompt_tokens!r} is not an integer >= 0")
     return MockRecord(text=text, confidences=confidences, logprobs=logprobs,
                       finish_reason=finish_reason, prompt_tokens=prompt_tokens,
-                      error=row.get("error"))
+                      error=error)
 
 
 def load_mock_script(path: str | Path) -> list[MockRecord]:
     """Load a mock script file: {"responses": [{text, confidences|logprobs,
     finish_reason, prompt_tokens, error}]}. A file that is not one, or a row
-    with a field of the wrong type, raises ``ScriptError``."""
+    with a field of the wrong type, an empty values list, or both or (with
+    no error) neither of confidences and logprobs, raises ``ScriptError``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -401,13 +410,15 @@ def _choice(obj: dict) -> tuple[dict, str, object]:
     """``choices[0]``, its message text and its logprob content."""
     try:
         choice = obj["choices"][0]
-        text = (choice.get("message") or {}).get("content") or ""
+        text = (choice.get("message") or {}).get("content")
         content = (choice.get("logprobs") or {}).get("content")
     except (AttributeError, KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
+    if text is not None and not isinstance(text, str):
+        raise BackendError(f"malformed response: message content {type(text).__name__}")
     if not content:
         raise MissingLogprobsError("endpoint returned no logprobs content")
-    return choice, text, content
+    return choice, text or "", content
 
 
 def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
@@ -439,17 +450,10 @@ def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
     )
 
 
-def parse_chat_response(obj: dict, k: int) -> Completion:
-    """Parse a chat-completions JSON body into a ``Completion`` whose trace
-    takes the mean of the ``k`` largest logprobs at each position.
-
-    Raises ``MissingLogprobsError`` when the response carries no
-    per-token logprob content, and ``BackendError`` when the choice or that
-    content is malformed, a logprob is NaN or infinite, or
-    ``usage.completion_tokens`` disagrees with its length.
-    """
-    choice, text, content = _choice(obj)
-    # Some servers omit top_logprobs but keep the sampled token's own.
+def _logprob_rows(content: object) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major logprobs of parsed logprob ``content`` and the count of
+    each row: its top_logprobs, or the sampled token's own where a server
+    omits them."""
     try:
         tops = [tok.get("top_logprobs") or (tok,) for tok in content]
         counts = np.fromiter(map(len, tops), dtype=np.intp)
@@ -457,7 +461,21 @@ def parse_chat_response(obj: dict, k: int) -> Completion:
                              dtype=np.float64, count=int(counts.sum()))
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    return _completion(obj, choice, text, values, counts, k)
+    return values, counts
+
+
+def parse_chat_response(obj: dict, k: int) -> Completion:
+    """Parse a chat-completions JSON body into a ``Completion`` whose trace
+    takes the mean of the ``k`` largest logprobs at each position.
+
+    Raises ``MissingLogprobsError`` when the response carries no
+    per-token logprob content, and ``BackendError`` when the choice or that
+    content is malformed, the message content is neither a string nor null,
+    a logprob is NaN or infinite, or ``usage.completion_tokens`` disagrees
+    with its length.
+    """
+    choice, text, content = _choice(obj)
+    return _completion(obj, choice, text, *_logprob_rows(content), k)
 
 
 # The compact form in which OpenAI-compatible servers render
@@ -483,8 +501,8 @@ _CONTENT_END = b"}]}]"
 # In a tiled array, the end of one row and the start of the next: no string
 # holds an unescaped quote, and an entry's bytes list ends in a digit or "[".
 _ROW_BREAK = b'}]},{"token":'
-# Bytes of the array scanned at a time, plus the rest of the row a window
-# ends in: what one window's captures hold in memory.
+# Bytes of the array matched at a time, plus the rest of the row a window
+# ends in; the one buffer a body is read into holds two windows.
 _WINDOW = 1 << 18
 # The widest first row the row pattern is compiled for: wider bodies take JSON.
 _MAX_ROW_WIDTH = 64
@@ -499,7 +517,7 @@ def _row_pattern(width: int) -> re.Pattern:
                       + rb'\]\}|(?s:.+)')
 
 
-def _row_width(raw: bytes | mmap.mmap, lo: int, hi: int) -> int:
+def _row_width(raw: bytearray, lo: int, hi: int) -> int:
     """The logprob keys in ``raw[lo:hi]``, counted up to one past
     ``_MAX_ROW_WIDTH``."""
     width = 0
@@ -510,118 +528,193 @@ def _row_width(raw: bytes | mmap.mmap, lo: int, hi: int) -> int:
     return width
 
 
-def _scan_body(raw: bytes | mmap.mmap, k: int) -> Completion | None:
-    """``parse_chat_body`` for a body whose logprob content has the compact
-    form with every row as wide as the first, or None when it may not."""
-    key = raw.find(_CONTENT, 0)  # a mapping's find starts at its file position
-    if key < 0:
-        return None
-    start = key + len(_CONTENT) - 1
-    # The array ends at the first "}]}]" after its first top_logprobs key; if
-    # a token holds one, the window that ends there does not tile.
-    first_row = raw.find(_TOP_LOGPROBS, start)
-    end = raw.find(_CONTENT_END, first_row) if first_row >= 0 else -1
-    if end < 0:
-        return None
-    # Every row is matched whole, as wide as the first; the first window
-    # that such rows do not tile sends the body to the JSON path.
-    row_break = raw.find(_ROW_BREAK, first_row, end)
-    width = _row_width(raw, first_row, end if row_break < 0 else row_break)
-    if not 0 < width <= _MAX_ROW_WIDTH:
-        return None
-    whole_rows = _row_pattern(width)
-    captured = array("d")  # grown in place, so the values are held once
-    rows = 0
-    lo = start
-    # The view is released on every exit: a mapping cannot close while one lives.
-    with memoryview(raw)[start:] as view:  # \A matches only at the array's "["
-        while True:
-            # A window ends at a row's "}]}", where a row break starts.
-            cut = raw.find(_ROW_BREAK, lo + _WINDOW, end)
-            hi = (end if cut < 0 else cut) + 3
-            # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
-            # no confidence depends on
-            found = whole_rows.findall(view, lo - start, hi - start)
-            if not (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
-                return None
-            captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
-            rows += len(found)
-            if cut < 0:
-                break
-            lo = hi
-    values = np.frombuffer(captured)
-    # Parse the rest of the body with a NaN in place of the array, and have
-    # the parser hand back a marker for it: the body is that JSON with the
-    # array at choices[0].logprobs.content only if the marker lands there
-    # and no other NaN or Infinity was parsed.
-    constants: list[str] = []
+def _not_json(head: bytes | bytearray) -> BackendError:
+    return BackendError(f"non-JSON response: {head[:200].decode('utf-8', errors='replace')}")
 
-    def marker(name: str) -> list[str]:
-        constants.append(name)
-        return constants
 
-    rest = raw[:start] + b"NaN" + raw[end + len(_CONTENT_END):]
+def _parse_json(raw: bytes | bytearray, k: int) -> Completion:
+    """The JSON path: ``parse_chat_response`` of the whole decoded body."""
     try:
-        obj = json.loads(rest.decode("utf-8", errors="replace"), parse_constant=marker)
-        choice, text, content = _choice(obj)
-    except (ValueError, RecursionError, BackendError):
-        return None
-    if content is not constants or len(constants) != 1:
-        return None
-    return _completion(obj, choice, text, values, np.full(rows, width, dtype=np.intp), k)
-
-
-def parse_chat_body(raw: bytes | mmap.mmap, k: int) -> Completion:
-    """Parse an undecoded chat-completions body, ``bytes`` or a mapping
-    holding them, into a ``Completion``.
-
-    Returns what ``parse_chat_response(json.loads(raw.decode("utf-8",
-    errors="replace")), k)`` returns and raises the same ``BackendError``
-    subclasses, plus ``BackendError`` for a body that is not JSON. A body
-    whose ``choices[0].logprobs.content`` is in the compact form servers
-    send, with every row as wide as the first, is read by a validating byte
-    scan of that array, one match per row over bounded windows, and a JSON
-    parse of the rest, without building a dict per top-k entry or copying
-    the array; any other body takes the JSON path.
-    """
-    completion = _scan_body(raw, k)
-    if completion is not None:
-        return completion
-    try:
-        obj = json.loads(str(raw, "utf-8", "replace"))  # decodes a mapping without a copy
+        obj = json.loads(raw.decode("utf-8", errors="replace"))
     except (ValueError, RecursionError) as exc:
-        raise BackendError(
-            f"non-JSON response: {raw[:200].decode('utf-8', errors='replace')}") from exc
+        raise _not_json(raw) from exc
     return parse_chat_response(obj, k)
 
 
-def _read_body(resp: http.client.HTTPResponse) -> nullcontext[bytes] | mmap.mmap:
-    """The body of ``resp``, as a context that yields it and frees it on exit.
+def _finish(prefix: bytes, captured: array, rows: int, width: int, tail: bytearray,
+            k: int) -> Completion:
+    """The ``Completion`` of a body read to its end, from ``prefix``, its bytes
+    before the logprob array's "[", the ``captured`` logprobs of the array's
+    first ``rows`` rows, ``width`` to a row, and ``tail``, the rest of the
+    body. The tail starts at the array's "]" when every row was matched, and
+    otherwise at the "," before the first row that was not, where the JSON
+    path resumes; with no row matched, the JSON path reads the whole body.
 
-    A body of known, nonzero length is read into an anonymous mapping, whose
-    pages go back to the OS when it closes: a multi-megabyte ``bytes`` would
-    pass through malloc and leave its pages in a thread's arena. Any other
-    body is read as ``bytes``. A length no mapping can have is a malformed
-    reply: ``BackendError``, not retried."""
-    length = resp.length
-    if not length:  # no size to map, or nothing to map
-        return nullcontext(resp.read())
-    if length > sys.maxsize:
-        raise BackendError(f"malformed response: Content-Length {length}")
-    body = mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)  # faults in faster than shared
+    Matched rows are JSON, so the body is JSON exactly when the rows after
+    them are the rest of a JSON array and the body parses with a stand-in
+    for the whole array. The stand-in is a number literal that occurs nowhere
+    else, so the parse hands back a marker for it alone, and the array is
+    the choice's logprob content exactly when the marker lands there;
+    anywhere else, ``parse_chat_response`` reads no row of it."""
+    if not rows:
+        return _parse_json(prefix + tail, k)
+    head, rest = prefix.decode("utf-8", errors="replace"), tail.decode("utf-8", errors="replace")
+    more, at = [], 1
     try:
-        with memoryview(body) as view:
-            filled = 0
-            while filled < length:
-                with view[filled:] as rest:
-                    n = resp.readinto(rest)
-                if not n:  # readinto reads 0 bytes from a closed connection
-                    raise http.client.IncompleteRead(view[:filled].tobytes(), length - filled)
-                filled += n
-    except BaseException:
-        body.close()
-        raise
-    return body
+        if rest[0] == ",":  # the rows not matched, from a token's "{": never none
+            more, at = json.JSONDecoder().raw_decode("[" + rest[1:])
+        stand_in, marker = "-0.0", object()
+        while stand_in in head or rest.find(stand_in, at) >= 0:
+            stand_in += "0"
+        obj = json.loads(head + stand_in + " " + rest[at:],
+                         parse_float=lambda s: marker if s == stand_in else float(s))
+    except (ValueError, RecursionError) as exc:
+        raise _not_json(prefix) from exc
+    choice, text, content = _choice(obj)
+    if content is not marker:
+        return parse_chat_response(obj, k)
+    values, counts = np.frombuffer(captured), np.full(rows, width, dtype=np.intp)
+    if more:
+        more_values, more_counts = _logprob_rows(more)
+        values = np.concatenate([values, more_values])
+        counts = np.concatenate([counts, more_counts])
+    return _completion(obj, choice, text, values, counts, k)
+
+
+class _Body:
+    """The bytes of a body read and not yet matched, ``buf[:filled]``, in one
+    buffer that ``readinto`` fills at its end and matching empties from its
+    front: reused window after window, it grows only for a row longer than a
+    window, or to hold what no window matches. ``end`` is where the logprob
+    array's "}]}]" starts once found, searched for from ``end_from``."""
+
+    def __init__(self, readinto: Callable[[memoryview], int]):
+        self.readinto = readinto
+        self.buf = bytearray(2 * _WINDOW)
+        self.filled = 0
+        self.end = self.end_from = -1
+
+    def more(self) -> bool:
+        """Read once into the free end of the buffer; False at the body's end."""
+        if self.filled == len(self.buf):
+            self.buf.extend(bytes(len(self.buf)))
+        with memoryview(self.buf) as view, view[self.filled:] as free:
+            n = self.readinto(free)
+        self.filled += n
+        return n > 0
+
+    def drop(self, n: int) -> None:
+        """Forget the first ``n`` bytes."""
+        with memoryview(self.buf) as view:
+            view[:self.filled - n] = view[n:self.filled]
+        self.filled -= n
+        self.end -= n
+        self.end_from = max(self.end_from - n, 0)
+
+    def rest(self) -> bytearray:
+        """Everything not yet matched, the body read to its end."""
+        while self.more():
+            pass
+        del self.buf[self.filled:]
+        return self.buf
+
+    def find(self, sub: bytes, at: int) -> int:
+        """The first ``sub`` from ``at``, read on until it has arrived; -1 if
+        the body ends first."""
+        while (found := self.buf.find(sub, at, self.filled)) < 0:
+            at = max(at, self.filled - len(sub) + 1)
+            if not self.more():
+                return -1
+        return found
+
+    def boundary(self, cut_from: int) -> tuple[int, bool]:
+        """The first row break from ``cut_from``, else the array's end, and
+        whether it is that end; read on until one has arrived, and (-1,
+        False) if the body ends first."""
+        while True:
+            if self.end < 0:
+                self.end = self.buf.find(_CONTENT_END, self.end_from, self.filled)
+                self.end_from = max(self.end_from, self.filled - len(_CONTENT_END) + 1)
+            cut = self.buf.find(_ROW_BREAK, cut_from, self.filled if self.end < 0 else self.end)
+            if cut >= 0 or self.end >= 0:
+                return (cut, False) if cut >= 0 else (self.end, True)
+            cut_from = max(cut_from, self.filled - len(_ROW_BREAK) + 1)
+            if not self.more():
+                return -1, False
+
+
+def _parse_stream(readinto: Callable[[memoryview], int], k: int) -> Completion:
+    """``parse_chat_body`` of the body that ``readinto`` fills in. The logprob
+    array is matched a window of whole rows at a time as it arrives, and only
+    its captured logprobs are kept, with the bytes before and after it. The
+    first window the rows of the first row's width do not tile keeps the
+    rest of the body for the JSON path. The body is read to its end before
+    any parse error is raised, so one cut short fails as the read does."""
+    body = _Body(readinto)
+    key = body.find(_CONTENT, 0)
+    if key < 0:
+        return _parse_json(body.rest(), k)
+    start = key + len(_CONTENT) - 1
+    prefix = bytes(body.buf[:start])
+    body.drop(start)  # the array's "[" at 0, the only place \A matches
+    captured = array("d")  # grown in place, so the values are held once
+    rows = 0
+    # The array ends at the first "}]}]" after its first top_logprobs key; if
+    # a token holds one, the window that ends there does not tile.
+    body.end_from = first_row = body.find(_TOP_LOGPROBS, 0)
+    cut = body.boundary(first_row)[0] if first_row >= 0 else -1
+    width = _row_width(body.buf, first_row, cut) if cut >= 0 else 0
+    if 0 < width <= _MAX_ROW_WIDTH:
+        whole_rows = _row_pattern(width)
+        while True:
+            # A window ends at a row's "}]}", where a row break starts.
+            cut, at_end = body.boundary(_WINDOW)
+            if cut < 0:
+                break
+            # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
+            # no confidence depends on
+            found = whole_rows.findall(body.buf, 0, cut + 3)
+            if not (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
+                break
+            captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
+            rows += len(found)
+            body.drop(cut + 3)
+            if at_end:
+                break
+    return _finish(prefix, captured, rows, width, body.rest(), k)
+
+
+def parse_chat_body(raw: bytes, k: int) -> Completion:
+    """Parse an undecoded chat-completions body into a ``Completion``.
+
+    Returns what ``parse_chat_response(json.loads(raw.decode("utf-8",
+    errors="replace")), k)`` returns and raises the same ``BackendError``
+    subclasses, plus ``BackendError`` for a body that is not JSON. It is the
+    reader ``HttpBackend`` runs on each reply as it arrives: a body whose
+    ``choices[0].logprobs.content`` is in the compact form servers send, with
+    every row as wide as the first, is read by a validating byte scan of that
+    array, one match per row over bounded windows, and a JSON parse of the
+    rest, without building a dict per top-k entry or holding the array; from
+    the first window that is not in that form, the JSON path reads on.
+    """
+    return _parse_stream(io.BytesIO(raw).readinto, k)
+
+
+def _reader(resp: http.client.HTTPResponse) -> Callable[[memoryview], int]:
+    """``resp.readinto``, raising ``IncompleteRead`` where a body of known
+    length ends short (http.client reads 0 bytes from a closed connection).
+    A length past ``sys.maxsize`` is a malformed reply: ``BackendError``, not
+    retried, raised before any read."""
+    if resp.length is not None and resp.length > sys.maxsize:
+        raise BackendError(f"malformed response: Content-Length {resp.length}")
+
+    def readinto(view: memoryview) -> int:
+        n = resp.readinto(view)
+        if not n and resp.length:
+            raise http.client.IncompleteRead(b"", resp.length)
+        return n
+
+    return readinto
 
 
 class HttpBackend(Backend):
@@ -630,8 +723,9 @@ class HttpBackend(Backend):
     Credentials come from an environment variable (``api_key_env``); the
     endpoint URL is passed explicitly (config file or ``--endpoint`` flag).
     At most ``max_inflight`` requests are outstanding at once, from any
-    number of threads: a request holds its slot from sending until its body
-    is read, and is parsed after releasing it.
+    number of threads: a request holds its slot from sending until its
+    reply's headers arrive, and its body is then read and parsed as it
+    arrives, outside the slot.
     """
 
     def __init__(
@@ -664,9 +758,11 @@ class HttpBackend(Backend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         req = urllib.request.Request(url, data=body, headers=headers, method="POST")
-        try:  # the slot is released however the request or the read ends
-            with self._slots, urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                reply = _read_body(resp)
+        try:
+            with self._slots:  # held until the reply's headers are in or the request fails
+                resp = urllib.request.urlopen(req, timeout=self.timeout)
+            with resp:
+                return _parse_stream(_reader(resp), cfg.logprob_count)
         except urllib.error.HTTPError as exc:
             exc.close()  # its socket, which the error would hold until collected
             if exc.code == 429 or exc.code >= 500:
@@ -676,8 +772,6 @@ class HttpBackend(Backend):
         # connection raises http.client.IncompleteRead, an HTTPException.
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(str(exc)) from exc
-        with reply as raw:
-            return parse_chat_body(raw, cfg.logprob_count)
 
 
 __all__ = [

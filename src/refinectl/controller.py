@@ -194,6 +194,15 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             windows.transpose(2, 0, 3, 1))
 
 
+def _global_pool(h: np.ndarray) -> np.ndarray:
+    """The mean of ``h`` (B, C, L) over positions, (B, C). Two positions are
+    added as two columns: the sum ``mean`` takes, without its loop over a
+    length-2 axis."""
+    if h.shape[2] == 2:
+        return (h[:, :, 0] + h[:, :, 1]) / 2
+    return h.mean(axis=2)
+
+
 def _conv1d_backward(grad: np.ndarray, cols: np.ndarray, w: np.ndarray, n: int, stride: int,
                      input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of :func:`_conv1d` for the output gradient ``grad``
@@ -397,7 +406,7 @@ class ControllerModel:
                           1.0 - self.dropout_rate, out=keep)
                 h = h * keep
             blocks.append(BlockTape(cols, n, xhat, inv_std, relu, keep))
-        z = h.mean(axis=2)  # global average pool -> (B, 256)
+        z = _global_pool(h)  # global average pool -> (B, 256)
         action, success = _relu(_linear(self.action_fc1, z)), _relu(_linear(self.success_fc1, z))
         return (_linear(self.action_fc2, action[0]), _linear(self.success_fc2, success[0])[:, 0],
                 Tape(blocks, z, action, success))
@@ -488,7 +497,7 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         h *= scale[:, None]
         h += (blk.beta.value - blk.running_mean * scale)[:, None]
         np.maximum(h, 0.0, out=h)
-    z = h.mean(axis=2)  # global average pool -> (B, 256)
+    z = _global_pool(h)  # global average pool -> (B, 256)
     a = _linear(model.action_fc2, np.maximum(_linear(model.action_fc1, z), 0.0))
     s = _linear(model.success_fc2, np.maximum(_linear(model.success_fc1, z), 0.0))
     return a, s[:, 0]

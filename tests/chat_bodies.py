@@ -1,5 +1,5 @@
 """Raw chat-completions bodies for tests: hypothesis strategies and the
-reference JSON-path parse.
+reference JSON-path parse, and the outcome comparison.
 
 Bodies are rendered byte by byte rather than through ``json.dumps``, so they
 can carry what servers send and what they should not: compact or spaced
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 from hypothesis import strategies as st
 
 from refinectl.backend import BackendError, parse_chat_response
@@ -28,6 +29,13 @@ INVALID_BYTES = [b"[04]", b"[1,]", b"[-1]", b'["a"]', b"[01,2]", b"[,]", b"nul"]
 INVALID_STRINGS = [b'"a\x01"', b'"\t"', b'"\\x"', b'"\\u12g4"', b'"\\u12"', b'"a\\"', b"'a'"]
 # Ways a body can stray from the compact form, one per defective body.
 DEFECTS = ["number", "bytes", "string", "tops", "spaced", "shuffled"]
+# Message contents that are JSON but no string: null reads as "", the rest
+# are malformed.
+NON_STRING_TEXTS = [b"null", b"7", b"0", b"true", b"false", b"[1]", b"[]", b'{"a":1}', b"{}"]
+# Ways the bytes around a compact array can mislead a reader that keys on
+# them, one per odd body: see uniform_bodies.
+ODD_RESTS = ["decoy", "duplicate", "second_logprobs", "constant", "number", "glued", "text",
+             "end_token"]
 
 
 def _number_text(value: float) -> bytes:
@@ -126,6 +134,8 @@ def chat_bodies(draw, max_tokens: int = 5) -> bytes:
 
     text = draw(json_strings(st.one_of(st.text(max_size=12), st.sampled_from(
         ["NaN", '"logprobs":{"content":[', "\\boxed{7}", "}]}]"]))))
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(st.sampled_from(NON_STRING_TEXTS))
     choice = [("index", b"0"),
               ("message", style.obj([("role", b'"assistant"'), ("content", text)])),
               ("logprobs", style.obj([("content", style.arr(tokens))])),
@@ -135,7 +145,7 @@ def chat_bodies(draw, max_tokens: int = 5) -> bytes:
     usage_tokens, prompt_tokens = str(n).encode(), b"5"
     if draw(st.integers(0, 5)) == 0:
         usage_tokens = draw(st.sampled_from([str(n + 1).encode(), b'"many"', b"null", None]))
-        prompt_tokens = draw(st.sampled_from([b"5", b"-1", b'"x"', b"1e400", b"NaN"]))
+        prompt_tokens = draw(st.sampled_from([b"5", b"-1", b'"x"', b"1e400", b"NaN", b"-0.0"]))
     usage = [("prompt_tokens", prompt_tokens)]
     if usage_tokens is not None:
         usage.append(("completion_tokens", usage_tokens))
@@ -166,28 +176,72 @@ def mutated_bodies(draw, max_tokens: int = 5) -> bytes:
 
 
 @st.composite
-def uniform_bodies(draw, max_tokens: int = 8) -> bytes:
+def uniform_bodies(draw, max_tokens: int = 8, odd: bool = False) -> bytes:
     """A compact body whose rows have one width w (1-5), with or without
     bytes lists, and a few rows of other widths spliced in anywhere: bodies
     the row pattern tiles, and bodies whose first untiled row can fall in
-    any window."""
+    any window.
+
+    With ``odd``, the body also strays in one of ``ODD_RESTS``: a compact
+    decoy array under "logprobs" before "choices"; a second "content" key
+    after the array; a second "logprobs" key in the choice, before or after
+    the array's; an extra NaN or Infinity, or an extra number such as
+    -0.0, before or after the array; bytes glued to the array's "]" that
+    would extend a number before them; a message content that is not a
+    string; or a token holding "}]}]"."""
     width = draw(st.integers(1, 5))
     widths = [width] * draw(st.integers(1, max_tokens))
     for _ in range(draw(st.integers(0, 2))):
         widths.insert(draw(st.integers(0, len(widths))),
                       draw(st.integers(1, 6).filter(lambda w: w != width)))
     with_bytes = draw(st.booleans())
+    kind = draw(st.sampled_from(ODD_RESTS)) if odd else None
+    end_token = draw(st.integers(0, sum(widths) - 1)) if kind == "end_token" else -1
 
-    def entry() -> bytes:
+    def entry(token: bytes | None = None) -> bytes:
         raw_bytes = b',"bytes":' + draw(st.sampled_from(VALID_BYTES[1:])) if with_bytes else b""
-        return b'{"token":' + draw(json_strings()) + b',"logprob":' + draw(numbers) + raw_bytes
+        token = token or draw(json_strings())
+        return b'{"token":' + token + b',"logprob":' + draw(numbers) + raw_bytes
 
-    rows = [entry() + b',"top_logprobs":[' + b",".join(entry() + b"}" for _ in range(w)) + b"]}"
-            for w in widths]
-    return (b'{"id":"chatcmpl-1","object":"chat.completion","choices":[{"index":0,'
-            b'"message":{"role":"assistant","content":"so \\boxed{7}"},'
-            b'"logprobs":{"content":[' + b",".join(rows) + b']},"finish_reason":"stop"}],'
-            b'"usage":{"prompt_tokens":5,"completion_tokens":%d}}' % len(rows))
+    def array(widths: list[int]) -> bytes:
+        tops = iter(range(sum(widths)))
+        return b"[" + b",".join(
+            entry() + b',"top_logprobs":[' + b",".join(
+                entry(b'"x}]}]"' if next(tops) == end_token else None) + b"}"
+                for _ in range(w)) + b"]}"
+            for w in widths) + b"]"
+
+    def other() -> bytes:  # the value of a second content key
+        return draw(st.sampled_from([b"null", b"[]", b"NaN", b"-0.0", array([width])]))
+
+    constant = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity"] if kind == "constant"
+                                    else [b"-0.0", b"-0.00", b"-0.0e1", b"0.5"]))
+    top = choice = after = b""
+    text, prompt_tokens = b'"so \\boxed{7}"', b"5"
+    if kind == "decoy":
+        top = b'"logprobs":{"content":' + array([width] * draw(st.integers(1, 3))) + b"},"
+    elif kind == "duplicate":
+        after = b',"content":' + other()
+    elif kind == "second_logprobs":
+        second = b'"logprobs":{"content":' + other() + b"},"
+        choice = second if draw(st.booleans()) else b""
+        after = b"" if choice else b'},' + second[:-2]
+    elif kind == "glued":
+        after = draw(st.sampled_from([b"0", b"5", b".5", b"e1", b"E+2", b"00"]))
+    elif kind in ("constant", "number"):
+        place = draw(st.sampled_from(["top", "after", "usage"]))
+        if place == "top":
+            top = b'"extra":' + constant + b","
+        elif place == "after":
+            after = b',"extra":' + constant
+        else:
+            prompt_tokens = constant
+    elif kind == "text":
+        text = draw(st.sampled_from(NON_STRING_TEXTS))
+    return (b'{"id":"chatcmpl-1","object":"chat.completion",' + top + b'"choices":[{"index":0,'
+            b'"message":{"role":"assistant","content":' + text + b'},' + choice
+            + b'"logprobs":{"content":' + array(widths) + after + b'},"finish_reason":"stop"}],'
+            b'"usage":{"prompt_tokens":' + prompt_tokens + b',"completion_tokens":%d}}' % len(widths))
 
 
 def compact_body(rows: list[list[float]], with_bytes: bool, text: str = "so \\boxed{7}",
@@ -226,3 +280,12 @@ def outcome(parse, *args):
         return parse(*args)
     except BackendError as exc:
         return type(exc)
+
+
+def assert_same_outcome(got, want) -> None:
+    """Equal outcomes, down to the sign of every zero confidence, which
+    ``ConfidenceTrace.__eq__`` does not compare."""
+    assert got == want
+    if not isinstance(want, type):
+        np.testing.assert_array_equal(np.signbit(got.trace.values),
+                                      np.signbit(want.trace.values))

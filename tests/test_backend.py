@@ -270,6 +270,30 @@ def test_a_script_row_of_the_wrong_type_is_rejected_at_load(tmp_path, field, val
         load_mock_script(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"text": "x", "confidences": [1.0], "logprobs": [[-0.5]]},
+     "sets both confidences and logprobs"),
+    ({"text": "x \\boxed{7}"}, "sets neither confidences nor logprobs, and no error"),
+    ({"text": "x", "confidences": []}, "confidences is empty"),
+    ({"text": "x", "logprobs": []}, "logprobs is empty"),
+    ({"text": "x", "logprobs": [], "error": "boom"}, "logprobs is empty"),
+    ({"error": 5}, "error is not a string"),
+    ({"error": ["boom"], "confidences": [1.0]}, "error is not a string"),
+])
+def test_a_script_row_that_cannot_be_served_is_rejected_at_load(tmp_path, row, message):
+    path = write_script_rows(tmp_path, [{"text": "ok", "confidences": [1.0]}, row])
+    with pytest.raises(ScriptError, match=r"^responses\[1\]: " + message):
+        load_mock_script(path)
+
+
+def test_an_error_row_needs_no_values(tmp_path):
+    path = write_script_rows(tmp_path, [{"error": "boom"}, {"text": "ok", "confidences": [1.0]}])
+    backend = MockBackend(load_mock_script(path))
+    with pytest.raises(BackendError, match="^boom$"):
+        backend.generate(MSG, CFG)
+    assert backend.generate(MSG, CFG).text == "ok"
+
+
 @pytest.mark.parametrize("record", [
     MockRecord(text="x", confidences="abc"),
     MockRecord(text="x", confidences=[[1.0, 2.0], [3.0]]),

@@ -1,10 +1,11 @@
-"""parse_chat_body: the byte scan of compact logprob content agrees with the
-JSON path on every body, valid or not."""
+"""parse_chat_body: the streaming reader, which scans compact logprob
+content a window at a time and resumes on the JSON path, agrees with the JSON
+path on every body, valid or not, however the body is cut into reads."""
 
 from __future__ import annotations
 
+import itertools
 import json
-import mmap
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from chat_bodies import (
     TRICKY_TOKENS,
     VALID_BYTES,
     VALID_NUMBERS,
+    assert_same_outcome,
     chat_bodies,
     compact_body,
     json_path,
@@ -46,15 +48,6 @@ from conftest import boxed_record, mock_backend
 # widths of the drawn rows (1-4).
 K = 20
 ks = st.integers(1, 5)
-
-
-def assert_same_outcome(got, want) -> None:
-    """Equal outcomes, down to the sign of every zero confidence, which
-    ``ConfidenceTrace.__eq__`` does not compare."""
-    assert got == want
-    if not isinstance(want, type):
-        np.testing.assert_array_equal(np.signbit(got.trace.values),
-                                      np.signbit(want.trace.values))
 
 
 def assert_paths_agree(raw: bytes, k: int = K) -> None:
@@ -82,22 +75,65 @@ def test_scan_agrees_with_json_path_in_tiny_windows(raw, k):
         assert_paths_agree(raw, k)
 
 
+def read_by_rows(raw: bytes, k: int = K) -> bool:
+    """Whether the row pattern reads every row of the body's logprob array
+    and the rest of the body parses with that array as the choice's logprob
+    content: no row is left to the JSON path."""
+    read, finish, parse = [], backend_mod._finish, backend_mod.parse_chat_response
+
+    def recording(prefix, captured, rows, width, tail, k):
+        read.append(rows > 0 and tail[:1] == b"]")
+        return finish(prefix, captured, rows, width, tail, k)
+
+    def json_path_taken(obj, k):
+        read.append(False)
+        return parse(obj, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend_mod, "_finish", recording)
+        mp.setattr(backend_mod, "parse_chat_response", json_path_taken)
+        try:
+            parse_chat_body(raw, k)
+        except BackendError as exc:
+            read.append(not str(exc).startswith("non-JSON"))
+    return all(read) and read[:1] == [True]
+
+
+def chunked(raw: bytes, sizes: list[int]):
+    """A ``readinto`` that serves ``raw`` in reads of the next of ``sizes``
+    bytes, cycled, or fewer where the buffer or the body ends."""
+    at, turns = 0, itertools.cycle(sizes)
+
+    def readinto(view) -> int:
+        nonlocal at
+        n = min(next(turns), len(view), len(raw) - at)
+        view[:n] = raw[at:at + n]
+        at += n
+        return n
+
+    return readinto
+
+
+read_sizes = st.lists(st.one_of(st.integers(1, 64), st.integers(1, 1 << 19)), min_size=1,
+                      max_size=6)
+
+
 @pytest.mark.parametrize("window", [None, TINY_WINDOW])
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(raw=st.one_of(chat_bodies(), mutated_bodies()).filter(bool), k=ks)
-def test_a_mapping_parses_like_its_bytes(raw, window, k):
-    """An anonymous mapping holding a body, its file position left at the
-    end as a write leaves it, takes the same path as the body's bytes, parses
-    as they do, and can be closed afterwards: the parse keeps no view of it."""
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=st.one_of(chat_bodies(), mutated_bodies(), uniform_bodies(),
+                     uniform_bodies(odd=True), uniform_bodies(odd=True)),
+       sizes=read_sizes, k=ks)
+def test_the_reader_fed_in_chunks_agrees_with_json_path(raw, sizes, window, k):
+    """Reads of any size from 1 byte up, split anywhere in a row, a key or
+    the array's end, give the outcome JSON gives: ragged rows spliced in at
+    any row, tokens holding "}]}]", an extra NaN or Infinity, a second
+    content or logprobs key, a decoy array before the choices and message
+    contents that are no string included."""
     with pytest.MonkeyPatch.context() as mp:
         if window is not None:
             mp.setattr(backend_mod, "_WINDOW", window)
-        with mmap.mmap(-1, len(raw)) as body:
-            body.write(raw)
-            assert outcome(backend_mod._scan_body, body, k) == \
-                outcome(backend_mod._scan_body, raw, k)
-            assert_same_outcome(outcome(parse_chat_body, body, k),
-                                outcome(parse_chat_body, raw, k))
+        assert_same_outcome(outcome(backend_mod._parse_stream, chunked(raw, sizes), k),
+                            outcome(json_path, raw, k))
 
 
 TEMPLATE = compact_body([[-0.5, -1.5], [-2.5, -3.5]], with_bytes=True)
@@ -111,7 +147,15 @@ SPLICES = ([(b'"t11"', json.dumps(t).encode()) for t in TRICKY_TOKENS]
               for lp in (b'{"content":NaN}', b'{"content":[]}', b"null")]
            + [(b'"prompt_tokens":5', b'"prompt_tokens":NaN'),
               (b'"role":"assistant"', b'"role":-Infinity'),
-              (b'"chatcmpl-1"', b'"NaN"')])
+              (b'"chatcmpl-1"', b'"NaN"')]
+           # numbers in the rest that a stand-in for the array could be taken
+           # for, read or not, and bytes glued to the array's "]"
+           + [(b'"prompt_tokens":5', b'"prompt_tokens":' + n) for n in (b"-0.0", b"-0.00")]
+           + [(b'"finish_reason":"stop"', b'"finish_reason":"stop","logprobs":{"content":-0.0}'),
+              (b']},"finish_reason"', b'],"content":-0.0},"finish_reason"'),
+              (b'"index":0', b'"index":-0.0')]
+           + [(b']},"finish_reason"', b"]" + glued + b'},"finish_reason"')
+              for glued in (b"e1", b"0", b".5", b"E+2")])
 
 
 @pytest.mark.parametrize("old, new", SPLICES)
@@ -136,7 +180,7 @@ def test_a_window_starting_at_a_nested_array_does_not_tile(monkeypatch):
         b'"top_logprobs":[{"token":"t10"',
         b'"top_logprobs":[[{"token":"x","logprob":-1,"top_logprobs":[{"token":"t10"')
     monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
-    assert backend_mod._scan_body(raw, K) is None
+    assert not read_by_rows(raw)
     assert outcome(parse_chat_body, raw, K) is outcome(json_path, raw, K) is BackendError
 
 
@@ -164,14 +208,14 @@ def test_compact_bodies_take_the_scan_path(monkeypatch, with_bytes):
 def test_tokens_holding_the_array_end_take_the_json_path(monkeypatch, tokens, window):
     """A token string holding "}]}]" after the first top_logprobs key is
     taken for the array's end: the window that ends there does not tile, and
-    the body takes the JSON path, which reads it whole."""
+    the JSON path resumes at that window."""
     raw = compact_body([[-0.5, -1.5], [-2.5, -3.5], [-4.5, -5.5]], with_bytes=True)
     for token in tokens:
         raw = raw.replace(f'"{token}"'.encode(), b'"x}]}]"')
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
-    assert backend_mod._scan_body(raw, K) is None
+    assert not read_by_rows(raw)
     assert parse_chat_body(raw, K) == expected
 
 
@@ -180,10 +224,10 @@ def test_tokens_holding_the_array_end_take_the_json_path(monkeypatch, tokens, wi
 @given(raw=uniform_bodies(), k=ks)
 def test_uniform_rows_with_ragged_rows_spliced_in_agree_with_json_path(raw, window, k):
     """Rows matched whole, and the JSON path from the first window that has
-    a row of another width: the same outcome as JSON, and the scan reads a
-    body exactly when it is JSON, every row is as wide as the first and no
-    token after the first top_logprobs key holds "}]}]", which the scan
-    would take for the array's end."""
+    a row of another width: the same outcome as JSON, and the row pattern
+    reads every row exactly when the body is JSON, every row is as wide as
+    the first and no token after the first top_logprobs key holds "}]}]",
+    which the scan would take for the array's end."""
     with pytest.MonkeyPatch.context() as mp:
         if window is not None:
             mp.setattr(backend_mod, "_WINDOW", window)
@@ -195,7 +239,7 @@ def test_uniform_rows_with_ragged_rows_spliced_in_agree_with_json_path(raw, wind
             content = []
         read = (len({len(row["top_logprobs"]) for row in content}) == 1
                 and raw.count(b"}]}]", raw.index(b',"top_logprobs":[')) == 1)
-        assert (outcome(backend_mod._scan_body, raw, k) is not None) == read
+        assert read_by_rows(raw, k) == read
 
 
 class Recording:
@@ -227,6 +271,15 @@ def record_scans(mp) -> list[tuple[str, int, int]]:
     return calls
 
 
+def array_spans(calls: list[tuple[str, int, int]]) -> list[tuple[int, int]]:
+    """The windows scanned, as offsets into the array. The buffer drops each
+    window once matched, so every window is matched from its start and
+    begins where the one before ended."""
+    assert all(pos == 0 for _, pos, _ in calls)
+    ends = list(itertools.accumulate(endpos for _, _, endpos in calls))
+    return list(zip([0] + ends[:-1], ends))
+
+
 @pytest.mark.parametrize("window", [None, TINY_WINDOW])
 @pytest.mark.parametrize("with_bytes", [False, True])
 @pytest.mark.parametrize("width", [1, 3, 20])
@@ -238,10 +291,11 @@ def test_uniform_rows_take_the_row_pattern_alone(monkeypatch, width, with_bytes,
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    assert read_by_rows(raw)
     calls = record_scans(monkeypatch)
-    assert_same_outcome(backend_mod._scan_body(raw, K), expected)
+    assert_same_outcome(parse_chat_body(raw, K), expected)
     assert {name for name, *_ in calls} == {"row"}
-    assert_windows_tile_the_array([span for _, *span in calls], raw)
+    assert_windows_tile_the_array(array_spans(calls), raw)
     if window is not None:
         assert len(calls) == 300  # a row per window
 
@@ -250,18 +304,18 @@ def test_uniform_rows_take_the_row_pattern_alone(monkeypatch, width, with_bytes,
 @pytest.mark.parametrize("ragged", [0, 7, 299])
 def test_a_row_of_another_width_takes_the_json_path(monkeypatch, ragged, window):
     """Windows are scanned in order, once each, up to the one holding the
-    first row of another width: the row pattern fails there, and the body
-    takes the JSON path, which agrees."""
+    first row of another width: the row pattern fails there, and the JSON
+    path resumes at that window and agrees."""
     rows = [[-0.5, -1.5]] * 300
     rows[ragged] = [-0.5, -1.5, -2.5]
     raw = compact_body(rows, with_bytes=True)
     expected = parse_chat_response(json.loads(raw), K)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
-    assert backend_mod._scan_body(raw, K) is None
+    assert not read_by_rows(raw)
     calls = record_scans(monkeypatch)
     assert_same_outcome(parse_chat_body(raw, K), expected)
-    windows = [tuple(span) for _, *span in calls]
+    windows = array_spans(calls)
     assert windows[0][0] == 0
     assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
     if window is not None:
@@ -296,7 +350,7 @@ def test_a_broken_boundary_is_not_tiled(monkeypatch, rows, old, new, window):
     raw = raw.replace(old, new)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
-    assert backend_mod._scan_body(raw, K) is None
+    assert not read_by_rows(raw)
     assert outcome(parse_chat_body, raw, K) is outcome(json_path, raw, K) is BackendError
 
 
@@ -304,14 +358,14 @@ def test_a_broken_boundary_is_not_tiled(monkeypatch, rows, old, new, window):
 def test_each_window_is_scanned_at_most_once(monkeypatch, window):
     """A broken last row followed by many "}]}]" is not rescanned once per
     candidate end: the row pattern's findall runs at most once per window,
-    and the body takes the JSON path."""
+    and the JSON path resumes at the broken row."""
     raw = compact_body([[-0.5, -1.5]] * 49 + [[-2.5, -3.5]], with_bytes=False)
     raw = raw.replace(b"-3.5", b"-03.5") + b"}]}]" * 2000
     calls = record_scans(monkeypatch)
     if window is not None:
         monkeypatch.setattr(backend_mod, "_WINDOW", window)
     assert outcome(parse_chat_body, raw, K) is BackendError
-    windows = [tuple(span) for _, *span in calls]
+    windows = array_spans(calls)
     assert all(a[1] == b[0] for a, b in zip(windows, windows[1:]))
     assert len(windows) == (1 if window is None else 50)  # a row per tiny window
 
@@ -344,6 +398,8 @@ def test_scan_memory_stays_below_the_body():
     (compact_body([[-1.0]], with_bytes=False).replace(b":5,", b":-1,"), BackendError),
     (compact_body([[-1.0]], with_bytes=False).replace(b":5,", b":1e400,"), BackendError),
     (compact_body([[-1.0]], with_bytes=True)[:-3], BackendError),
+    (compact_body([[-1.0]], with_bytes=False, text="x").replace(b'"x"', b"7"), BackendError),
+    (compact_body([[-1.0]], with_bytes=False, text="x").replace(b'"x"', b"[]"), BackendError),
 ])
 def test_bad_bodies_raise_backend_errors(raw, error):
     assert outcome(parse_chat_body, raw, K) is error

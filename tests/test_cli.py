@@ -325,6 +325,22 @@ def test_a_script_row_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, 
                             "numbers\n")
 
 
+@pytest.mark.parametrize("row, message", [
+    ({"text": "x \\boxed{7}", "confidences": [1.0], "logprobs": [[-0.5]]},
+     "sets both confidences and logprobs"),
+    ({"text": "x \\boxed{7}"}, "sets neither confidences nor logprobs, and no error"),
+], ids=["both", "neither"])
+def test_a_script_row_that_cannot_be_served_exits_2_with_one_line(tmp_path, capsys, model_file,
+                                                                  row, message):
+    script = write_records(tmp_path / "script.json", [row])
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=1)
+    assert main(["run", "--problem-file", dataset, "--model-file", model_file,
+                 "--mock-script", script]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refinectl: responses[0]: {message}\n"
+
+
 # One flag of each class out of range: the tree's shape, the loop's cap, the
 # sweep's spec and the sampling settings every command sends.
 OUT_OF_RANGE = {

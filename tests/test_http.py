@@ -8,12 +8,16 @@ import json
 import mmap
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -35,7 +39,15 @@ from refinectl.controller import Action, init, save_model
 from refinectl.refine import LoopConfig
 from refinectl.tree import TreeConfig
 
-from chat_bodies import chat_bodies, compact_body, json_path, mutated_bodies, outcome
+from chat_bodies import (
+    assert_same_outcome,
+    chat_bodies,
+    compact_body,
+    json_path,
+    mutated_bodies,
+    outcome,
+    uniform_bodies,
+)
 from conftest import StubController
 
 MSG = [{"role": "user", "content": "hi"}]
@@ -56,7 +68,10 @@ class ScriptedServer:
     - ``("status", code)``: that status with a small JSON error body;
     - ``("sleep", seconds)``: answer 200 after sleeping;
     - ``("cut", length)``: announce ``length`` bytes, send 12, close the
-      connection.
+      connection; ``("cut", length, raw)`` sends ``raw`` instead of the 12;
+    - ``("hold", raw, n)``: 200 with ``raw``, whose headers and first ``n``
+      bytes are sent at once and the rest once ``release`` is set, or after
+      2 s; ``held`` records for each such reply whether it was released.
 
     ``active`` counts the requests received and not yet answered, and
     ``peak`` its highest value since ``script``. A ``hook(seed)`` given to
@@ -70,6 +85,8 @@ class ScriptedServer:
         self.requests: Counter = Counter()
         self.active = self.peak = 0
         self.hook = None
+        self.release = threading.Event()
+        self.held: list[bool] = []
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -98,7 +115,7 @@ class ScriptedServer:
                 if kind == "status":
                     code, raw = step[1], b"{}"
                 elif kind == "cut":
-                    code, raw = 200, b'{"choices": ['
+                    code, raw = 200, step[2] if len(step) > 2 else b'{"choices": ['
                 elif kind == "sleep":
                     time.sleep(step[1])
                     code, raw = 200, BODY
@@ -112,6 +129,10 @@ class ScriptedServer:
                 if kind != "unsized":
                     self.send_header("Content-Length", str(step[1] if kind == "cut" else len(raw)))
                 self.end_headers()
+                if kind == "hold":
+                    self.wfile.write(raw[:step[2]])
+                    server.held.append(server.release.wait(timeout=2.0))
+                    raw = raw[step[2]:]
                 self.wfile.write(raw)
                 self.close_connection = True
 
@@ -128,6 +149,8 @@ class ScriptedServer:
             self.requests = Counter()
             self.peak = 0
             self.hook = hook
+            self.release.clear()
+            self.held = []
 
     def backend(self, timeout: float = 5.0, max_inflight: int = 1) -> HttpBackend:
         backend = HttpBackend(f"http://127.0.0.1:{self.httpd.server_address[1]}/v1", "m",
@@ -210,16 +233,18 @@ def test_connection_closed_mid_body_is_a_retried_transport_error(server):
     assert generate(server, [("cut", 1000), ("body", BODY)]).completion_tokens == 2
 
 
-def test_a_length_beyond_any_mapping_fails_its_slot_not_the_drain(server, mappings):
-    """A Content-Length no mapping can hold (past ``sys.maxsize``) is a
-    malformed reply: one request, no retry, no mapping; its sibling parses."""
+def test_a_length_beyond_ssize_t_fails_its_slot_not_the_drain(server, responses):
+    """A Content-Length past ``sys.maxsize`` is a malformed reply: one
+    request, no retry and no byte of it read; its response is closed, and
+    its sibling parses."""
     server.script({0: [("cut", 10**20), ("body", BODY)], 1: [("body", BODY)]})
     results = drain_concurrent(server.backend(max_inflight=2),
                                [(MSG, GenerationConfig(seed=i)) for i in range(2)])
     assert type(results[0]) is BackendError and "Content-Length" in str(results[0])
     assert results[1] == parse_chat_response(json.loads(BODY), K)
     assert dict(server.requests) == {0: 1, 1: 1}
-    assert all(body.closed for body in mappings) and len(mappings) == 1
+    assert len(responses) == 2 and all(resp.closed for resp in responses)
+    assert sorted(resp.bytes_read for resp in responses) == [0, len(BODY)]
 
 
 @pytest.mark.parametrize("raw, match", [
@@ -234,17 +259,34 @@ def test_bad_200_body_fails_once_without_retry(server, raw, match):
     assert server.requests[0] == 1
 
 
-@pytest.fixture
-def mappings(monkeypatch):
-    """Every mapping the backend opens, recorded."""
-    opened, real = [], mmap.mmap
+@contextmanager
+def recording_responses():
+    """Every response ``urlopen`` returns, recorded, with the bytes read
+    from it counted in its ``bytes_read``."""
+    opened, real = [], urllib.request.urlopen
 
     def recording(*args, **kwargs):
-        opened.append(real(*args, **kwargs))
-        return opened[-1]
+        resp = real(*args, **kwargs)
+        resp.bytes_read, readinto = 0, resp.readinto
 
-    monkeypatch.setattr(backend_mod.mmap, "mmap", recording)
-    return opened
+        def counting(view):
+            n = readinto(view)
+            resp.bytes_read += n
+            return n
+
+        resp.readinto = counting
+        opened.append(resp)
+        return resp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(urllib.request, "urlopen", recording)
+        yield opened
+
+
+@pytest.fixture
+def responses():
+    with recording_responses() as opened:
+        yield opened
 
 
 @pytest.mark.parametrize("steps, want", [
@@ -255,19 +297,87 @@ def mappings(monkeypatch):
     ([("cut", 1000)] * 3, TransportError),
     ([("status", 500), ("body", BODY)], parse_chat_response(json.loads(BODY), K)),
 ], ids=["good", "non-JSON", "usage mismatch", "non-finite", "cut thrice", "500 then good"])
-def test_every_mapping_is_closed(server, mappings, steps, want):
-    """A body read into a mapping gives its pages back once parsed, whether
-    parsing succeeds or raises, and when the read itself fails."""
+def test_every_response_is_closed(server, responses, steps, want):
+    """A reply's response is closed once its body is parsed, whether parsing
+    succeeds or raises, and when the read itself fails."""
     assert outcome(lambda steps: generate(server, steps), steps) == want
-    assert mappings and all(body.closed for body in mappings)
-    assert len(mappings) == sum(step[0] != "status" for step in steps)
+    assert len(responses) == sum(step[0] != "status" for step in steps)
+    assert all(resp.closed for resp in responses)
 
 
 @pytest.mark.parametrize("raw", [BODY, NON_FINITE, BODY[:-10]])
-def test_a_body_without_length_parses_like_its_bytes(server, mappings, raw):
+def test_a_body_without_length_parses_like_its_bytes(server, responses, raw):
     assert outcome(lambda raw: generate(server, [("unsized", raw)]), raw) == \
         outcome(parse_chat_body, raw, K)
-    assert server.requests[0] == 1 and not mappings
+    assert server.requests[0] == 1
+    assert len(responses) == 1 and responses[0].closed
+
+
+# Shorter than any row, so every row boundary is a window boundary (as in
+# test_chat_body.py).
+TINY_WINDOW = 40
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(raw=st.one_of(chat_bodies(), mutated_bodies(), uniform_bodies(odd=True)),
+       kind=st.sampled_from(["body", "unsized", "hold"]))
+def test_a_response_parses_like_its_bytes(server, raw, window, kind):
+    """A reply read from the socket, sized, unsized or sent in two parts,
+    parses as its bytes do, and its response is closed afterwards."""
+    step = ("hold", raw, len(raw) // 2) if kind == "hold" else (kind, raw)
+    with pytest.MonkeyPatch.context() as mp, recording_responses() as opened:
+        if window is not None:
+            mp.setattr(backend_mod, "_WINDOW", window)
+        server.script({0: [step]})
+        server.release.set()
+        got = outcome(lambda: server.backend().generate(MSG, GenerationConfig(seed=0)))
+        assert_same_outcome(got, outcome(parse_chat_body, raw, K))
+    assert server.requests[0] == 1 and len(opened) == 1 and opened[0].closed
+
+
+@pytest.mark.parametrize("defect", ["none", "first row", "no array"])
+def test_a_body_cut_short_is_a_transport_error_whatever_it_held(server, monkeypatch, defect):
+    """No parse error is raised before a body has been read to its end: a
+    body cut short is a retried ``TransportError``, even where its first
+    windows are malformed or hold no logprob array at all."""
+    monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
+    raw = compact_body([[-0.5, -1.5]] * 50, with_bytes=False)
+    raw = {"none": raw, "first row": raw.replace(b"-1.5", b"-01.5", 1),
+           "no array": raw.replace(b'"logprobs":{', b'"logprobs": {')}[defect]
+    cut = ("cut", len(raw), raw[:len(raw) * 3 // 4])
+    with pytest.raises(TransportError, match="IncompleteRead") as info:
+        generate(server, [cut] * 3)
+    assert info.value.attempts == 3 and server.requests[0] == 3
+
+
+def test_a_large_reply_is_read_in_bounded_memory(server, monkeypatch):
+    """A compact body of over 10 MB read through ``HttpBackend``: the traced
+    peak of the read and parse, plus the size of any mapping opened, stays
+    under a quarter of the body's size."""
+    rng = np.random.default_rng(0)
+    raw = compact_body(np.sort(-rng.exponential(2.0, size=(10_000, 20)))[:, ::-1].tolist(),
+                       with_bytes=True)
+    assert len(raw) > 10 * 2**20
+    expected = parse_chat_body(raw, K)
+    mapped, real = [], mmap.mmap  # the size of each mapping opened
+
+    def recording(*args, **kwargs):
+        body = real(*args, **kwargs)
+        mapped.append(len(body))
+        return body
+
+    monkeypatch.setattr(mmap, "mmap", recording)
+    server.script({0: [("body", raw)]})
+    backend = server.backend()
+    tracemalloc.start()
+    try:
+        got = backend.generate(MSG, GenerationConfig(seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak + sum(mapped) < len(raw) / 4, (peak, mapped, len(raw))
 
 
 RETRYABLE = [("status", 429), ("status", 500), ("cut", 1000)]
@@ -343,21 +453,38 @@ def test_the_server_never_sees_more_than_max_inflight_requests(server, max_infli
 def test_the_next_request_goes_out_while_a_reply_is_parsed(server, monkeypatch):
     """Both slots' replies are held in parsing until the server receives the
     third request, which only the spare worker can send, and only if a slot
-    is released once its body is read."""
+    is released once its reply's headers are in."""
     third = threading.Event()
     server.script({i: [("body", BODY)] for i in range(3)},
                   hook=lambda seed: third.set() if seed == 2 else None)
-    waits, parse = [], backend_mod.parse_chat_body
+    waits, parse = [], backend_mod._parse_stream
 
-    def held(raw, k):
+    def held(readinto, k):
         waits.append(third.wait(timeout=5))
-        return parse(raw, k)
+        return parse(readinto, k)
 
-    monkeypatch.setattr(backend_mod, "parse_chat_body", held)
+    monkeypatch.setattr(backend_mod, "_parse_stream", held)
     results = drain_concurrent(server.backend(max_inflight=2),
                                [(MSG, GenerationConfig(seed=i)) for i in range(3)])
     assert results == [parse_chat_response(json.loads(BODY), K)] * 3
     assert waits == [True] * 3
+
+
+def test_a_slot_is_released_once_the_headers_are_in(server):
+    """With one slot, a second request reaches the server while the first
+    reply's body is still on its way: a request holds its slot from sending
+    until its reply's headers arrive, and its body is read outside it."""
+    server.script({0: [("hold", BODY, 10)], 1: [("body", BODY)]},
+                  hook=lambda seed: server.release.set() if seed == 1 else None)
+    backend = server.backend(max_inflight=1)
+    with ThreadPoolExecutor(2) as pool:
+        first = pool.submit(backend.generate, MSG, GenerationConfig(seed=0))
+        with server.lock:  # the second request is sent after the first arrived
+            assert server.lock.wait_for(lambda: server.requests[0], timeout=5)
+        second = pool.submit(backend.generate, MSG, GenerationConfig(seed=1))
+        results = [first.result(), second.result()]
+    assert results == [parse_chat_response(json.loads(BODY), K)] * 2
+    assert server.held == [True]
 
 
 FAILURES = {
@@ -457,6 +584,21 @@ def test_a_non_finite_logprob_fails_its_problem_not_the_sweep(server, spec, scri
                         controller=init(3, 16, seed=0))
     assert row.tokens_total == tokens
     assert row.accuracy_mean == accuracy
+
+
+@pytest.mark.parametrize("content", [b"7", b"true", b"[1]", b'{"a":1}'])
+def test_a_message_content_that_is_no_string_fails_its_problem_not_the_sweep(server, content):
+    """A served body whose message content is JSON but no string fails its
+    slot with ``BackendError``, where its text would have reached the answer
+    extraction; the other problem still scores, and the tokens served count."""
+    bad = compact_body([[-0.5]] * 2, with_bytes=False, text="X").replace(
+        b'"content":"X"', b'"content":' + content)
+    server.script({0: [("body", bad), ("body", SEVEN)]})
+    row = run_benchmark(TWO_PROBLEMS, RunSpec(method="corefine", seeds=(0,)),
+                        server.backend(max_inflight=1),
+                        controller=StubController(fn=lambda f: Action.HALT))
+    assert (row.accuracy_mean, row.tokens_total) == (50.0, 2)
+    assert outcome(parse_chat_body, bad, K) is outcome(json_path, bad, K) is BackendError
 
 
 def tree_body(seed: int) -> bytes:
