@@ -21,7 +21,7 @@ import urllib.error
 import urllib.request
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -240,7 +240,7 @@ def drain_concurrent(
 # Mock backend
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class MockRecord:
     """One scripted response.
 
@@ -252,6 +252,12 @@ class MockRecord:
     that message instead of returning; so does a non-finite value, with the
     ``BackendError`` the HTTP path raises, a record with no values, and a
     record whose fields do not convert (``ScriptError``).
+
+    The record is built into its ``Completion`` on the first serve and
+    stored, once per k for ``logprobs`` and once in all for
+    ``confidences``; every later serve, by any backend, returns that same
+    immutable object, so the value lists must not change once served. A
+    record that fails stores nothing, so it fails every serve.
     """
 
     text: str = ""
@@ -260,9 +266,20 @@ class MockRecord:
     finish_reason: str = "stop"
     prompt_tokens: int = 0
     error: str | None = None
+    _served: dict[int | None, Completion] = field(default_factory=dict, init=False,
+                                                  compare=False, repr=False)
 
     def to_completion(self, k: int) -> Completion:
         """This record served to a request for ``k`` top logprobs per token."""
+        key = k if self.logprobs is not None else None
+        completion = self._served.get(key)
+        if completion is None:
+            # setdefault keeps the first of two racing builds, so every
+            # caller gets the same object
+            completion = self._served.setdefault(key, self._build(k))
+        return completion
+
+    def _build(self, k: int) -> Completion:
         if self.confidences is not None and self.logprobs is not None:
             raise ScriptError("record may set confidences or logprobs, not both")
         if not isinstance(self.text, str) or not _is_count(self.prompt_tokens):

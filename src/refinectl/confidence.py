@@ -82,6 +82,8 @@ class NormalizationTable:
     def __post_init__(self) -> None:
         if len(self.mu) != 3 or len(self.sigma) != 3:
             raise ValueError("table needs rows for iterations 0, 1, and 2+")
+        if not all(math.isfinite(v) for v in (*self.mu, *self.sigma)):
+            raise ValueError("mu and sigma must be finite")
         if any(s <= 0 for s in self.sigma):
             raise ValueError("sigma must be positive")
 

@@ -120,7 +120,7 @@ def _dense(in_features: int, out_features: int) -> Dense:
 class BlockTape(NamedTuple):
     """What one trunk block's backward pass reads."""
 
-    cols: np.ndarray  # the conv's input windows
+    windows: np.ndarray  # the conv's input windows (C_in, K, B, L_out)
     n: int  # the conv's input length
     xhat: np.ndarray  # batch norm's normalised input
     inv_std: np.ndarray
@@ -144,54 +144,53 @@ class Tape(NamedTuple):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=16)
-def _windows(batch: int, n: int, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Same padding for a (batch, n) input: the (K, B, L_out) gather index
-    into the padded input flattened to (B * padded), the left padding and
-    the padded length."""
+def _windows(batch: int, n: int, kernel: int, stride: int) -> np.ndarray:
+    """Same padding for a (batch, n) input flattened to (batch * n) columns
+    and followed by one zero column: the (K, B, L_out) gather index of every
+    window element, with each tap that falls in the padding sent to that
+    zero column (index batch * n)."""
     n_out = -(-n // stride)  # ceil division
-    pad_total = max((n_out - 1) * stride + kernel - n, 0)
-    padded = n + pad_total
-    index = (np.arange(kernel)[:, None, None] + padded * np.arange(batch)[:, None]
-             + stride * np.arange(n_out))
+    pad_l = max((n_out - 1) * stride + kernel - n, 0) // 2
+    pos = np.arange(kernel)[:, None, None] + stride * np.arange(n_out) - pad_l  # (K, 1, L_out)
+    index = np.where((pos >= 0) & (pos < n), pos + n * np.arange(batch)[:, None], batch * n)
     index.setflags(write=False)  # shared by every caller
-    return index, pad_total // 2, padded
+    return index
 
 
 @functools.lru_cache(maxsize=8)
 def _scatter_index(channels: int, batch: int, n: int, kernel: int, stride: int) -> np.ndarray:
     """The gather index of :func:`_windows` repeated for every channel of a
-    (channels, batch * padded) buffer, flat in (C, K, B, L_out) order: where
-    each window element's gradient lands in the padded input."""
-    index, _, padded = _windows(batch, n, kernel, stride)
-    flat = (batch * padded * np.arange(channels)[:, None, None, None] + index).ravel()
+    (channels, batch * n + 1) buffer, flat in (C, K, B, L_out) order: where
+    each window element's gradient lands in the input or, for a pad tap, in
+    the channel's zero column."""
+    flat = ((batch * n + 1) * np.arange(channels)[:, None, None, None]
+            + _windows(batch, n, kernel, stride)).ravel()
     flat.setflags(write=False)  # shared by every caller
     return flat
 
 
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
             stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded strided 1-D convolution of x (B, C_in, L) with
-    w (C_out, C_in, K). Returns the output (B, C_out, L_out) and the input
-    windows ``cols`` (B, C_in, L_out, K) that the backward pass needs.
+    """Same-padded strided 1-D convolution of the channel-major activations
+    x (C_in, B, L) with w (C_out, C_in, K). Returns the output as a
+    contiguous channel-major (C_out, B, L_out) array and the input windows,
+    a contiguous (C_in, K, B, L_out) array that the backward pass reads.
 
-    Both are views of channel-major buffers: the output of a contiguous
-    (C_out, B, L_out) array, the windows of a contiguous (C_in, K, B, L_out)
-    array, so the contraction is one matrix product over reshaped views and
-    per-channel reductions over batch and position read contiguous memory.
-    Allocates its results and writes nothing else, so concurrent calls on
-    shared weights are safe.
+    The windows are gathered straight from x as a (C_in, B * L) matrix with
+    one zero column appended, which every pad tap reads, so the contraction
+    is one matrix product and per-channel reductions over batch and position
+    read contiguous memory. Allocates its results and writes nothing else,
+    so concurrent calls on shared weights are safe.
     """
-    bsz, c_in, n = x.shape
+    c_in, bsz, n = x.shape
     c_out, _, kernel = w.shape
-    index, pad_l, padded = _windows(bsz, n, kernel, stride)
-    xp = np.zeros((c_in, bsz, padded))
-    xp[:, :, pad_l:pad_l + n] = x.transpose(1, 0, 2)
-    windows = np.take(xp.reshape(c_in, bsz * padded), index, axis=1)  # (C_in, K, B, L_out)
+    index = _windows(bsz, n, kernel, stride)
+    flat = np.concatenate((x.reshape(c_in, bsz * n), np.zeros((c_in, 1))), axis=1)
+    windows = flat.take(index, axis=1)
     n_out = index.shape[2]
     out = w.reshape(c_out, c_in * kernel) @ windows.reshape(c_in * kernel, bsz * n_out)
     out += b[:, None]
-    return (out.reshape(c_out, bsz, n_out).transpose(1, 0, 2),
-            windows.transpose(2, 0, 3, 1))
+    return out.reshape(c_out, bsz, n_out), windows
 
 
 def _global_pool(h: np.ndarray) -> np.ndarray:
@@ -203,20 +202,20 @@ def _global_pool(h: np.ndarray) -> np.ndarray:
     return h.mean(axis=2)
 
 
-def _conv1d_backward(grad: np.ndarray, cols: np.ndarray, w: np.ndarray, n: int, stride: int,
+def _conv1d_backward(grad: np.ndarray, windows: np.ndarray, w: np.ndarray, n: int, stride: int,
                      input_grad: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of :func:`_conv1d` for the output gradient ``grad``
-    (B, C_out, L_out), given its windows ``cols`` and input length ``n``:
-    (dW, db, dx (B, C_in, n)), with dx None when ``input_grad`` is false
-    (the first block's input is data).
+    (B, C_out, L_out), given its ``windows`` (C_in, K, B, L_out) and input
+    length ``n``: (dW, db, dx (B, C_in, n)), with dx None when
+    ``input_grad`` is false (the first block's input is data).
 
     With G the gradient as a (C_out, B * L_out) matrix and the windows as
     (C_in * K, B * L_out), dW = G @ windows.T and the window gradient is
     W.T @ G, two matrix products; the window gradient goes back to the
-    padded input with one ``bincount`` over the memoised gather index, which
-    adds every window element into its input position.
+    input with one ``bincount`` over the memoised gather index, which adds
+    every window element into its input position (and every pad tap into
+    the zero column, which is dropped).
     """
-    windows = cols.transpose(1, 3, 0, 2)  # the contiguous (C_in, K, B, L_out) buffer
     c_in, kernel, bsz, n_out = windows.shape
     c_out = w.shape[0]
     g = grad.transpose(1, 0, 2).reshape(c_out, bsz * n_out)
@@ -225,10 +224,9 @@ def _conv1d_backward(grad: np.ndarray, cols: np.ndarray, w: np.ndarray, n: int, 
     if not input_grad:
         return dw, db, None
     dwin = w.reshape(c_out, c_in * kernel).T @ g
-    _, pad_l, padded = _windows(bsz, n, kernel, stride)
     dxp = np.bincount(_scatter_index(c_in, bsz, n, kernel, stride),
-                      weights=dwin.ravel(), minlength=c_in * bsz * padded)
-    return dw, db, dxp.reshape(c_in, bsz, padded)[:, :, pad_l:pad_l + n].transpose(1, 0, 2)
+                      weights=dwin.ravel(), minlength=c_in * (bsz * n + 1))
+    return dw, db, dxp.reshape(c_in, bsz * n + 1)[:, :-1].reshape(c_in, bsz, n).transpose(1, 0, 2)
 
 
 def _batchnorm_train(x: np.ndarray, gamma: np.ndarray,
@@ -391,8 +389,11 @@ class ControllerModel:
         blocks = []
         for blk in self.blocks:
             n = h.shape[2]
-            h, cols = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
-            h, xhat, inv_std, mean, var = _batchnorm_train(h, blk.gamma.value, blk.beta.value)
+            # the conv takes and gives channel-major (C, B, L) arrays; the
+            # rest of the block works on their (B, C, L) views
+            out, windows = _conv1d(h.transpose(1, 0, 2), blk.w.value, blk.b.value, CONV_STRIDE)
+            h, xhat, inv_std, mean, var = _batchnorm_train(
+                out.transpose(1, 0, 2), blk.gamma.value, blk.beta.value)
             # in place: the model's state list holds these arrays
             blk.running_mean[...] = (1 - _BN_MOMENTUM) * blk.running_mean + _BN_MOMENTUM * mean
             blk.running_var[...] = (1 - _BN_MOMENTUM) * blk.running_var + _BN_MOMENTUM * var
@@ -405,7 +406,7 @@ class ControllerModel:
                 np.divide(dropout_rng.random(h.shape) >= self.dropout_rate,
                           1.0 - self.dropout_rate, out=keep)
                 h = h * keep
-            blocks.append(BlockTape(cols, n, xhat, inv_std, relu, keep))
+            blocks.append(BlockTape(windows, n, xhat, inv_std, relu, keep))
         z = _global_pool(h)  # global average pool -> (B, 256)
         action, success = _relu(_linear(self.action_fc1, z)), _relu(_linear(self.success_fc1, z))
         return (_linear(self.action_fc2, action[0]), _linear(self.success_fc2, success[0])[:, 0],
@@ -432,7 +433,7 @@ class ControllerModel:
             dgamma, dbeta, g = _batchnorm_backward(g, step.xhat, step.inv_std, blk.gamma.value)
             blk.gamma.grad += dgamma
             blk.beta.grad += dbeta
-            dw, db, g = _conv1d_backward(g, step.cols, blk.w.value, step.n, CONV_STRIDE,
+            dw, db, g = _conv1d_backward(g, step.windows, blk.w.value, step.n, CONV_STRIDE,
                                          input_grad=i > 0)
             blk.w.grad += dw
             blk.b.grad += db
@@ -484,20 +485,24 @@ def infer(model: ControllerModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     call it on one model. This is the model's only eval-mode path. A batch
     of more than ``_INFER_ROWS`` rows runs as consecutive blocks of that
     many, whose logits are concatenated.
+
+    Each trunk block's activations stay one contiguous channel-major
+    (C, B, L) array: :func:`_conv1d` gathers the next windows straight from
+    it, and batch norm's affine and the ReLU are applied to it in place.
     """
     model._check_input(x)
     if len(x) > _INFER_ROWS:
         blocks = [infer(model, x[i:i + _INFER_ROWS]) for i in range(0, len(x), _INFER_ROWS)]
         return (np.concatenate([a for a, _ in blocks]),
                 np.concatenate([s for _, s in blocks]))
-    h = x[:, None, :]
+    h = x[None]  # channel-major (C, B, L) from here on
     for blk in model.blocks:
         h, _ = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
         scale = blk.gamma.value / np.sqrt(blk.running_var + _EPS_BN)
-        h *= scale[:, None]
-        h += (blk.beta.value - blk.running_mean * scale)[:, None]
+        h *= scale[:, None, None]
+        h += (blk.beta.value - blk.running_mean * scale)[:, None, None]
         np.maximum(h, 0.0, out=h)
-    z = _global_pool(h)  # global average pool -> (B, 256)
+    z = _global_pool(h.transpose(1, 0, 2))  # global average pool -> (B, 256)
     a = _linear(model.action_fc2, np.maximum(_linear(model.action_fc1, z), 0.0))
     s = _linear(model.success_fc2, np.maximum(_linear(model.success_fc1, z), 0.0))
     return a, s[:, 0]

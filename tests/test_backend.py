@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -167,6 +168,69 @@ def test_completion_equality_and_immutability():
     assert a == b and a != c and a != "a"
     with pytest.raises(ValueError):
         a.trace.values[0] = 0.0
+
+
+def test_record_serves_one_stored_completion():
+    """A record is built once: every backend over it, at any seed, serves
+    the same immutable object, and its trace stays read-only."""
+    record = MockRecord(text="x \\boxed{7}", confidences=[0.5, 1.5, 2.5])
+    served = [MockBackend([record]).generate(MSG, CFG.with_seed(seed)) for seed in (0, 1)]
+    assert served[0] is served[1] is record.to_completion(3)
+    assert record == MockRecord(text="x \\boxed{7}", confidences=[0.5, 1.5, 2.5])
+    assert "Completion" not in repr(record)
+    with pytest.raises(ValueError, match="read-only"):
+        served[0].trace.values[0] = 0.0
+    np.testing.assert_array_equal(served[1].trace.values, [0.5, 1.5, 2.5])
+    with pytest.raises(AttributeError):
+        record.text = "y"  # frozen
+
+
+def test_logprob_record_stores_one_completion_per_k():
+    record = MockRecord(logprobs=[[-3.0, -0.5, -1.0]])
+    two, one = record.to_completion(2), record.to_completion(1)
+    assert two.trace.values.tolist() == [0.75] and one.trace.values.tolist() == [0.5]
+    assert record.to_completion(2) is two and record.to_completion(1) is one
+
+
+FAILING_RECORDS = NON_FINITE_RECORDS + [
+    MockRecord(logprobs=[[-1e308, -1e308]]),  # finite values, infinite confidence
+    MockRecord(confidences=[1.0], logprobs=[[-1.0]]),  # ScriptError
+    MockRecord(error="scripted failure"),
+]
+
+
+@pytest.mark.parametrize("record", FAILING_RECORDS,
+                         ids=["inf", "nan", "overflow", "both", "error"])
+def test_failing_record_fails_every_serve_and_stores_nothing(record):
+    for _ in range(2):
+        with pytest.raises(BackendError):
+            MockBackend([record]).generate(MSG, CFG)
+    assert record._served == {}
+
+
+def test_threads_serving_one_record_get_equal_completions():
+    record = MockRecord(text="x", logprobs=[[-0.1, -0.2, -0.3]] * 64)
+    start = threading.Barrier(8, timeout=60)
+    got: list = [None] * 8
+
+    def worker(t: int) -> None:
+        backend = MockBackend([record])
+        start.wait()
+        got[t] = backend.generate(MSG, CFG)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside every build
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert all(c == got[0] for c in got)
+    assert all(c is record.to_completion(CFG.logprob_count) for c in got)
 
 
 def test_drain_concurrent_order_and_isolation():

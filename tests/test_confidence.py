@@ -255,6 +255,18 @@ def test_sigma_must_be_positive():
         NormalizationTable(sigma=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("field", ["mu", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_table_rows_must_be_finite(field, bad, row):
+    """A NaN sigma passes ``s <= 0``, and a non-finite row would reach the
+    controller as non-finite bins; the table refuses it where it is made."""
+    values = [1.0, 1.0, 1.0]
+    values[row] = bad
+    with pytest.raises(ValueError, match="finite"):
+        NormalizationTable(**{field: tuple(values)})
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ def test_infer_matches_forward_batch(seed, n_actions, batch, length):
 
     h = x[:, None, :]
     for blk in model.blocks:
-        out, cols = _conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
+        out, windows = _conv1d(h.transpose(1, 0, 2), blk.w.value, blk.b.value, CONV_STRIDE)
+        out, cols = out.transpose(1, 0, 2), windows.transpose(2, 0, 3, 1)
         ref_out, ref_cols = reference_conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)
         np.testing.assert_array_equal(cols, ref_cols)
         np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12 * np.abs(ref_out).max())
@@ -235,6 +236,68 @@ def test_evaluate_accuracy_over_several_blocks():
     ref_logits, _ = reference_infer(model, x)
     assert evaluate_accuracy(model, x, labels) == float((ref_logits.argmax(axis=1)
                                                          == labels).mean())
+
+
+def reference_eval(model, x):
+    """``infer``'s arithmetic written out on :func:`reference_conv1d`'s
+    windows, 256 rows at a time: each block's windows contracted with its
+    kernel in one matrix product plus the bias, batch norm as the affine of
+    the running statistics, ReLU, the mean pool and the two heads. These are
+    the operations ``infer`` documents, in its order, so it must match bit
+    for bit."""
+    actions, successes = [], []
+    for start in range(0, len(x), 256):
+        h = x[start:start + 256, None, :]
+        for blk in model.blocks:
+            cols = reference_conv1d(h, blk.w.value, blk.b.value, CONV_STRIDE)[1]
+            bsz, c_in, n_out, kernel = cols.shape
+            windows = np.ascontiguousarray(cols.transpose(1, 3, 0, 2))
+            w = blk.w.value.reshape(len(blk.b.value), c_in * kernel)
+            out = w @ windows.reshape(c_in * kernel, bsz * n_out) + blk.b.value[:, None]
+            scale = blk.gamma.value / np.sqrt(blk.running_var + 1e-5)
+            out = out * scale[:, None] + (blk.beta.value - blk.running_mean * scale)[:, None]
+            h = np.maximum(out, 0.0).reshape(-1, bsz, n_out).transpose(1, 0, 2)
+        z = h.mean(axis=2)
+
+        def head(fc1, fc2):
+            hidden = np.maximum(z @ fc1.w.value.T + fc1.b.value, 0.0)
+            return hidden @ fc2.w.value.T + fc2.b.value
+
+        actions.append(head(model.action_fc1, model.action_fc2))
+        successes.append(head(model.success_fc1, model.success_fc2)[:, 0])
+    return np.concatenate(actions), np.concatenate(successes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), rounds=st.integers(1, 3), batch=st.integers(1, 300),
+       length=st.sampled_from([8, 16, 24, 33]))
+def test_infer_is_the_reference_bit_for_bit(seed, rounds, batch, length):
+    """On weights and running statistics that training moved, at batch
+    sizes on both sides of the 256-row block, ``infer`` is
+    :func:`reference_eval` bit for bit; and ``decide`` after ``Adam.step``
+    or ``load_state_arrays`` is ``decide`` on a fresh copy of that state, so
+    no earlier state can leak into it."""
+    rng = np.random.default_rng(seed)
+    model = init(3, length, seed=seed)
+    optimizer = Adam(model.theta, model.grad, lr=1e-2)
+    feature = FeatureVector(rng.normal(10, 3, length))
+    for _ in range(rounds):
+        model.decide(feature)
+        model.zero_grads()
+        a, s, tape = model.forward_batch(rng.normal(10, 3, (16, length)), dropout_rng=rng)
+        model.backward_batch(tape, rng.normal(size=a.shape), rng.normal(size=s.shape))
+        optimizer.step()
+        assert model.decide(feature) == deserialize(serialize(model)).decide(feature)
+
+    x = rng.normal(10, 3, (batch, length))
+    logits, s_logits = infer(model, x)
+    ref_logits, ref_s = reference_eval(model, x)
+    np.testing.assert_array_equal(logits, ref_logits)
+    np.testing.assert_array_equal(s_logits, ref_s)
+
+    other = init(3, length, seed=seed + 1)
+    model.load_state_arrays(other.state_arrays())
+    assert model.decide(feature) == deserialize(serialize(other)).decide(feature)
 
 
 def reference_conv1d_backward(grad, cols, w, n, stride):
@@ -294,20 +357,22 @@ def test_backward_matches_reference(seed, batch, c_in, c_out, kernel, stride, le
 
     w, b = rng.normal(0.0, 1.0, (c_out, c_in, kernel)), rng.normal(0.0, 1.0, c_out)
     x = draw((batch, c_in, length))
-    out, cols = _conv1d(x, w, b, stride)
+    out, windows = _conv1d(x.transpose(1, 0, 2), w, b, stride)
+    assert out.flags.c_contiguous  # channel-major (C_out, B, L_out), as promised
+    out, cols = out.transpose(1, 0, 2), windows.transpose(2, 0, 3, 1)
     n_out = out.shape[2]
-    windows = cols.transpose(1, 3, 0, 2)
     assert windows.shape == (c_in, kernel, batch, n_out)
     assert windows.flags.c_contiguous  # the buffer _conv1d's docstring promises
     grad = draw(out.shape)
-    dw, db, dx = _conv1d_backward(grad, cols, w, length, stride)
+    dw, db, dx = _conv1d_backward(grad, windows, w, length, stride)
     ref_dw, ref_db, ref_dx = reference_conv1d_backward(
         grad, reference_conv1d(x, w, b, stride)[1], w, length, stride)
     terms = np.abs(grad).max()
     assert_close_to_reference(dw, ref_dw, terms * np.abs(cols).max())
     assert_close_to_reference(db, ref_db, terms)
     assert_close_to_reference(dx, ref_dx, terms * np.abs(w).max())
-    dw_only, db_only, no_dx = _conv1d_backward(grad, cols, w, length, stride, input_grad=False)
+    dw_only, db_only, no_dx = _conv1d_backward(grad, windows, w, length, stride,
+                                               input_grad=False)
     assert no_dx is None
     np.testing.assert_array_equal(dw_only, dw)
     np.testing.assert_array_equal(db_only, db)
