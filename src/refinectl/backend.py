@@ -370,6 +370,10 @@ def _script_record(row: object) -> MockRecord:
         raise ValueError("sets both confidences and logprobs")
     if confidences == [] or logprobs == []:
         raise ValueError(f"{'logprobs' if logprobs == [] else 'confidences'} is empty")
+    # false for NaN, infinities and integers past the float range (isfinite raises on those)
+    values = confidences or chain.from_iterable(logprobs or ())
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"non-finite logprob in {'confidences' if confidences else 'logprobs'}")
     if error is None and confidences is None and logprobs is None:
         raise ValueError("sets neither confidences nor logprobs, and no error")
     if finish_reason not in FINISH_REASONS:
@@ -384,8 +388,9 @@ def _script_record(row: object) -> MockRecord:
 def load_mock_script(path: str | Path) -> list[MockRecord]:
     """Load a mock script file: {"responses": [{text, confidences|logprobs,
     finish_reason, prompt_tokens, error}]}. A file that is not one, or a row
-    with a field of the wrong type, an empty values list, or both or (with
-    no error) neither of confidences and logprobs, raises ``ScriptError``."""
+    with a field of the wrong type, an empty values list, a value that is
+    NaN, infinite or past the float range, or both or (with no error)
+    neither of confidences and logprobs, raises ``ScriptError``."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

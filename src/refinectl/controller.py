@@ -305,7 +305,6 @@ class ControllerModel:
         self.n_actions = n_actions
         self.input_length = input_length
         self.dropout_rate = dropout_rate
-        self.version = FORMAT_VERSION
 
         self.blocks = []
         for in_ch, out_ch, kernel in zip((1,) + CONV_CHANNELS[:-1], CONV_CHANNELS,

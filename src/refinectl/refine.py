@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .backend import Backend, BackendError, Completion, GenerationConfig
+from .backend import Backend, BackendError, Completion, GenerationConfig, drain_concurrent
 from .confidence import (
     DEFAULT_BINS,
     FeatureVector,
@@ -31,6 +31,7 @@ from .datasets import Problem, as_problem, choice_letter, normalize_math_answer
 
 TERMINATIONS = ("halt", "refuse", "max_iterations", "consistency_override",
                 "early_stop", "max_depth", "no_refinement", "failed")
+_Ending = tuple[str, str | None]  # how a run ends: its terminated_by and final_answer
 
 
 @dataclass(frozen=True)
@@ -354,28 +355,8 @@ def build_prompt(
 
 
 # ---------------------------------------------------------------------------
-# The node pipeline, shared by the loop and the tree
+# The level loop: one loop for the sequential run and the tree
 # ---------------------------------------------------------------------------
-
-def generate_node(backend: Backend, messages: list[dict], cfg: GenerationConfig,
-                  retries: int) -> tuple[Completion | BackendError, int]:
-    """Generate one node, re-issuing a truncated completion up to ``retries``
-    times. Returns (the last completion, or the ``BackendError`` that failed
-    the node, tokens of every attempt served). A failed retry fails the node
-    like a failed first attempt; the tokens already served still count."""
-    tokens = 0
-    try:
-        completion = backend.generate(messages, cfg)
-        tokens += completion.completion_tokens
-        for _ in range(retries):
-            if completion.finish_reason != "length":
-                break
-            completion = backend.generate(messages, cfg)
-            tokens += completion.completion_tokens
-    except BackendError as exc:
-        return exc, tokens
-    return completion, tokens
-
 
 def score_node(completion: Completion, tokens: int, node_id: int, parent: Node | None,
                controller, loop_cfg: LoopConfig, mode: str) -> Node:
@@ -406,9 +387,88 @@ def score_node(completion: Completion, tokens: int, node_id: int, parent: Node |
                 compacted_text=compact(completion.text, answer, trace_stats, budget=4000))
 
 
-# ---------------------------------------------------------------------------
-# The loop
-# ---------------------------------------------------------------------------
+def _run_levels(problem: Problem | str, backend: Backend, controller, loop_cfg: LoopConfig,
+                policy) -> RunResult:
+    """Run one problem level by level under ``policy`` (``_Chain`` or
+    ``tree._TreePolicy``). Level 0 is ``policy.width`` slots of the initial
+    prompt; each later level holds ``policy.branch`` slots per refining node
+    of the last, prompted with its ancestry. Each level is served through
+    ``drain_concurrent``, scored in id order and offered to ``policy.ending``."""
+    problem = as_problem(problem)
+    result = RunResult(problem_id=problem.id)
+
+    def serve(messages: list[dict], cfg: GenerationConfig) -> tuple[Completion | BackendError, int]:
+        # one slot with its truncation retries: the last completion or the
+        # BackendError that failed it, and the tokens of every attempt served
+        tokens = 0
+        try:
+            for _ in range(loop_cfg.max_truncation_retries + 1):
+                completion = backend.generate(messages, cfg)
+                tokens += completion.completion_tokens
+                if completion.finish_reason != "length":
+                    break
+        except BackendError as exc:
+            return exc, tokens
+        return completion, tokens
+
+    depth = sent = 0
+    level = [(None, build_initial_prompt(problem))] * policy.width
+    while True:
+        requests = [(prompt, policy.gen_cfg(sent + i)) for i, (_, prompt) in enumerate(level)]
+        sent += len(level)
+        frontier = []
+        for (parent, _), (completion, tokens) in zip(
+                level, drain_concurrent(backend, requests, serve)):
+            result.total_tokens += tokens
+            if isinstance(completion, BackendError):
+                policy.failed(completion, result)
+                continue
+            frontier.append(score_node(completion, tokens, len(result.nodes), parent,
+                                       controller, loop_cfg, problem.mode))
+            result.nodes.append(frontier[-1])
+        # free the level's last response (its text and trace) before the next level
+        del completion
+        ending = policy.ending(result, frontier, depth)
+        if ending is not None:
+            result.terminated_by, result.final_answer = ending
+            return result
+        depth += 1
+        level = [(n, build_prompt(problem, result.ancestry(n), n.action, phase=depth,
+                                  two_phase=loop_cfg.two_phase_refusal))
+                 for n in frontier if not n.halting]
+        level = [slot for slot in level for _ in range(policy.branch)]
+
+
+class _Chain:
+    """The loop's policy: width and branch 1, the run's own ``gen_cfg`` on
+    every step, and ``run``'s failure and ending rules."""
+
+    width = branch = 1
+
+    def __init__(self, gen_cfg: GenerationConfig, loop_cfg: LoopConfig):
+        self.cfg, self.loop_cfg = gen_cfg, loop_cfg
+        self.answer_counts: Counter[str | None] = Counter()
+
+    def gen_cfg(self, slot: int) -> GenerationConfig:
+        return self.cfg
+
+    def failed(self, error: BackendError, result: RunResult) -> None:
+        raise RefinementError(str(error), partial=result) from error
+
+    def ending(self, result: RunResult, level: list[Node], depth: int) -> _Ending | None:
+        (node,) = level
+        key = normalize_math_answer(node.answer)
+        self.answer_counts[key] += 1
+        if key is not None and self.answer_counts[key] >= self.loop_cfg.consistency_override_count:
+            return "consistency_override", node.answer
+        if node.action is Action.HALT:
+            return "halt", node.answer
+        if node.action is Action.REFUSE:
+            return "refuse", None
+        if depth + 1 == self.loop_cfg.max_iterations:
+            return "max_iterations", node.answer
+        return None
+
 
 def run(
     problem: Problem | str,
@@ -426,38 +486,7 @@ def run(
     failed node raises ``RefinementError`` whose partial result counts the
     tokens already served, the failed node's included.
     """
-    problem = as_problem(problem)
-    result = RunResult(problem_id=problem.id)
-    answer_counts: Counter[str | None] = Counter()
-    messages = build_initial_prompt(problem)
-
-    for t in range(1, loop_cfg.max_iterations + 1):
-        completion, tokens = generate_node(backend, messages, gen_cfg,
-                                           loop_cfg.max_truncation_retries)
-        result.total_tokens += tokens
-        if isinstance(completion, BackendError):
-            raise RefinementError(str(completion), partial=result) from completion
-        node = score_node(completion, tokens, t - 1, result.nodes[-1] if result.nodes else None,
-                          controller, loop_cfg, problem.mode)
-        result.nodes.append(node)
-        key = normalize_math_answer(node.answer)
-        answer_counts[key] += 1
-        if key is not None and answer_counts[key] >= loop_cfg.consistency_override_count:
-            result.terminated_by = "consistency_override"
-        elif node.action is Action.HALT:
-            result.terminated_by = "halt"
-        elif node.action is Action.REFUSE:
-            result.terminated_by = "refuse"
-        elif t == loop_cfg.max_iterations:
-            result.terminated_by = "max_iterations"
-        else:
-            messages = build_prompt(problem, result.nodes, node.action, phase=t,
-                                    two_phase=loop_cfg.two_phase_refusal)
-            continue
-        result.final_answer = None if result.terminated_by == "refuse" else node.answer
-        return result
-
-    raise AssertionError("unreachable: loop always terminates inside")
+    return _run_levels(problem, backend, controller, loop_cfg, _Chain(gen_cfg, loop_cfg))
 
 
 def write_run_log(path: str | Path, results: Iterable[RunResult]) -> None:

@@ -8,12 +8,8 @@ checked: above one half the tree stops early, and exactly one half also
 stops when the HALT traces agree on an answer. The final answer is voted
 over halted nodes (majority, confidence-weighted, or high-confidence
 majority), falling back to the leaves when nothing halted; refusing nodes
-halt but cast no vote and take no part in the agreement. Each node runs
-the sequential loop's own step: ``generate_node`` on a ``drain_concurrent``
-worker, which holds one of the backend's request slots only while the
-request is out, then ``score_node``. A tree returns the loop's own
-``RunResult``, which ends on "early_stop", "max_depth" (the depth cap) or
-"no_refinement" (no node of the last level asked for refinement).
+halt but cast no vote and take no part in the agreement. A tree is the
+sequential loop's level loop, ``refine._run_levels``, under ``_TreePolicy``.
 """
 
 from __future__ import annotations
@@ -26,19 +22,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .backend import Backend, BackendError, GenerationConfig, drain_concurrent
+from .backend import Backend, BackendError, GenerationConfig
 from .controller import Action
-from .datasets import Problem, as_problem, is_correct, normalize_math_answer
-from .refine import (
-    LoopConfig,
-    Node,
-    RefinementError,
-    RunResult,
-    build_initial_prompt,
-    build_prompt,
-    generate_node,
-    score_node,
-)
+from .datasets import Problem, is_correct, normalize_math_answer
+from .refine import LoopConfig, Node, RefinementError, RunResult, _Ending, _run_levels
 
 logger = logging.getLogger(__name__)
 
@@ -121,6 +108,39 @@ def aggregate(
     return min(score, key=lambda a: (-score[a], -conf_sums[a], a))
 
 
+class _TreePolicy:
+    """The tree's policy: width ``warmup``, branch ``branch_factor``, slot i
+    of the run sampled with seed + i, and ``run_tree``'s failure and endings."""
+
+    def __init__(self, gen_cfg: GenerationConfig, tree_cfg: TreeConfig):
+        self.cfg, self.tree_cfg = gen_cfg, tree_cfg
+        self.width, self.branch = tree_cfg.warmup, tree_cfg.branch_factor
+
+    def gen_cfg(self, slot: int) -> GenerationConfig:
+        return self.cfg if self.cfg.seed is None else self.cfg.with_seed(self.cfg.seed + slot)
+
+    def failed(self, error: BackendError, run: RunResult) -> None:
+        logger.warning("tree node generation failed: %s", error)
+
+    def ending(self, run: RunResult, level: list[Node], depth: int) -> _Ending | None:
+        if not run.nodes:
+            raise RefinementError("all warmup generations failed", partial=run)
+        if level and early_stop_check(
+                [n.action for n in run.nodes],
+                [n.answer for n in run.nodes if n.action is Action.HALT]):  # refusals cast no vote
+            ending = "early_stop"
+        elif depth == self.tree_cfg.max_depth:
+            ending = "max_depth"
+        elif all(n.halting for n in level):
+            ending = "no_refinement"
+        else:
+            return None
+        parent_ids = {n.parent for n in run.nodes if n.parent is not None}
+        leaves = [n for n in run.nodes if n.id not in parent_ids]
+        return ending, aggregate([n for n in run.nodes if n.halting], self.tree_cfg.vote,
+                                 fallback_all=leaves)
+
+
 def run_tree(
     problem: Problem | str,
     backend: Backend,
@@ -141,61 +161,7 @@ def run_tree(
     ``total_tokens``. When every warmup slot fails, ``RefinementError``
     carries the node-less run as its partial result.
     """
-    problem = as_problem(problem)
-    run = RunResult(problem_id=problem.id)
-
-    def serve(messages, cfg):
-        return generate_node(backend, messages, cfg, loop_cfg.max_truncation_retries)
-
-    # warmup, then branching refinement, level-synchronous: one level's
-    # (parent, prompt) slots are generated concurrently, truncation retries
-    # inside each slot, then scored serially in id order. A failed slot is
-    # logged and skipped (sibling isolation); its served tokens still count.
-    depth = 0
-    sent = 0  # slots sent so far: slot i of the run samples with seed + i
-    level = [(None, build_initial_prompt(problem))] * tree_cfg.warmup
-    while True:
-        requests = [(prompt, gen_cfg if gen_cfg.seed is None
-                     else gen_cfg.with_seed(gen_cfg.seed + sent + i))
-                    for i, (_, prompt) in enumerate(level)]
-        sent += len(level)
-        frontier = []
-        for (parent, _), (completion, tokens) in zip(
-                level, drain_concurrent(backend, requests, serve)):
-            run.total_tokens += tokens
-            if isinstance(completion, BackendError):
-                logger.warning("tree node generation failed: %s", completion)
-                continue
-            frontier.append(score_node(completion, tokens, len(run.nodes), parent, controller,
-                                       loop_cfg, problem.mode))
-            run.nodes.append(frontier[-1])
-        # free the level's requests and last response (its text and trace)
-        # now, not once the next level has been generated over them
-        del requests, completion
-        if not run.nodes:
-            raise RefinementError("all warmup generations failed", partial=run)
-        if frontier and early_stop_check(
-                [n.action for n in run.nodes],
-                [n.answer for n in run.nodes if n.action is Action.HALT]):  # refusals cast no vote
-            run.terminated_by = "early_stop"
-            break
-        if depth == tree_cfg.max_depth:
-            run.terminated_by = "max_depth"
-            break
-        depth += 1
-        level = [(n, build_prompt(problem, run.ancestry(n), n.action, phase=depth,
-                                  two_phase=loop_cfg.two_phase_refusal))
-                 for n in frontier if n.action in (Action.RETHINK, Action.ALTERNATIVE)]
-        if not level:
-            run.terminated_by = "no_refinement"
-            break
-        level = [slot for slot in level for _ in range(tree_cfg.branch_factor)]
-
-    parent_ids = {n.parent for n in run.nodes if n.parent is not None}
-    leaves = [n for n in run.nodes if n.id not in parent_ids]
-    run.final_answer = aggregate([n for n in run.nodes if n.halting], tree_cfg.vote,
-                                 fallback_all=leaves)
-    return run
+    return _run_levels(problem, backend, controller, loop_cfg, _TreePolicy(gen_cfg, tree_cfg))
 
 
 # ---------------------------------------------------------------------------

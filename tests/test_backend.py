@@ -343,6 +343,15 @@ def test_a_script_row_of_the_wrong_type_is_rejected_at_load(tmp_path, field, val
     ({"text": "x", "logprobs": [], "error": "boom"}, "logprobs is empty"),
     ({"error": 5}, "error is not a string"),
     ({"error": ["boom"], "confidences": [1.0]}, "error is not a string"),
+    # json.dumps writes these as NaN, Infinity, -Infinity and 400 digits
+    ({"text": "x", "confidences": [1.0, float("nan")]}, "non-finite logprob in confidences"),
+    ({"text": "x", "confidences": [float("inf")]}, "non-finite logprob in confidences"),
+    ({"text": "x", "confidences": [-float("inf")]}, "non-finite logprob in confidences"),
+    ({"text": "x", "confidences": [10 ** 400]}, "non-finite logprob in confidences"),
+    ({"text": "x", "confidences": [-10 ** 400]}, "non-finite logprob in confidences"),
+    ({"text": "x", "logprobs": [[-0.5], [-float("inf")]]}, "non-finite logprob in logprobs"),
+    ({"text": "x", "logprobs": [[float("nan")]]}, "non-finite logprob in logprobs"),
+    ({"text": "x", "logprobs": [[-10 ** 400]]}, "non-finite logprob in logprobs"),
 ])
 def test_a_script_row_that_cannot_be_served_is_rejected_at_load(tmp_path, row, message):
     path = write_script_rows(tmp_path, [{"text": "ok", "confidences": [1.0]}, row])

@@ -329,7 +329,9 @@ def test_a_script_row_of_the_wrong_type_exits_2_with_one_line(tmp_path, capsys, 
     ({"text": "x \\boxed{7}", "confidences": [1.0], "logprobs": [[-0.5]]},
      "sets both confidences and logprobs"),
     ({"text": "x \\boxed{7}"}, "sets neither confidences nor logprobs, and no error"),
-], ids=["both", "neither"])
+    ({"text": "x \\boxed{7}", "confidences": [float("nan")]}, "non-finite logprob in confidences"),
+    ({"text": "x \\boxed{7}", "logprobs": [[-10 ** 400]]}, "non-finite logprob in logprobs"),
+], ids=["both", "neither", "nan", "past-float-range"])
 def test_a_script_row_that_cannot_be_served_exits_2_with_one_line(tmp_path, capsys, model_file,
                                                                   row, message):
     script = write_records(tmp_path / "script.json", [row])

@@ -350,6 +350,45 @@ def test_a_failed_slot_keeps_its_seed_sent():
     assert backend.seeds == list(range(7))
 
 
+def test_the_loop_sends_its_own_seed_on_every_step_and_retry():
+    """The loop is the tree of width 1 but keeps its own seed rule: every
+    step and every truncation retry sends the run's seed, not seed + slot."""
+    records = [boxed_record("1", [9.0] * 3, finish="length"), boxed_record("1", [9.0] * 3),
+               boxed_record("2", [9.0] * 3, finish="length"),
+               boxed_record("2", [9.0] * 3, finish="length"),  # still truncated: ALTERNATIVE
+               boxed_record("3", [9.0] * 3)]
+    backend = SeedRecordingBackend(records)
+    controller = StubController(actions=[Action.RETHINK, Action.RETHINK, Action.HALT])
+    run = run_loop("p", backend, controller, GenerationConfig(seed=5),
+                   LoopConfig(max_truncation_retries=1))
+    assert (run.terminated_by, len(run.nodes)) == ("halt", 3)
+    assert backend.seeds == [5] * 5
+
+
+def test_a_level_of_failed_children_ends_the_tree_but_fails_the_loop():
+    """The tree and the loop share one level loop but not its failure
+    policy. When every child of depth 1 fails, the tree ends "no_refinement"
+    and votes over its warmup leaves, while the loop raises; both count the
+    failed slots' served tokens."""
+    warmup = [boxed_record("4", [9.0] * 2), boxed_record("4", [9.0] * 3),
+              boxed_record("5", [9.0] * 4)]
+    children = [boxed_record("6", [9.0] * 6, finish="length"),  # its retry fails
+                MockRecord(error="boom"), MockRecord(error="boom"), MockRecord(error="boom")]
+    retry = LoopConfig(max_truncation_retries=1)
+    backend = mock_backend(*warmup, *children)
+    run = run_tree("p", backend, StubController(actions=[Action.RETHINK] * 3), CFG,
+                   TreeConfig(warmup=3, branch_factor=1, max_depth=2), retry)
+    assert (run.terminated_by, run.final_answer) == ("no_refinement", "4")
+    assert [n.depth for n in run.nodes] == [0, 0, 0]
+    assert run.total_tokens == 2 + 3 + 4 + 6
+    assert backend.remaining == 0
+
+    backend = mock_backend(warmup[0], *children[:2])
+    with pytest.raises(RefinementError) as err:
+        run_loop("p", backend, StubController(actions=[Action.RETHINK]), CFG, retry)
+    assert (len(err.value.partial.nodes), err.value.partial.total_tokens) == (1, 2 + 6)
+
+
 def test_all_warmup_failed_partial_says_it_failed():
     # slot 0 is truncated and its retry fails; slot 1 fails outright
     backend = mock_backend(boxed_record("5", [9.0] * 3, finish="length"),
