@@ -19,7 +19,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -117,25 +116,31 @@ class Completion:
         self.trace.values.flags.writeable = False
 
 
-def _finite_trace(values: np.ndarray, counts: np.ndarray | None, k: int) -> ConfidenceTrace:
-    """The trace of served ``values``: row-major logprobs with ``counts[i]``
-    in row i reduced with top-``k`` means, or the confidences themselves
-    when ``counts`` is None.
+def _finite_trace(values: np.ndarray, counts: np.ndarray | None, k: int,
+                  windows: _Windows | None = None) -> ConfidenceTrace:
+    """The trace of served ``values``: the rows the scan reduced in
+    ``windows``, if any, then row-major logprobs with ``counts[i]`` in row i
+    reduced with top-``k`` means, or the confidences themselves when
+    ``counts`` is None.
 
     Raises ``BackendError`` on a non-finite served value (JSON's NaN and
     -Infinity parse, and 1e400 overflows to inf) and on a non-finite
     confidence (finite logprobs such as two of -1e308 whose sum overflows):
     neither is a log probability or a confidence, and one would poison every
     statistic of the trace."""
-    if not np.isfinite(values).all():
+    if not (np.isfinite(values).all() and (windows is None or windows.finite)):
         raise BackendError("malformed response: non-finite logprob")
     if counts is None:
         return ConfidenceTrace(values)
-    with np.errstate(over="ignore", invalid="ignore"):  # caught below
-        trace = build_trace(values, counts, k)
-    if not np.isfinite(trace.values).all():
+    width = max(windows.width if windows else 0, int(counts.max(initial=0)))
+    parts = windows.confidences(width) if windows else []
+    if counts.size or not parts:
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            parts.append(build_trace(values, counts, k, width).values)
+    confidences = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if not np.isfinite(confidences).all():
         raise BackendError("malformed response: a token's logprobs sum past the float range")
-    return trace
+    return ConfidenceTrace(confidences)
 
 
 Message = dict  # {"role": ..., "content": ...}
@@ -444,20 +449,22 @@ def _choice(obj: dict) -> tuple[dict, str, object]:
 
 
 def _completion(obj: dict, choice: dict, text: str, values: np.ndarray,
-                counts: np.ndarray, k: int) -> Completion:
-    """Check row-major logprob ``values`` (``counts[i]`` for row i) against
-    the body's usage, reduce them to the trace with top-``k`` means, and wrap
-    it with the body's text and finish reason."""
+                counts: np.ndarray, k: int, windows: _Windows | None = None) -> Completion:
+    """Check the rows the scan reduced in ``windows``, if any, and then
+    row-major logprob ``values`` (``counts[i]`` for row i) against the body's
+    usage, reduce them to the trace with top-``k`` means, and wrap it with the
+    body's text and finish reason."""
+    rows = counts.size + (windows.rows if windows else 0)
     usage = obj.get("usage") or {}
     try:
-        completion_tokens = int(usage.get("completion_tokens", counts.size))
+        completion_tokens = int(usage.get("completion_tokens", rows))
         prompt_tokens = int(usage.get("prompt_tokens", 0))
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise BackendError(f"malformed response: {exc!r}") from exc
-    trace = _finite_trace(values, counts, k)
-    if completion_tokens != counts.size:
+    trace = _finite_trace(values, counts, k, windows)
+    if completion_tokens != rows:
         raise BackendError(f"usage reports {completion_tokens} completion tokens "
-                           f"but logprobs cover {counts.size}")
+                           f"but logprobs cover {rows}")
     if prompt_tokens < 0:
         raise BackendError(f"malformed response: usage reports {prompt_tokens} prompt tokens")
     finish = choice.get("finish_reason")
@@ -563,14 +570,55 @@ def _parse_json(raw: bytes | bytearray, k: int) -> Completion:
     return parse_chat_response(obj, k)
 
 
-def _finish(prefix: bytes, captured: array, rows: int, width: int, tail: bytearray,
-            k: int) -> Completion:
+class _Windows:
+    """The rows the scan matched, ``width`` logprobs to a row, each window of
+    them reduced to its confidences as soon as it is matched, so that a parse
+    holds a float per row rather than one per logprob.
+
+    A row's confidence is what ``build_trace`` gives it in the whole body,
+    whose rows are sorted exactly when k < w, the body's widest row, known
+    only at the body's end. When k is below the scan width, rows are sorted
+    whatever follows. Otherwise a window whose rows are not all sorted
+    descending also keeps the confidences of its rows sorted, used when a
+    JSON-path row is wider than k. A non-finite value is only noted: nothing
+    is raised before the body's end, and a body whose array is not its
+    choice's logprob content reads no row of it."""
+
+    def __init__(self, width: int, k: int):
+        self.width, self.k = width, k
+        self.rows = 0
+        self.finite = True
+        self.parts: list[tuple[np.ndarray, np.ndarray | None]] = []  # (as served, sorted)
+
+    def add(self, found: list) -> None:
+        """Reduce one window's rows, the row pattern's matches."""
+        n, width, k = len(found), self.width, self.k
+        # float() reads the integer -0 as -0.0 where JSON reads 0, a sign no
+        # confidence depends on
+        values = np.fromiter(map(float, found if width == 1 else chain.from_iterable(found)),
+                             dtype=np.float64, count=n * width)
+        counts = np.full(n, width, dtype=np.intp)
+        rows = values.reshape(n, width)
+        self.finite = self.finite and bool(np.isfinite(values).all())
+        with np.errstate(over="ignore", invalid="ignore"):  # checked at the body's end
+            served = build_trace(values, counts, k).values
+            unsorted = k >= width and not (rows[:, :-1] >= rows[:, 1:]).all()
+            self.parts.append((served, build_trace(values, counts, k, k + 1).values
+                               if unsorted else None))
+        self.rows += n
+
+    def confidences(self, width: int) -> list[np.ndarray]:
+        """Each window's confidences in a body whose widest row is ``width``."""
+        return [s if t is None or width <= self.k else t for s, t in self.parts]
+
+
+def _finish(prefix: bytes, windows: _Windows, tail: bytearray, k: int) -> Completion:
     """The ``Completion`` of a body read to its end, from ``prefix``, its bytes
-    before the logprob array's "[", the ``captured`` logprobs of the array's
-    first ``rows`` rows, ``width`` to a row, and ``tail``, the rest of the
-    body. The tail starts at the array's "]" when every row was matched, and
-    otherwise at the "," before the first row that was not, where the JSON
-    path resumes; with no row matched, the JSON path reads the whole body.
+    before the logprob array's "[", the array's first rows reduced in
+    ``windows``, and ``tail``, the rest of the body. The tail starts at the
+    array's "]" when every row was matched, and otherwise at the "," before
+    the first row that was not, where the JSON path resumes; with no row
+    matched, the JSON path reads the whole body.
 
     Matched rows are JSON, so the body is JSON exactly when the rows after
     them are the rest of a JSON array and the body parses with a stand-in
@@ -578,7 +626,7 @@ def _finish(prefix: bytes, captured: array, rows: int, width: int, tail: bytearr
     else, so the parse hands back a marker for it alone, and the array is
     the choice's logprob content exactly when the marker lands there;
     anywhere else, ``parse_chat_response`` reads no row of it."""
-    if not rows:
+    if not windows.rows:
         return _parse_json(prefix + tail, k)
     head, rest = prefix.decode("utf-8", errors="replace"), tail.decode("utf-8", errors="replace")
     more, at = [], 1
@@ -595,12 +643,8 @@ def _finish(prefix: bytes, captured: array, rows: int, width: int, tail: bytearr
     choice, text, content = _choice(obj)
     if content is not marker:
         return parse_chat_response(obj, k)
-    values, counts = np.frombuffer(captured), np.full(rows, width, dtype=np.intp)
-    if more:
-        more_values, more_counts = _logprob_rows(more)
-        values = np.concatenate([values, more_values])
-        counts = np.concatenate([counts, more_counts])
-    return _completion(obj, choice, text, values, counts, k)
+    values, counts = _logprob_rows(more) if more else (np.empty(0), np.empty(0, dtype=np.intp))
+    return _completion(obj, choice, text, values, counts, k, windows)
 
 
 class _Body:
@@ -668,7 +712,7 @@ class _Body:
 def _parse_stream(readinto: Callable[[memoryview], int], k: int) -> Completion:
     """``parse_chat_body`` of the body that ``readinto`` fills in. The logprob
     array is matched a window of whole rows at a time as it arrives, and only
-    its captured logprobs are kept, with the bytes before and after it. The
+    its rows' confidences are kept, with the bytes before and after it. The
     first window the rows of the first row's width do not tile keeps the
     rest of the body for the JSON path. The body is read to its end before
     any parse error is raised, so one cut short fails as the read does."""
@@ -679,31 +723,29 @@ def _parse_stream(readinto: Callable[[memoryview], int], k: int) -> Completion:
     start = key + len(_CONTENT) - 1
     prefix = bytes(body.buf[:start])
     body.drop(start)  # the array's "[" at 0, the only place \A matches
-    captured = array("d")  # grown in place, so the values are held once
-    rows = 0
     # The array ends at the first "}]}]" after its first top_logprobs key; if
     # a token holds one, the window that ends there does not tile.
     body.end_from = first_row = body.find(_TOP_LOGPROBS, 0)
     cut = body.boundary(first_row)[0] if first_row >= 0 else -1
     width = _row_width(body.buf, first_row, cut) if cut >= 0 else 0
-    if 0 < width <= _MAX_ROW_WIDTH:
+    windows = _Windows(width, k)
+    # k < 1 scores no row: the JSON path raises build_trace's ValueError
+    # after the body's own errors
+    if 0 < width <= _MAX_ROW_WIDTH and k >= 1:
         whole_rows = _row_pattern(width)
         while True:
             # A window ends at a row's "}]}", where a row break starts.
             cut, at_end = body.boundary(_WINDOW)
             if cut < 0:
                 break
-            # float() reads the integer -0 as -0.0 where JSON reads 0, a sign
-            # no confidence depends on
             found = whole_rows.findall(body.buf, 0, cut + 3)
             if not (found[-1] if width == 1 else found[-1][0]):  # one group: no tuples
                 break
-            captured.extend(map(float, found if width == 1 else chain.from_iterable(found)))
-            rows += len(found)
+            windows.add(found)
             body.drop(cut + 3)
             if at_end:
                 break
-    return _finish(prefix, captured, rows, width, body.rest(), k)
+    return _finish(prefix, windows, body.rest(), k)
 
 
 def parse_chat_body(raw: bytes, k: int) -> Completion:

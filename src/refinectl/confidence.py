@@ -134,18 +134,21 @@ def token_confidence(entries: Sequence[float], k: int) -> float:
     return float(-use.mean())
 
 
-def build_trace(values: np.ndarray, counts: np.ndarray, k: int) -> ConfidenceTrace:
+def build_trace(values: np.ndarray, counts: np.ndarray, k: int, width: int = 0) -> ConfidenceTrace:
     """Score every output position from row-major logprobs, ``counts[i]`` of
     them in row i in served order: ``token_confidence`` of each row sorted
     descending, as one masked row mean.
 
-    Rows are padded with -inf only when they are ragged, and sorted only when
-    k < w. They are summed as given and only the sums negated, so no negated
-    copy of them is made; ``0.0 - total`` keeps a zero confidence +0.0, the
-    sign a sum of negated rows gets from its +0.0 start."""
+    Rows are padded to w, the widest row or ``width`` if that is wider, with
+    -inf only when they are ragged, and sorted only when k < w: a caller that
+    scores a body's rows in parts passes the body's widest row as ``width``,
+    and each part gets the bits the whole body gets. They are summed as given
+    and only the sums negated, so no negated copy of them is made;
+    ``0.0 - total`` keeps a zero confidence +0.0, the sign a sum of negated
+    rows gets from its +0.0 start."""
     if k < 1 or counts.size == 0:
         raise ValueError(f"need k >= 1 (got {k}) and at least one logprob row")
-    width = int(counts.max())
+    width = max(width, int(counts.max()))
     if values.size == counts.size * width:  # every row full: nothing to pad
         rows = values.reshape(-1, width)
     else:

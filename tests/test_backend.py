@@ -81,11 +81,13 @@ def test_mock_non_finite_value_fails_the_request(record):
     assert backend.generate(MSG, CFG).text == "next"
 
 
-def test_script_file_with_infinity_fails_the_request(tmp_path):
+def test_script_file_with_infinity_fails_to_load(tmp_path):
+    """A script file's ``Infinity`` is rejected at load, before any request;
+    records built in code fail at serve instead (above)."""
     path = tmp_path / "script.json"
     path.write_text('{"responses": [{"text": "\\\\boxed{7}", "confidences": [1.0, Infinity]}]}')
-    with pytest.raises(BackendError, match="non-finite logprob"):
-        mock_backend(*load_mock_script(path)).generate(MSG, CFG)
+    with pytest.raises(ScriptError, match=r"^responses\[0\]: non-finite logprob"):
+        load_mock_script(path)
 
 
 def test_empty_messages_rejected():

@@ -142,3 +142,22 @@ def test_build_trace_is_bitwise_the_reference(rows):
     want = reference_trace(values, counts, k)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()  # zeros keep the reference's sign
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(logprob_rows(), st.data())
+def test_build_trace_in_parts_is_bitwise_the_whole(rows, data):
+    """Rows scored in two parts, each padded to the whole's widest row, get
+    the whole's bits; where that row is wider than k, so does a part padded
+    only past k, as the scan scores a window before the body's widest row
+    is known."""
+    values, counts, k = rows
+    whole = build_trace(values, counts, k).values
+    cut = data.draw(st.integers(0, counts.size))
+    split, width = int(counts[:cut].sum()), int(counts.max())
+    parts = [(values[:split], counts[:cut]), (values[split:], counts[cut:])]
+    got = np.concatenate([build_trace(v, c, k, width).values for v, c in parts if c.size])
+    assert got.tobytes() == whole.tobytes()
+    if k < width:
+        got = np.concatenate([build_trace(v, c, k, k + 1).values for v, c in parts if c.size])
+        assert got.tobytes() == whole.tobytes()

@@ -22,6 +22,7 @@ from refinectl.backend import (
     parse_chat_response,
 )
 from refinectl.bench import Problem, RunSpec, run_benchmark
+from refinectl.confidence import build_trace
 from refinectl.controller import init
 from refinectl.refine import LoopConfig
 
@@ -78,20 +79,27 @@ def test_scan_agrees_with_json_path_in_tiny_windows(raw, k):
 def read_by_rows(raw: bytes, k: int = K) -> bool:
     """Whether the row pattern reads every row of the body's logprob array
     and the rest of the body parses with that array as the choice's logprob
-    content: no row is left to the JSON path."""
-    read, finish, parse = [], backend_mod._finish, backend_mod.parse_chat_response
+    content: no row is left to the JSON path. The rest of the body the scan
+    leaves starts at the array's "]" exactly when every row was matched, and
+    the JSON path reads rows with ``_logprob_rows``, through
+    ``parse_chat_response`` when it reads the whole content."""
+    read, rest = [], backend_mod._Body.rest
 
-    def recording(prefix, captured, rows, width, tail, k):
-        read.append(rows > 0 and tail[:1] == b"]")
-        return finish(prefix, captured, rows, width, tail, k)
+    def rest_read(body):
+        tail = rest(body)
+        read.append(tail[:1] == b"]")
+        return tail
 
-    def json_path_taken(obj, k):
-        read.append(False)
-        return parse(obj, k)
+    def json_path_taken(parse):
+        def recording(*args):
+            read.append(False)
+            return parse(*args)
+        return recording
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backend_mod, "_finish", recording)
-        mp.setattr(backend_mod, "parse_chat_response", json_path_taken)
+        mp.setattr(backend_mod._Body, "rest", rest_read)
+        for name in ("parse_chat_response", "_logprob_rows"):
+            mp.setattr(backend_mod, name, json_path_taken(getattr(backend_mod, name)))
         try:
             parse_chat_body(raw, k)
         except BackendError as exc:
@@ -385,6 +393,55 @@ def test_scan_memory_stays_below_the_body():
         tracemalloc.stop()
     assert completion == expected
     assert peak < len(raw), (peak, len(raw))
+
+
+def parse_peak(raw: bytes) -> int:
+    """The traced peak of a parse of ``raw``, after one untraced parse that
+    fills the interpreter's caches."""
+    parse_chat_body(raw, K)
+    tracemalloc.start()
+    try:
+        parse_chat_body(raw, K)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_does_not_grow_with_the_logprobs():
+    """Each window is reduced to a confidence per row once matched: eight
+    times the rows of 20 logprobs raise the parse's peak by under a quarter,
+    where holding every logprob would add 20 floats a row."""
+    rng = np.random.default_rng(0)
+    peaks = [parse_peak(compact_body(np.sort(-rng.exponential(2.0, size=(n, 20)))[:, ::-1]
+                                     .tolist(), with_bytes=True))
+             for n in (2_000, 16_000)]
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("window", [None, TINY_WINDOW])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("row", [[-1.0, -0.5], [-1e-16, -1.0, -1e-16]], ids=["width2", "width3"])
+def test_unsorted_rows_before_a_wider_row_agree_with_json_path(monkeypatch, row, k, window):
+    """Rows the scan matches, not sorted descending, then a JSON-path row of
+    width 4. At k = 3 every row of the body is sorted (k < 4) although no
+    matched row is wider than k, so the matched rows take the sums of their
+    rows sorted. At k = 1 they are sorted whatever comes after them, and at
+    k = 5 no row is: no sort-order question arises. A sum of two terms does
+    not depend on their order; one of three does, and the width-3 row's
+    sorted and served sums differ."""
+    rows = [row] * 3000 + [[-0.5, -1.5, -2.5, -3.5]]
+    raw = compact_body(rows, with_bytes=True)
+    expected = json_path(raw, k)
+    if window is not None:
+        monkeypatch.setattr(backend_mod, "_WINDOW", window)
+    calls = record_scans(monkeypatch)
+    got = parse_chat_body(raw, k)
+    assert len(calls) > 1  # the scan matched rows before the window it gave up on
+    assert_same_outcome(got, expected)
+    assert got.trace.values.tobytes() == expected.trace.values.tobytes()
+    if len(row) == 3 and k == 3:
+        served = build_trace(np.array(row), np.array([3]), k).values
+        assert served.tobytes() != expected.trace.values[:1].tobytes()
 
 
 @pytest.mark.parametrize("raw, error", [

@@ -336,15 +336,17 @@ def test_a_response_parses_like_its_bytes(server, raw, window, kind):
     assert server.requests[0] == 1 and len(opened) == 1 and opened[0].closed
 
 
-@pytest.mark.parametrize("defect", ["none", "first row", "no array"])
+@pytest.mark.parametrize("defect", ["none", "first row", "no array", "non-finite"])
 def test_a_body_cut_short_is_a_transport_error_whatever_it_held(server, monkeypatch, defect):
     """No parse error is raised before a body has been read to its end: a
     body cut short is a retried ``TransportError``, even where its first
-    windows are malformed or hold no logprob array at all."""
+    windows are malformed, hold no logprob array at all, or hold a logprob
+    that overflows to -inf in a row the scan matches."""
     monkeypatch.setattr(backend_mod, "_WINDOW", TINY_WINDOW)
     raw = compact_body([[-0.5, -1.5]] * 50, with_bytes=False)
     raw = {"none": raw, "first row": raw.replace(b"-1.5", b"-01.5", 1),
-           "no array": raw.replace(b'"logprobs":{', b'"logprobs": {')}[defect]
+           "no array": raw.replace(b'"logprobs":{', b'"logprobs": {'),
+           "non-finite": raw.replace(b"-1.5", b"-1e400", 1)}[defect]
     cut = ("cut", len(raw), raw[:len(raw) * 3 // 4])
     with pytest.raises(TransportError, match="IncompleteRead") as info:
         generate(server, [cut] * 3)
