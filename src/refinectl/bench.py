@@ -3,8 +3,9 @@
 Methods: pass@1, parallel and sequential majority voting at K samples,
 confidence-filtered voting (optional exclusion band on mean trace
 confidence, top-fraction keep, optional confidence weighting), and the two
-refinement strategies. Every stochastic method runs once per seed; rows
-report mean/std accuracy over seeds plus exact generation-token totals.
+refinement strategies. The four voting baselines share one sampling loop
+and one vote. Every stochastic method runs once per seed; rows report
+mean/std accuracy over seeds plus exact generation-token totals.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import logging
 import math
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -62,8 +62,7 @@ class RunSpec:
             raise ValueError(f"method must be one of {METHODS}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not (0 < self.keep_fraction <= 1):
-            raise ValueError("keep_fraction must be in (0, 1]")
+        _check_filters(self.keep_fraction, self.exclude_min, self.exclude_max)
         if not self.seeds:
             raise ValueError("need at least one seed")
 
@@ -101,10 +100,15 @@ class ReportRow:
 def majority_vote(answers: Sequence[str | None]) -> str | None:
     """Modal non-empty answer, keyed by ``normalize_math_answer``; ties break
     lexicographically; all-empty -> None."""
-    counts = Counter(filter(None, map(normalize_math_answer, answers)))
-    if not counts:
-        return None
-    return min(counts, key=lambda a: (-counts[a], a))
+    return conf_filtered_vote([(a, 0.0) for a in answers])
+
+
+def _check_filters(keep_fraction: float, lo: float | None, hi: float | None) -> None:
+    if not (0 < keep_fraction <= 1):
+        raise ValueError("keep_fraction must be in (0, 1]")
+    band = [b for b in (lo, hi) if b is not None]
+    if not all(map(math.isfinite, band)) or band != sorted(band):
+        raise ValueError("the exclusion band needs finite bounds, exclude_min <= exclude_max")
 
 
 def conf_filtered_vote(
@@ -119,11 +123,11 @@ def conf_filtered_vote(
     Traces outside [exclude_min, exclude_max] are dropped first, then only
     the top ``keep_fraction`` by confidence vote, by count or by summed
     confidence, keyed by ``normalize_math_answer``. With keep_fraction=1,
-    no exclusions, and unweighted voting this reduces exactly to
-    :func:`majority_vote` (including the lexicographic tie rule).
+    no exclusions, and unweighted voting this is exactly :func:`majority_vote`
+    (lexicographic tie rule included). A band with a non-finite bound, or
+    with exclude_min > exclude_max, raises ``ValueError``.
     """
-    if not (0 < keep_fraction <= 1):
-        raise ValueError("keep_fraction must be in (0, 1]")
+    _check_filters(keep_fraction, exclude_min, exclude_max)
     kept = [(a, c) for a, c in traces
             if (exclude_min is None or c >= exclude_min)
             and (exclude_max is None or c <= exclude_max)]
@@ -153,65 +157,48 @@ class _ProblemOutcome:
     generations: int
 
 
-def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, seed: int,
+def _sample_k(problem: Problem, backend: Backend, spec: RunSpec, k: int, seed: int,
               sequential: bool) -> tuple[list[tuple[str | None, float, int]], BackendError | None]:
-    """K samples of the same prompt -> ((answer, mean confidence, tokens) of
-    every served sample, the first failure or None). Sequential sampling
-    stops at the first failure; parallel sampling serves every other slot."""
+    """K samples of the same prompt, served only by ``drain_concurrent`` ->
+    ((answer, mean confidence, tokens) of every served sample, the first
+    failure or None). Parallel sampling sends the K requests as one batch;
+    sequential sampling sends batches of one and stops after one fails."""
     messages = build_initial_prompt(problem)
     base = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
-    if sequential:
-        results: list = []
-        for i in range(spec.k):
-            try:
-                results.append(backend.generate(messages, base.with_seed(base.seed + i)))
-            except BackendError as exc:
-                results.append(exc)
-                break
-    else:
-        results = drain_concurrent(
-            backend, [(messages, base.with_seed(base.seed + i)) for i in range(spec.k)])
+    requests = [(messages, base.with_seed(base.seed + i)) for i in range(k)]
     samples: list[tuple[str | None, float, int]] = []
-    failure = None
-    for completion in results:
-        if isinstance(completion, BackendError):
-            failure = failure if failure is not None else completion
-            continue
-        answer = extract_answer(completion.text, problem.mode)
-        samples.append((answer, completion.trace.mean, completion.completion_tokens))
-    return samples, failure
+    for batch in ([r] for r in requests) if sequential else [requests]:
+        results = drain_concurrent(backend, batch)
+        samples += [(extract_answer(c.text, problem.mode), c.trace.mean, c.completion_tokens)
+                    for c in results if not isinstance(c, BackendError)]
+        failure = next((c for c in results if isinstance(c, BackendError)), None)
+        if failure is not None:
+            return samples, failure
+    return samples, None
 
 
 def _run_problem(problem: Problem, spec: RunSpec, backend: Backend, controller,
                  seed: int) -> _ProblemOutcome:
-    if spec.method in ("pass1", "majority_parallel", "majority_sequential", "conf_filtered"):
+    if spec.method not in CONTROLLED:  # a voting baseline; pass1 is one sequential sample
         k = 1 if spec.method == "pass1" else spec.k
         samples, failure = _sample_k(
-            problem, backend, replace(spec, k=k), seed,
+            problem, backend, spec, k, seed,
             sequential=spec.method in ("pass1", "majority_sequential"))
         tokens = sum(t for _, _, t in samples)
         if failure is not None:
             logger.warning("problem %s failed: %s", problem.id, failure)
             return _ProblemOutcome(False, tokens, len(samples))
-        if spec.method == "pass1":
-            answer = samples[0][0]
-        elif spec.method == "conf_filtered":
-            answer = conf_filtered_vote([(a, c) for a, c, _ in samples],
-                                        keep_fraction=spec.keep_fraction,
-                                        weighted=spec.weighted,
-                                        exclude_min=spec.exclude_min,
-                                        exclude_max=spec.exclude_max)
-        else:
-            answer = majority_vote([a for a, _, _ in samples])
+        filters = (dict(keep_fraction=spec.keep_fraction, weighted=spec.weighted,
+                        exclude_min=spec.exclude_min, exclude_max=spec.exclude_max)
+                   if spec.method == "conf_filtered" else {})
+        answer = conf_filtered_vote([(a, c) for a, c, _ in samples], **filters)
         return _ProblemOutcome(is_correct(problem, answer), tokens, k)
 
     gen = spec.gen_cfg if spec.gen_cfg.seed is not None else spec.gen_cfg.with_seed(seed)
     if spec.method == "corefine":
         done = run(problem, backend, controller, gen, spec.loop_cfg)
-    elif spec.method == "corefine_tree":
-        done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg)
     else:
-        raise ValueError(f"unknown method {spec.method!r}")
+        done = run_tree(problem, backend, controller, gen, spec.tree_cfg, spec.loop_cfg)
     return _ProblemOutcome(is_correct(problem, done.final_answer), done.total_tokens,
                            len(done.nodes))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import re
 import threading
 import time
@@ -13,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refinectl.backend import Backend, GenerationConfig, MockBackend, MockRecord
 from refinectl.bench import (
@@ -34,7 +37,7 @@ from refinectl.bench import (
     run_benchmark,
 )
 from refinectl.controller import Action, init
-from refinectl.datasets import is_unsure_choice
+from refinectl.datasets import is_unsure_choice, normalize_math_answer
 from refinectl.refine import LoopConfig, run
 from refinectl.tree import TreeConfig, run_tree
 
@@ -233,6 +236,43 @@ def test_weighted_vote_uses_confidence_mass():
     assert conf_filtered_vote(traces, weighted=False) == "A"
 
 
+@pytest.mark.parametrize("band", [(12.0, 11.0), (math.nan, None), (None, math.nan),
+                                  (-math.inf, 12.0), (None, math.inf)],
+                         ids=["empty", "nan-min", "nan-max", "inf-min", "inf-max"])
+def test_an_empty_or_non_finite_exclusion_band_is_rejected(band):
+    """An empty or NaN band keeps no trace, so every vote would be None and
+    a sweep would report 0 % accuracy instead of failing; an infinite bound
+    is rejected alike."""
+    exclude_min, exclude_max = band
+    with pytest.raises(ValueError, match="exclusion band"):
+        RunSpec(method="conf_filtered", k=3, exclude_min=exclude_min, exclude_max=exclude_max)
+    with pytest.raises(ValueError, match="exclusion band"):
+        conf_filtered_vote([("A", 11.5)], exclude_min=exclude_min, exclude_max=exclude_max)
+
+
+def test_a_one_point_or_one_sided_band_is_accepted():
+    assert conf_filtered_vote([("A", 11.0)], exclude_min=11.0, exclude_max=11.0) == "A"
+    assert RunSpec(method="conf_filtered", exclude_min=11.0).exclude_max is None
+    assert RunSpec(method="conf_filtered", exclude_max=-3.0).exclude_min is None
+
+
+# None, "", "{ }", braces, inner whitespace and letters
+vote_answers = st.one_of(st.none(),
+                         st.text(alphabet=["{", "}", " ", "\t", "a", "b"], max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(vote_answers, st.floats()), max_size=12))
+def test_unfiltered_conf_vote_is_the_majority_vote(pairs):
+    """With its defaults the confidence-filtered vote is the majority vote,
+    whatever the confidences, NaN and infinities included; both pick the
+    most frequent key, the lexicographically least on a tie."""
+    answers = [a for a, _ in pairs]
+    counts = Counter(filter(None, map(normalize_math_answer, answers)))
+    modal = min(counts, key=lambda a: (-counts[a], a)) if counts else None
+    assert conf_filtered_vote(pairs) == majority_vote(answers) == modal
+
+
 def test_equivalence_with_majority_on_exhaustive_multisets(rng):
     symbols = ("A", "B", "C")
     for size in range(0, 7):
@@ -399,20 +439,56 @@ def test_corefine_failed_run_scored_incorrect_with_exact_tokens():
     assert row.iterations_mean == 1.0  # one generation each
 
 
-@pytest.mark.parametrize("method", ["majority_parallel", "majority_sequential"])
-def test_failed_sample_scored_incorrect_with_served_tokens(method):
+@pytest.mark.parametrize("method, failed_slot, tokens, served, unconsumed", [
+    ("majority_parallel", 2, 10, 2.0, 0),
+    ("majority_sequential", 2, 10, 2.0, 0),
+    ("majority_parallel", 1, 10, 2.0, 0),    # every slot is served
+    ("majority_sequential", 1, 4, 1.0, 1),   # sampling stops at the failure
+], ids=["majority_parallel", "majority_sequential", "majority_parallel-middle",
+        "majority_sequential-middle"])
+def test_failed_sample_scored_incorrect_with_served_tokens(method, failed_slot, tokens, served,
+                                                           unconsumed):
     from refinectl.backend import MockRecord
 
+    made = []
+
     def factory(seed):
-        return MockBackend([boxed_record("7", [12.0] * 4), boxed_record("7", [12.0] * 6),
-                            MockRecord(error="boom")])
+        records = [boxed_record("7", [12.0] * 4), boxed_record("7", [12.0] * 6)]
+        made.append(MockBackend(records[:failed_slot] + [MockRecord(error="boom")]
+                                + records[failed_slot:]))
+        return made[-1]
 
     dataset = [Problem(id="p", statement="q", ground_truth="7")]
     spec = RunSpec(method=method, k=3, seeds=(0,))
     row = run_benchmark(dataset, spec, backend=None, backend_factory=factory)
-    assert row.accuracy_mean == 0.0  # slot 2 failed: the problem is lost
-    assert row.tokens_total == 10  # slots 0 and 1 were still served
-    assert row.iterations_mean == 2.0
+    assert row.accuracy_mean == 0.0  # a slot failed: the problem is lost
+    assert row.tokens_total == tokens  # the samples served before or beside it count
+    assert row.iterations_mean == served
+    assert made[0].remaining == unconsumed
+
+
+def test_the_voting_baselines_agree_at_one_sample():
+    """At k = 1 every voting baseline is pass@1: the same row from the same
+    script, a failed sample, an answer in braces and a reply without one
+    included."""
+    def factory(seed):
+        return MockBackend([boxed_record("0", [12.0] * 3), boxed_record("{ 1 }", [9.0] * 4),
+                            boxed_record("5", [15.0] * 5), MockRecord(text="no answer",
+                                                                     confidences=[7.0] * 6),
+                            MockRecord(error="boom"), boxed_record("B", [11.0] * 2)])
+
+    dataset = [Problem(id=f"p{i}", statement=f"q{i}", ground_truth=str(i)) for i in range(5)]
+    dataset.append(Problem(id="m", statement="pick", ground_truth="y", mode="mcq",
+                           choices=("x", "y")))
+    rows = [replace(run_benchmark(dataset, spec, backend=None, backend_factory=factory),
+                    method="-", wall_time=0.0)
+            for spec in (RunSpec(method="pass1", seeds=(0, 1)),
+                         RunSpec(method="majority_sequential", seeds=(0, 1)),
+                         RunSpec(method="majority_parallel", seeds=(0, 1)),
+                         RunSpec(method="conf_filtered", seeds=(0, 1), keep_fraction=0.5,
+                                 weighted=True))]
+    assert rows[0] == rows[1] == rows[2] == rows[3]
+    assert rows[0].accuracy_mean == 50.0 and rows[0].tokens_total == 2 * (3 + 4 + 5 + 6 + 2)
 
 
 def test_corefine_failed_truncation_retry_keeps_tokens():

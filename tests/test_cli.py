@@ -401,6 +401,23 @@ def test_an_out_of_range_sampling_flag_is_a_usage_error(tmp_path, capsys, model_
     assert_usage_error(tmp_path, capsys, model_file, command, flag, value)
 
 
+@pytest.mark.parametrize("band", [["--exclude-min", "12", "--exclude-max", "11"],
+                                  ["--exclude-min", "nan"], ["--exclude-max", "inf"]],
+                         ids=["empty", "nan", "inf"])
+def test_an_empty_or_non_finite_exclusion_band_is_a_usage_error(tmp_path, capsys, band):
+    """Such a band would silently score every problem incorrect."""
+    script = write_script(tmp_path / "script.json", n_records=6)
+    dataset = write_dataset(tmp_path / "problems.jsonl", n=2)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--dataset", dataset, "--method", "conf_filtered", "--k", "3",
+              "--mock-script", script, *band])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: refinectl bench ")
+    assert "refinectl bench: error: the exclusion band" in captured.err
+
+
 def test_a_value_error_while_running_is_not_a_usage_error(tmp_path, monkeypatch, model_file):
     """Only the configs' checks become usage errors: a ValueError from the
     run itself, a bug, still leaves main."""

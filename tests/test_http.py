@@ -645,11 +645,15 @@ def test_tree_reports_do_not_depend_on_max_inflight(server):
 @pytest.mark.parametrize("spec", [
     RunSpec(method="corefine", seeds=(0,)),
     RunSpec(method="majority_sequential", k=3, seeds=(0,)),
-], ids=["corefine", "majority_sequential"])
+    RunSpec(method="pass1", seeds=(0,)),
+    RunSpec(method="majority_parallel", k=3, seeds=(0,)),
+    RunSpec(method="conf_filtered", k=3, seeds=(0,), keep_fraction=0.5),
+], ids=["corefine", "majority_sequential", "pass1", "majority_parallel", "conf_filtered"])
 def test_loop_and_voting_reports_do_not_depend_on_max_inflight(server, spec):
     seen = rows_by_max_inflight(server, spec)
     assert seen[0] == seen[1] == seen[2]
-    assert seen[0][0].iterations_mean > 1
+    iterations = seen[0][0].iterations_mean
+    assert iterations == 1 if spec.method == "pass1" else iterations > 1  # pass1 samples once
 
 
 def test_problems_in_flight_share_the_request_slots(server):
